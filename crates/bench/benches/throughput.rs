@@ -2,7 +2,7 @@
 //! sweep-parallel, on the 8-core Table-4 machine — the same measurement as
 //! `secdir-sim perf`, runnable as `cargo bench --bench throughput`.
 //!
-//! Writes `BENCH_throughput.json` (schema `secdir-bench-throughput/1`, see
+//! Writes `BENCH_throughput.json` (schema `secdir-bench-throughput/4`, see
 //! EXPERIMENTS.md) so the engine's perf trajectory is tracked in-repo.
 //! Timed with `std::time::Instant` (the offline environment has no
 //! criterion).

@@ -20,9 +20,11 @@
 //!   comparable rates.
 //!
 //! Results serialize to JSONL with a fixed field order (`schema`
-//! `secdir-bench-throughput/3`, documented in EXPERIMENTS.md) so
+//! `secdir-bench-throughput/4`, documented in EXPERIMENTS.md) so
 //! `BENCH_throughput.json` diffs cleanly across PRs and the perf
-//! trajectory of the engine is tracked in-repo.
+//! trajectory of the engine is tracked in-repo. Every row records the
+//! host's CPU count: the sliced engine's barrier spins only when its
+//! threads fit the CPUs, so a threaded rate means little without it.
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -94,7 +96,7 @@ impl PerfSpec {
             warmup: 20_000,
             measure: 200_000,
             sweep_cells: 8,
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads: host_cpus(),
             seed: 0x5eed,
             serial_reps: 5,
             slice_threads: vec![1, 2, 4, 8],
@@ -114,6 +116,11 @@ impl PerfSpec {
             ..PerfSpec::full()
         }
     }
+}
+
+/// The CPUs this process may run on, as recorded in every row.
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// One timed measurement.
@@ -136,6 +143,8 @@ pub struct PerfSample {
     /// samples, `true` for sweep samples — without this flag the two
     /// modes' rates would read as comparable when they are not.
     pub warmup_timed: bool,
+    /// CPUs available to the process when the sample was taken.
+    pub host_cpus: usize,
     /// Memory accesses simulated inside the timed window.
     pub accesses: u64,
     /// Wall-clock duration of the timed window, in nanoseconds.
@@ -152,11 +161,11 @@ impl PerfSample {
     }
 
     /// One JSON object (one JSONL line, no trailing newline); fixed field
-    /// order, schema `secdir-bench-throughput/3` (see EXPERIMENTS.md).
+    /// order, schema `secdir-bench-throughput/4` (see EXPERIMENTS.md).
     /// Schema `/2` added `warmup_timed` after `serial_reps`; schema `/3`
     /// renamed the epoch-engine rows from `mode:"serial"` to
     /// `mode:"sliced"` and gave them `epoch_batch`/`pipeline` fields
-    /// after `threads`.
+    /// after `threads`; schema `/4` added `host_cpus` before `accesses`.
     pub fn to_json_line(&self, spec: &PerfSpec) -> String {
         let tuning = match self.tuning {
             Some(t) => format!(
@@ -167,13 +176,13 @@ impl PerfSample {
         };
         format!(
             concat!(
-                "{{\"schema\":\"secdir-bench-throughput/3\",",
+                "{{\"schema\":\"secdir-bench-throughput/4\",",
                 "\"workload\":\"{workload}\",\"directory\":\"{directory}\",",
                 "\"mode\":\"{mode}\",\"cores\":{cores},\"warmup\":{warmup},",
                 "\"measure\":{measure},\"serial_reps\":{reps},",
                 "\"warmup_timed\":{warmup_timed},",
                 "\"cells\":{cells},\"threads\":{threads}{tuning},",
-                "\"accesses\":{accesses},\"nanos\":{nanos},",
+                "\"host_cpus\":{host_cpus},\"accesses\":{accesses},\"nanos\":{nanos},",
                 "\"accesses_per_sec\":{aps}}}"
             ),
             workload = spec.workload,
@@ -187,6 +196,7 @@ impl PerfSample {
             cells = self.cells,
             threads = self.threads,
             tuning = tuning,
+            host_cpus = self.host_cpus,
             accesses = self.accesses,
             nanos = self.nanos,
             aps = self.accesses_per_sec(),
@@ -239,6 +249,7 @@ fn measure_serial<F: StreamFactory + ?Sized>(
         cells: 1,
         threads: 1,
         warmup_timed: false,
+        host_cpus: host_cpus(),
         accesses,
         nanos,
     }
@@ -292,6 +303,7 @@ fn measure_sliced<F: StreamFactory + ?Sized>(
         cells: 1,
         threads: slice_threads,
         warmup_timed: false,
+        host_cpus: host_cpus(),
         accesses,
         nanos,
     }
@@ -318,6 +330,7 @@ fn measure_sweep<F: StreamFactory + ?Sized>(
         cells: cells.len(),
         threads: spec.threads.max(1),
         warmup_timed: true,
+        host_cpus: host_cpus(),
         accesses: results.iter().map(|r| r.stats.total_accesses()).sum(),
         nanos,
     }
@@ -409,6 +422,7 @@ mod tests {
             cells: 1,
             threads: 1,
             warmup_timed: false,
+            host_cpus: 2,
             accesses: 500,
             nanos: 250_000_000, // 0.25 s
         };
@@ -480,15 +494,16 @@ mod tests {
             cells: 2,
             threads: 2,
             warmup_timed: true,
+            host_cpus: 2,
             accesses: 4_800,
             nanos: 1_200_000,
         };
         let line = s.to_json_line(&spec);
-        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/3\""));
+        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/4\""));
         assert!(line.contains("\"directory\":\"secdir\""));
         assert!(line.contains("\"mode\":\"sweep\""));
         assert!(line.contains("\"warmup_timed\":true,\"cells\":2"));
-        assert!(line.contains("\"accesses\":4800"));
+        assert!(line.contains("\"host_cpus\":2,\"accesses\":4800"));
         assert!(!line.contains("epoch_batch"), "tuning only on sliced rows");
         assert!(line.ends_with(&format!("\"accesses_per_sec\":{}}}", s.accesses_per_sec())));
         let mut buf = Vec::new();
@@ -509,12 +524,15 @@ mod tests {
             cells: 1,
             threads: 4,
             warmup_timed: false,
+            host_cpus: 2,
             accesses: 4_800,
             nanos: 1_200_000,
         };
         let line = s.to_json_line(&spec);
-        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/3\""));
+        assert!(line.starts_with("{\"schema\":\"secdir-bench-throughput/4\""));
         assert!(line.contains("\"mode\":\"sliced\""));
-        assert!(line.contains("\"threads\":4,\"epoch_batch\":256,\"pipeline\":true,"));
+        assert!(
+            line.contains("\"threads\":4,\"epoch_batch\":256,\"pipeline\":true,\"host_cpus\":2,")
+        );
     }
 }

@@ -4,12 +4,15 @@
 //! [`run_workload`](crate::run_workload), but partitions the machine the
 //! way the hardware is partitioned: each directory slice (with its LLC
 //! bank) and each core's private caches can be driven by a separate worker
-//! thread, synchronized only at **epoch barriers**.
+//! thread, synchronized only at **epoch barriers**. With `slice_threads =
+//! N` the calling thread is worker 0 and `N − 1` threads are spawned, so
+//! N threads share N CPUs without oversubscription.
 //!
 //! # The epoch protocol
 //!
 //! Time advances in epochs. Every epoch has two parallel phases and two
-//! serial (main-thread) steps:
+//! serial steps, which run on the calling thread (the "main" thread
+//! below):
 //!
 //! 1. **Top-up** (main): each core's stream is pulled into a private
 //!    buffer, capped so total pulls never exceed the access cap — stream
@@ -38,9 +41,11 @@
 //! The machine's per-core caches, per-core stats and directory slices are
 //! checked out of the [`Machine`] **once per run**
 //! ([`Machine::take_parts`]) into run-local cells. Between barriers the
-//! cells shuttle between the main thread and per-worker hand-off slots as
-//! header-sized `Vec` moves — a handful of uncontended mutex operations
-//! per *epoch*, not per transaction, and no per-epoch machine surgery.
+//! cells shuttle between the main thread and the spawned workers' hand-off
+//! slots as header-sized `Vec` moves — a handful of uncontended mutex
+//! operations per *epoch*, not per transaction, and no per-epoch machine
+//! surgery. The main thread's own partition (the first chunk of cores and
+//! slices) never leaves its home vectors.
 //! The merge runs against the cells directly through the
 //! `CoherentParts` view; the machine is reassembled only at
 //! fault-injection/oracle epochs (where those hooks need to walk a whole
@@ -48,13 +53,14 @@
 //!
 //! # The epoch barrier
 //!
-//! Synchronization uses a sense-reversing barrier (`EpochBarrier`): one
-//! atomic add per arrival, a bounded spin on the generation word, then a
-//! `thread::yield_now` tier, then `thread::park`. On a machine with spare
-//! cores an epoch crossing stays in user space entirely; oversubscribed
-//! hosts skip the spin and yield straight away. This replaces the four
-//! kernel-mediated `std::sync::Barrier` waits per epoch that dominated the
-//! first version's per-epoch cost.
+//! Synchronization uses a sense-reversing barrier (`EpochBarrier`) with
+//! one participant per worker, the main thread included: one atomic add
+//! per arrival, a bounded spin on the generation word, then a
+//! `thread::yield_now` tier, then `thread::park`. When the host has at
+//! least as many CPUs as participants an epoch crossing stays in user
+//! space entirely; oversubscribed hosts skip the spin and yield straight
+//! away. This replaces the four kernel-mediated `std::sync::Barrier` waits
+//! per epoch that dominated the first version's per-epoch cost.
 //!
 //! # Determinism
 //!
@@ -66,9 +72,10 @@
 //! produce the same run (`tests/determinism.rs`, `tests/golden_stats.rs`).
 //!
 //! [`SlicedOptions::pipeline`] overlaps the *next* epoch's top-up (main
-//! thread: streams and core buffers) with the *current* epoch's slice
-//! phase (workers: directory slices) — two disjoint sets of state, so the
-//! overlap cannot reorder anything. The only observable coupling is the
+//! thread, after its own phase-B share: streams and core buffers) with
+//! the other workers' share of the *current* epoch's slice phase
+//! (directory slices) — two disjoint sets of state, so the overlap
+//! cannot reorder anything. The only observable coupling is the
 //! access cap: top-up normally runs after the merge has retired the
 //! epoch's pending transactions, so the pipelined cap check counts each
 //! in-flight pending explicitly (`accesses + pending + buffered < cap`),
@@ -97,12 +104,15 @@
 //!
 //! # Failure handling
 //!
-//! Worker and main-phase panics (e.g. the `check`-feature oracle firing
-//! under fault injection) are caught **once per worker loop**, not per
-//! phase: a panicking worker records the failure and falls into a drain
-//! loop that keeps honoring every barrier, so no thread deadlocks. The
-//! machine gets its parts back, and the first panic is re-raised on the
-//! calling thread once all workers have parked.
+//! Spawned-worker panics (e.g. the `check`-feature oracle firing under
+//! fault injection) are caught **once per worker loop**, not per phase: a
+//! panicking worker records the failure and falls into a drain loop that
+//! keeps honoring every barrier, so no thread deadlocks. Each of the main
+//! thread's steps — top-up, its phase-A and phase-B shares, the merge —
+//! runs under its own `catch_unwind`, records the failure the same way and
+//! still reaches every crossing. The machine gets its parts back, and the
+//! first panic is re-raised on the calling thread once all workers have
+//! parked.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -179,7 +189,8 @@ struct EpochBarrier {
     generation: AtomicUsize,
     participants: usize,
     /// Spin iterations before yielding; zero on oversubscribed hosts
-    /// where spinning would steal the timeslice the other side needs.
+    /// (fewer CPUs than participants), where spinning would steal the
+    /// timeslice the other side needs.
     spin_limit: u32,
     /// Participant thread handles for `unpark`, registered once before a
     /// thread's first wait.
@@ -192,7 +203,7 @@ const YIELD_LIMIT: u32 = 16;
 impl EpochBarrier {
     fn new(participants: usize) -> Self {
         let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let spin_limit = if cpus > participants { 4096 } else { 0 };
+        let spin_limit = if cpus >= participants { 4096 } else { 0 };
         EpochBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
@@ -207,7 +218,7 @@ impl EpochBarrier {
     /// only unparks registered threads, and a thread that has arrived has
     /// necessarily registered.
     fn register(&self, id: usize) {
-        // Ids are enumerate() indices plus `workers` for the main thread,
+        // Ids are 0 for the main thread and 1.. for the spawned workers,
         // always < participants; `.get` keeps this total all the same — a
         // panic during registration would strand the already-spinning side.
         if let Some(slot) = self.threads.get(id) {
@@ -369,49 +380,57 @@ fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
     }
 }
 
-/// Per-worker hand-off slot. Cells move in and out as whole `Vec`s
-/// (header-sized moves); a worker holds the lock for its entire phase, so
-/// the mutexes see a handful of uncontended operations per epoch.
+/// A spawned worker's hand-off slot. Cells move in and out as whole
+/// `Vec`s (header-sized moves); a worker holds the lock for its entire
+/// phase, so the mutexes see a handful of uncontended operations per
+/// epoch.
 struct Slot {
+    /// Cores (and slices) in the worker's chunk.
+    len: usize,
     cores: Mutex<Vec<CoreCell>>,
     slices: Mutex<Vec<SliceCell>>,
 }
 
-/// Builds the per-worker slots and the contiguous-chunk partition sizes
-/// (worker `w` owns cores and slices `[Σsizes[..w], Σsizes[..=w])`).
-/// Results do not depend on the partition, so any balanced split works.
-fn new_slots(n: usize, workers: usize) -> (Vec<Slot>, Vec<usize>) {
+/// Splits `n` cores and slices into `workers` contiguous chunks: the
+/// main thread owns the first (its size is returned) and each spawned
+/// worker gets a slot for one of the rest, in order. Results do not
+/// depend on the partition, so any balanced split works; the remainder
+/// goes to the last chunks, since the main thread also runs the serial
+/// steps.
+fn new_slots(n: usize, workers: usize) -> (usize, Vec<Slot>) {
     let base = n / workers;
     let extra = n % workers;
-    let sizes: Vec<usize> = (0..workers)
-        .map(|w| base + usize::from(w < extra))
-        .collect();
-    let slots: Vec<Slot> = sizes
-        .iter()
-        .map(|&k| Slot {
-            cores: Mutex::new(Vec::with_capacity(k)),
-            slices: Mutex::new(Vec::with_capacity(k)),
+    let slots: Vec<Slot> = (1..workers)
+        .map(|w| {
+            let len = base + usize::from(w >= workers - extra);
+            Slot {
+                len,
+                cores: Mutex::new(Vec::with_capacity(len)),
+                slices: Mutex::new(Vec::with_capacity(len)),
+            }
         })
         .collect();
-    (slots, sizes)
+    (base, slots)
 }
 
 // lint: region(barrier-worker)
-/// Moves the home cells into the worker slots, chunk by chunk.
+/// Moves the home cells after the main thread's own first `own` into
+/// the spawned workers' slots, chunk by chunk.
 fn hand_out<T>(
     home: &mut Vec<T>,
+    own: usize,
     slots: &[Slot],
-    sizes: &[usize],
     get: impl Fn(&Slot) -> &Mutex<Vec<T>>,
 ) {
-    for (slot, &k) in slots.iter().zip(sizes) {
-        lock(get(slot)).extend(home.drain(..k));
+    let mut rest = home.drain(own.min(home.len())..);
+    for slot in slots {
+        lock(get(slot)).extend(rest.by_ref().take(slot.len));
     }
 }
 
 // lint: region(barrier-worker)
-/// Moves every worker's cells back into the home vector, in worker (=
-/// core/slice) order.
+/// Moves every worker's cells back behind the main thread's own chunk,
+/// in worker (= core/slice) order.
 fn take_back<T>(home: &mut Vec<T>, slots: &[Slot], get: impl Fn(&Slot) -> &Mutex<Vec<T>>) {
     for slot in slots {
         home.append(&mut lock(get(slot)));
@@ -870,6 +889,20 @@ fn record_failure(failure: &Mutex<Option<Box<dyn Any + Send>>>, p: Box<dyn Any +
     }
 }
 
+// lint: region(barrier-worker)
+/// Runs one of the main thread's steps under its own `catch_unwind`: a
+/// panic is recorded instead of unwinding past the next barrier crossing.
+/// Returns whether the step completed.
+fn guarded(failure: &Mutex<Option<Box<dyn Any + Send>>>, step: impl FnOnce()) -> bool {
+    match catch_unwind(AssertUnwindSafe(step)) {
+        Ok(()) => true,
+        Err(p) => {
+            record_failure(failure, p);
+            false
+        }
+    }
+}
+
 /// The epoch loop without threads: same steps, same order, no barriers,
 /// no hand-off slots, and a single `catch_unwind` for the whole run.
 /// Structurally identical to one worker draining every partition, which
@@ -904,12 +937,12 @@ fn run_inline(
 }
 
 // lint: region(barrier-worker)
-/// One worker's epoch loop: phase A over its core chunk, phase B over its
-/// slice chunk, four barrier crossings per epoch. Returns when the main
-/// thread raises `done` at an epoch-start crossing. Panics inside the
-/// loop are caught by the spawning closure's `catch_unwind`, but keeping
-/// the loop itself panic-free (the region rule) means the drain protocol
-/// is a second line of defense, not the first.
+/// A spawned worker's epoch loop: phase A over its core chunk, phase B
+/// over its slice chunk, four barrier crossings per epoch. Returns when
+/// the main thread raises `done` at an epoch-start crossing. Panics
+/// inside the loop are caught by the spawning closure's `catch_unwind`,
+/// but keeping the loop itself panic-free (the region rule) means the
+/// drain protocol is a second line of defense, not the first.
 fn worker_loop(
     slot: &Slot,
     barrier: &EpochBarrier,
@@ -941,16 +974,22 @@ fn worker_loop(
     }
 }
 
-/// The epoch loop with `workers` persistent scoped threads. Worker `w`
-/// owns a contiguous chunk of cores and slices, handed to it through its
-/// slot; the main thread runs top-up, routing, and the merge between
-/// barrier crossings. A panic anywhere is caught once, recorded, and the
-/// panicking worker falls into a drain loop that keeps every barrier
-/// honored until the main thread announces shutdown — so the protocol
-/// drains instead of deadlocking. Main-thread work that may panic (stream
-/// top-up, the merge) runs under its own `catch_unwind`; everything else
-/// between barrier crossings must be panic-free, which the region
-/// annotation makes the lint gate enforce.
+/// The epoch loop on `workers` threads: the calling thread is worker 0
+/// and `workers - 1` persistent scoped threads are spawned, so the
+/// barrier has exactly `workers` participants. Each worker owns a
+/// contiguous chunk of cores and slices; spawned workers get theirs
+/// through their slot, while the calling thread's chunk stays in the
+/// home vectors. Besides its phase-A and phase-B shares, the calling
+/// thread runs top-up, routing and the merge between barrier crossings.
+///
+/// A panic anywhere is caught once and recorded. A panicking spawned
+/// worker falls into a drain loop that keeps every barrier honored until
+/// the calling thread announces shutdown; each calling-thread step that
+/// may panic (top-up, its phase shares, the merge) runs under its own
+/// `catch_unwind` ([`guarded`]) and still reaches every crossing — so the
+/// protocol drains instead of deadlocking. Everything else between
+/// barrier crossings must be panic-free, which the region annotation
+/// makes the lint gate enforce.
 // lint: region(barrier-worker)
 #[allow(clippy::too_many_arguments)]
 fn run_threaded(
@@ -963,14 +1002,13 @@ fn run_threaded(
     lat: Latencies,
     hooks: bool,
 ) -> Option<Box<dyn Any + Send>> {
-    let n = state.cells.len();
-    let (slots, sizes) = new_slots(n, workers);
-    let barrier = EpochBarrier::new(workers + 1);
+    let (own, slots) = new_slots(state.cells.len(), workers);
+    let barrier = EpochBarrier::new(workers);
     let done = AtomicBool::new(false);
     let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let mut total_retired = 0u64;
     std::thread::scope(|scope| {
-        for (w, slot) in slots.iter().enumerate() {
+        for (w, slot) in (1..).zip(&slots) {
             let barrier = &barrier;
             let done = &done;
             let failure = &failure;
@@ -989,61 +1027,65 @@ fn run_threaded(
                 }
             });
         }
-        let main_id = workers;
-        barrier.register(main_id);
+        barrier.register(0);
         // Under pipelining the next epoch's top-up already ran during this
         // epoch's phase B; `topped_up` skips the loop-top one.
         let mut topped_up = false;
         loop {
             if lock(&failure).is_some() {
                 done.store(true, Ordering::Release);
-                barrier.wait(main_id); // release workers at (1); they see `done`
+                barrier.wait(0); // release workers at (1); they see `done`
                 break;
             }
-            if !topped_up {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+            if !topped_up
+                && !guarded(&failure, || {
                     top_up(&mut state.cells, streams, cap, opts.epoch_batch);
-                })) {
-                    record_failure(&failure, p);
-                    continue; // exits through the failure branch above
-                }
+                })
+            {
+                continue; // exits through the failure branch above
             }
             topped_up = false;
             if all_finished(&state.cells) {
                 done.store(true, Ordering::Release);
-                barrier.wait(main_id);
+                barrier.wait(0);
                 break;
             }
-            hand_out(&mut state.cells, &slots, &sizes, |s| &s.cores);
-            barrier.wait(main_id); // (1)
-            barrier.wait(main_id); // (2) — workers ran phase A in between
+            hand_out(&mut state.cells, own, &slots, |s| &s.cores);
+            barrier.wait(0); // (1)
+            guarded(&failure, || {
+                // The calling thread's own cores: the only cells home now.
+                for cell in state.cells.iter_mut() {
+                    run_core_epoch(cell, lat, cap);
+                }
+            });
+            barrier.wait(0); // (2) phase A done
             take_back(&mut state.cells, &slots, |s| &s.cores);
             route(machine, &mut state.cells, &mut state.scells);
-            hand_out(&mut state.scells, &slots, &sizes, |s| &s.slices);
-            barrier.wait(main_id); // (3)
+            hand_out(&mut state.scells, own, &slots, |s| &s.slices);
+            barrier.wait(0); // (3)
+            guarded(&failure, || {
+                for scell in state.scells.iter_mut() {
+                    drain_slice(scell);
+                }
+            });
             if opts.pipeline {
-                // Overlap the next epoch's top-up with phase B: the
-                // workers only touch slice cells between (3) and (4),
+                // Overlap the next epoch's top-up with the workers' phase
+                // B: they only touch slice cells between (3) and (4),
                 // while top-up touches streams and core cells — disjoint
                 // state, so this is pure overlap (see the module docs).
-                match catch_unwind(AssertUnwindSafe(|| {
+                topped_up = guarded(&failure, || {
                     top_up(&mut state.cells, streams, cap, opts.epoch_batch);
-                })) {
-                    Ok(()) => topped_up = true,
-                    Err(p) => record_failure(&failure, p), // still reach (4)
-                }
+                });
             }
-            barrier.wait(main_id); // (4) — workers ran phase B in between
+            barrier.wait(0); // (4) phase B done
             take_back(&mut state.scells, &slots, |s| &s.slices);
             if lock(&failure).is_some() {
                 continue; // skip merging half-built state; exit at loop top
             }
             collect_responses(&mut state.scells, &mut state.responses);
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                merge(machine, state, &mut total_retired, hooks);
-            })) {
-                record_failure(&failure, p);
-            }
+            guarded(&failure, || {
+                merge(machine, state, &mut total_retired, hooks)
+            });
         }
     });
     let first = lock(&failure).take();
@@ -1072,9 +1114,10 @@ fn restore_at_end(machine: &mut Machine, state: &mut RunState) {
 ///
 /// Results are **bit-identical for every `slice_threads` value** — see
 /// the module docs for why — so the thread count is purely a throughput
-/// knob. `slice_threads = 1` runs the epoch loop inline without spawning;
-/// thread counts above the core count are clamped (extra workers would
-/// own empty partitions).
+/// knob. The calling thread is one of the workers: `slice_threads = k`
+/// spawns `k − 1` threads, and `slice_threads = 1` runs the epoch loop
+/// inline without spawning. Thread counts above the core count are
+/// clamped (extra workers would own empty partitions).
 ///
 /// Stream consumption matches [`run_workload`](crate::run_workload)
 /// exactly, so the warm-up-then-measure pattern works unchanged. The
@@ -1120,13 +1163,13 @@ pub fn run_workload_sliced_with(
         machine.num_cores(),
         "one stream per core required"
     );
-    let n = machine.num_cores();
+    let workers = slice_threads.min(machine.num_cores()).max(1);
     let lat = machine.config().latencies;
     let hooks = machine.fault.is_some() || cfg!(feature = "check");
     let mut state = new_run_state(machine, options.epoch_batch);
 
     machine.lenient = true;
-    let failure = if slice_threads == 1 {
+    let failure = if workers == 1 {
         run_inline(
             machine,
             streams,
@@ -1141,7 +1184,7 @@ pub fn run_workload_sliced_with(
             machine,
             streams,
             max_accesses_per_core,
-            slice_threads.min(n).max(1),
+            workers,
             &mut state,
             options,
             lat,
@@ -1343,9 +1386,11 @@ mod tests {
 
     /// A panicking stream must unwind cleanly out of the threaded engine —
     /// no deadlocked barrier, no poisoned worker left behind. (The test
-    /// completing at all is the deadlock check.) Runs both with and
-    /// without pipelining: the pipelined top-up panics between barrier
-    /// crossings (3) and (4), the unpipelined one outside the epoch.
+    /// completing at all is the deadlock check.) Runs with and without
+    /// pipelining — the pipelined top-up panics between barrier crossings
+    /// (3) and (4), the unpipelined one outside the epoch — at 2 and 4
+    /// slice threads, with the bomb in the calling thread's own partition
+    /// (core 0) and in the last spawned worker's (core 3).
     #[test]
     fn stream_panic_unwinds_without_deadlock() {
         struct Bomb(u32);
@@ -1356,20 +1401,72 @@ mod tests {
                 Some(Access::read(LineAddr::new(u64::from(self.0))))
             }
         }
-        for pipeline in [false, true] {
-            let options = SlicedOptions {
-                pipeline,
-                ..SlicedOptions::default()
-            };
-            let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::SecDir));
-            let mut s: Vec<Box<dyn AccessStream>> = vec![Box::new(Bomb(0)), stream(1, 500, 64)];
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_workload_sliced_with(&mut m, &mut s, u64::MAX, 2, options)
-            }));
-            assert!(
-                result.is_err(),
-                "the bomb must propagate (pipeline {pipeline})"
-            );
+        for threads in [2, 4] {
+            for bomb in [0, 3] {
+                for pipeline in [false, true] {
+                    let options = SlicedOptions {
+                        pipeline,
+                        ..SlicedOptions::default()
+                    };
+                    let mut m = Machine::new(MachineConfig::small(4, DirectoryKind::SecDir));
+                    let mut s = streams(4, 500);
+                    s[bomb] = Box::new(Bomb(0));
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        run_workload_sliced_with(&mut m, &mut s, u64::MAX, threads, options)
+                    }));
+                    let payload = result.err().unwrap_or_else(|| {
+                        panic!(
+                            "no panic: {threads} threads, bomb on core {bomb}, pipeline {pipeline}"
+                        )
+                    });
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied());
+                    assert_eq!(message, Some("bomb went off"));
+                }
+            }
+        }
+    }
+
+    /// Hammers the barrier with 100k crossings at 2, 3 and 8
+    /// participants. On hosts with fewer than 8 CPUs the last case is
+    /// oversubscribed, so between them the spin, yield and park tiers
+    /// all run. After every crossing each participant must see exactly
+    /// the next generation (in order, none skipped) and every arrival of
+    /// that round (no early release); the test finishing at all rules out
+    /// a lost wake-up.
+    #[test]
+    fn epoch_barrier_releases_every_generation_in_order() {
+        const CROSSINGS: usize = 100_000;
+        for participants in [2, 3, 8] {
+            let barrier = EpochBarrier::new(participants);
+            let arrivals = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for id in 0..participants {
+                    let (barrier, arrivals) = (&barrier, &arrivals);
+                    scope.spawn(move || {
+                        barrier.register(id);
+                        for round in 0..CROSSINGS {
+                            arrivals.fetch_add(1, Ordering::SeqCst);
+                            barrier.wait(id);
+                            assert_eq!(
+                                barrier.generation.load(Ordering::SeqCst),
+                                round + 1,
+                                "{participants} participants: generation out of order"
+                            );
+                            // Everyone arrived for this round; only the
+                            // others can have arrived for the next one.
+                            let seen = arrivals.load(Ordering::SeqCst);
+                            assert!(
+                                seen >= (round + 1) * participants
+                                    && seen < (round + 2) * participants,
+                                "{participants} participants: {seen} arrivals after round {round}"
+                            );
+                        }
+                    });
+                }
+            });
         }
     }
 }

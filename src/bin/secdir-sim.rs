@@ -50,6 +50,41 @@ use secdir_workloads::parsec::ParsecApp;
 use secdir_workloads::registry;
 use secdir_workloads::spec::mixes;
 
+/// Ends the process after a failed write to stdout. A reader that went
+/// away (`secdir-sim … | head`) is a quiet, successful exit; any other
+/// error is reported and exits 1.
+fn stdout_failed(e: &std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("secdir-sim: write to stdout: {e}");
+    std::process::exit(1)
+}
+
+/// Backs the `print!`/`println!` overrides below: `std`'s versions panic
+/// when stdout is a closed pipe.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        stdout_failed(&e);
+    }
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Minimal `--key value` parser; rejects unknown keys. On `--help`/`-h`
 /// prints `usage` and returns `Ok(None)` so the command can exit cleanly.
 fn parse_flags(
@@ -1079,16 +1114,23 @@ fn run_decode_cli(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("secdir-sim: discarded a torn final frame (interrupted write)");
     }
     use std::io::Write as _;
+    let to_stdout = !flags.contains_key("out");
     let mut out: Box<dyn std::io::Write> = match flags.get("out") {
         Some(path) => Box::new(std::io::BufWriter::new(
             std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?,
         )),
         None => Box::new(std::io::BufWriter::new(std::io::stdout())),
     };
+    let failed = |e: std::io::Error| {
+        if to_stdout {
+            stdout_failed(&e);
+        }
+        e.to_string()
+    };
     for line in &decoded.lines {
-        writeln!(out, "{line}").map_err(|e| e.to_string())?;
+        writeln!(out, "{line}").map_err(failed)?;
     }
-    out.flush().map_err(|e| e.to_string())?;
+    out.flush().map_err(failed)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1223,7 +1265,7 @@ usage: secdir-sim perf [--quick] [--directories LIST] [--workload NAME]
   --out            JSONL output file (default BENCH_throughput.json)
 Measures engine throughput (accesses/sec) per directory kind — serial,
 slice-parallel, and sweep-parallel — and writes one JSON object per
-sample (schema secdir-bench-throughput/3); errors if any sample measures
+sample (schema secdir-bench-throughput/4); errors if any sample measures
 zero accesses/sec.";
 
 fn cmd_perf(args: &[String]) -> Result<(), String> {
