@@ -18,15 +18,33 @@
 //! `permute_parts` flag on [`CanonTable::new`] and
 //! [`PermPair::apply_state`] selects the action.
 //!
-//! **Canonical form.** For each permutation of the *used* cores, compute
-//! the four 32-bit line words (cores relabeled, [`pack::line_word`]) and
-//! sort them descending with a stable tie-break on the original line
+//! **Canonical form.** For each permutation of the *used* cores, relabel
+//! the cores in the four 32-bit line words ([`pack::line_word`]) and sort
+//! the words descending with a stable tie-break on the original line
 //! index; the candidate is the sorted words assembled high-to-low. The
 //! canonical form is the numerically greatest candidate over all core
-//! permutations. Because line permutation moves whole equal-width blocks,
-//! the descending block sort *is* the optimal line permutation for a fixed
-//! core relabeling — the search is `cores!` candidates, not
-//! `cores!·lines!`.
+//! permutations, the first one tried winning ties. Because line
+//! permutation moves whole equal-width blocks, the descending block sort
+//! *is* the optimal line permutation for a fixed core relabeling — the
+//! search is `cores!` candidates, not `cores!·lines!`.
+//!
+//! **Word-level relabeling.** A state is packed once, into its four
+//! identity line words; each core permutation then acts on those words
+//! through a precomputed `Relabel` — lookup tables for the two 6-bit
+//! halves of the MOESI field (cores 0–1 and cores 2–3), the 4-bit VD
+//! mask, and the 7-bit ED/TD entry field (present bit, partition, sharer
+//! mask; ED and TD share one layout, so they share one table). The entry
+//! table moves the partition with the cores only when `permute_parts` is
+//! set *and* the entry's present bit is set: an absent entry stores
+//! partition 0, which is not an owner, and relabeling it would put
+//! nonzero bits in a word that means "no entry". The result is exactly
+//! the word of the relabeled state, bit for bit, so the canonical form
+//! and the winning relabeling are the same as packing the relabeled
+//! struct once per permutation would give. Each candidate's sort is a
+//! five-comparator network over the keys `(word << 2) | (3 − line)`:
+//! the keys are distinct, so the network's order is the stable
+//! descending order, and the low two bits recover the line relabeling of
+//! the winner.
 //!
 //! Descending order (with the stable tie-break) also keeps active lines in
 //! the low indices: an unused line's word is always 0, so it can never
@@ -48,7 +66,7 @@
 //! expanded.
 
 use crate::model::{Label, ModelState, MAX_CORES, MAX_LINES};
-use crate::pack::{assemble, line_word, permute_mask};
+use crate::pack::{assemble, line_words};
 
 /// A joint core/line relabeling: `core[c]` is the new index of old core
 /// `c`, `line[l]` the new index of old line `l`.
@@ -116,10 +134,10 @@ impl PermPair {
 
     /// Relabels a whole state (the struct-level mirror of what
     /// [`CanonTable::canonicalize`] does on packed words); used by trace
-    /// rebuilds and the property tests. `permute_parts` selects the
-    /// action on directory partition fields: relabel with the cores for
-    /// the way-partitioned organization, fix the dummy 0 otherwise (see
-    /// module docs).
+    /// rebuilds and, as the reference action, by the property tests.
+    /// `permute_parts` selects the action on directory partition fields:
+    /// relabel with the cores for the way-partitioned organization, fix
+    /// the dummy 0 otherwise (see module docs).
     pub fn apply_state(&self, s: &ModelState, permute_parts: bool) -> ModelState {
         let part_of = |part: u8| {
             if permute_parts {
@@ -166,6 +184,16 @@ impl PermPair {
 
 /// `4!` — the number of permutations of a 4-element index set.
 const FACT4: u16 = 24;
+
+/// Applies a core relabeling to a 4-bit presence mask.
+#[inline]
+fn permute_mask(mask: u32, cp: &[u8; MAX_CORES]) -> u32 {
+    let mut out = 0u32;
+    for (c, &image) in cp.iter().enumerate() {
+        out |= ((mask >> c) & 1) << image;
+    }
+    out
+}
 
 /// Relabels a sharer set through a core permutation.
 pub fn permute_set(
@@ -215,14 +243,85 @@ fn perm_from_index(mut idx: u8) -> [u8; 4] {
     out
 }
 
+/// The action of one core permutation on packed line words, as lookup
+/// tables over the word's fields (see module docs).
+#[derive(Clone, Debug)]
+struct Relabel {
+    /// MOESI codes of cores 0–1 (word bits 0..6), placed in the 12-bit
+    /// MOESI field.
+    moesi_lo: [u16; 64],
+    /// MOESI codes of cores 2–3 (word bits 6..12).
+    moesi_hi: [u16; 64],
+    /// A 4-bit core mask: the VD residency field.
+    mask: [u8; 16],
+    /// A 7-bit directory entry field (present, partition, sharer mask):
+    /// the ED field at bit 16 and the TD field at bit 23.
+    entry: [u8; 128],
+}
+
+impl Relabel {
+    /// The tables of core permutation `cp`; `permute_parts` moves the
+    /// partitions of present entries with the cores.
+    fn new(cp: &[u8; MAX_CORES], permute_parts: bool) -> Self {
+        // `v` holds the 3-bit codes of cores `2 * pair` and `2 * pair + 1`.
+        let moesi = |pair: usize, v: usize| {
+            (0..2).fold(0u16, |out, i| {
+                let code = (v >> (3 * i)) as u16 & 0b111;
+                out | code << (3 * cp[2 * pair + i])
+            })
+        };
+        let entry = |e: usize| {
+            let (present, part, sharers) = (e & 1, (e >> 1) & 0b11, (e >> 3) as u32);
+            let part = if present == 1 && permute_parts {
+                cp[part]
+            } else {
+                part as u8
+            };
+            present as u8 | part << 1 | (permute_mask(sharers, cp) as u8) << 3
+        };
+        Relabel {
+            moesi_lo: std::array::from_fn(|v| moesi(0, v)),
+            moesi_hi: std::array::from_fn(|v| moesi(1, v)),
+            mask: std::array::from_fn(|m| permute_mask(m as u32, cp) as u8),
+            entry: std::array::from_fn(entry),
+        }
+    }
+
+    /// The line word `w` with its cores relabeled.
+    #[inline]
+    fn word(&self, w: u32) -> u32 {
+        let field = |shift: u32, bits: u32| ((w >> shift) & ((1 << bits) - 1)) as usize;
+        u32::from(self.moesi_lo[field(0, 6)])
+            | u32::from(self.moesi_hi[field(6, 6)])
+            | u32::from(self.mask[field(12, 4)]) << 12
+            | u32::from(self.entry[field(16, 7)]) << 16
+            | u32::from(self.entry[field(23, 7)]) << 23
+            // `has_data` and `llc_dirty` name no core.
+            | w & (0b11 << 30)
+    }
+}
+
+/// Sorts four keys descending with a five-comparator network.
+#[inline]
+fn sort_desc(mut k: [u64; MAX_LINES]) -> [u64; MAX_LINES] {
+    for (a, b) in [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)] {
+        let (hi, lo) = (k[a].max(k[b]), k[a].min(k[b]));
+        k[a] = hi;
+        k[b] = lo;
+    }
+    k
+}
+
 /// Precomputed canonicalization context for a model geometry: every
-/// permutation of the used cores (identity on the unused tail).
+/// permutation of the used cores (identity on the unused tail) and its
+/// word-level relabeling tables.
 #[derive(Clone, Debug)]
 pub struct CanonTable {
     cores: usize,
     lines: usize,
     permute_parts: bool,
     core_perms: Vec<[u8; MAX_CORES]>,
+    relabels: Vec<Relabel>,
     line_perms: Vec<[u8; MAX_LINES]>,
 }
 
@@ -244,6 +343,10 @@ impl CanonTable {
             full[..cores].copy_from_slice(p);
             core_perms.push(full);
         });
+        let relabels = core_perms
+            .iter()
+            .map(|cp| Relabel::new(cp, permute_parts))
+            .collect();
         let mut line_perms = Vec::new();
         let mut scratch: Vec<u8> = (0..lines as u8).collect();
         permutations(&mut scratch, 0, &mut |p| {
@@ -256,6 +359,7 @@ impl CanonTable {
             lines,
             permute_parts,
             core_perms,
+            relabels,
             line_perms,
         }
     }
@@ -278,46 +382,38 @@ impl CanonTable {
     /// relabeling `g` with `pack(g(s)) == packed`. Deterministic: core
     /// permutations are tried in a fixed order and ties keep the first
     /// winner, so equal inputs always yield the identical pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` has a field outside the model bounds (see
+    /// [`line_word`](crate::pack::line_word)).
     pub fn canonicalize(&self, s: &ModelState) -> (u128, PermPair) {
-        let mut best_packed = 0u128;
-        let mut best_pair = IDENTITY;
-        let mut first = true;
-        const IDENT: [u8; MAX_CORES] = [0, 1, 2, 3];
-        for cp in &self.core_perms {
-            let pp = if self.permute_parts { cp } else { &IDENT };
-            let mut words = [0u32; MAX_LINES];
-            for (line, w) in words.iter_mut().enumerate() {
-                *w = line_word(s, line, cp, pp);
-            }
+        let words = line_words(s);
+        let (mut best_packed, mut best_keys, mut best_perm) = (0u128, [0u64; MAX_LINES], 0);
+        for (i, relabel) in self.relabels.iter().enumerate() {
             // Stable descending block sort = optimal line relabeling for
             // this core relabeling (see module docs).
-            let mut order = [0usize, 1, 2, 3];
-            order.sort_by(|&a, &b| words[b].cmp(&words[a]).then(a.cmp(&b)));
-            let sorted = [
-                words[order[0]],
-                words[order[1]],
-                words[order[2]],
-                words[order[3]],
-            ];
-            let packed = assemble(sorted);
-            if first || packed > best_packed {
-                first = false;
-                best_packed = packed;
-                let mut lp = [0u8; MAX_LINES];
-                for (pos, &orig) in order.iter().enumerate() {
-                    lp[orig] = pos as u8;
-                }
-                debug_assert!(
-                    (0..self.lines).all(|l| (lp[l] as usize) < self.lines),
-                    "canonical line relabeling left the used-line range"
-                );
-                best_pair = PermPair {
-                    core: *cp,
-                    line: lp,
-                };
+            let keys = sort_desc(std::array::from_fn(|line| {
+                u64::from(relabel.word(words[line])) << 2 | (3 - line) as u64
+            }));
+            let packed = assemble(keys.map(|k| (k >> 2) as u32));
+            if i == 0 || packed > best_packed {
+                (best_packed, best_keys, best_perm) = (packed, keys, i);
             }
         }
-        (best_packed, best_pair)
+        let mut lp = [0u8; MAX_LINES];
+        for (pos, &key) in best_keys.iter().enumerate() {
+            lp[3 - (key & 3) as usize] = pos as u8;
+        }
+        debug_assert!(
+            (0..self.lines).all(|l| (lp[l] as usize) < self.lines),
+            "canonical line relabeling left the used-line range"
+        );
+        let pair = PermPair {
+            core: self.core_perms[best_perm],
+            line: lp,
+        };
+        (best_packed, pair)
     }
 
     /// The size of `s`'s orbit under the full group action: the number of
@@ -331,21 +427,17 @@ impl CanonTable {
     /// the checker bench reports the reduction factor at geometries whose
     /// raw exploration would not fit the CI budget.
     pub fn orbit_size(&self, s: &ModelState) -> usize {
-        const IDENT: [u8; MAX_CORES] = [0, 1, 2, 3];
+        let words = line_words(s);
         let mut distinct: std::collections::HashSet<u128> =
             std::collections::HashSet::with_capacity(self.group_order());
-        for cp in &self.core_perms {
-            let pp = if self.permute_parts { cp } else { &IDENT };
-            let mut words = [0u32; MAX_LINES];
-            for (line, w) in words.iter_mut().enumerate() {
-                *w = line_word(s, line, cp, pp);
-            }
+        for relabel in &self.relabels {
+            let relabeled = words.map(|w| relabel.word(w));
             for lp in &self.line_perms {
                 // `lp[l]` is the new index of old line `l`; block `new`
                 // of the permuted state is old line `inv(new)`'s word.
                 let mut placed = [0u32; MAX_LINES];
                 for (old, &new) in lp.iter().enumerate() {
-                    placed[new as usize] = words[old];
+                    placed[new as usize] = relabeled[old];
                 }
                 distinct.insert(assemble(placed));
             }
@@ -410,6 +502,40 @@ mod tests {
         };
         assert_eq!(pair.compose(&pair.inverse()), IDENTITY);
         assert_eq!(pair.inverse().compose(&pair), IDENTITY);
+    }
+
+    #[test]
+    fn relabel_matches_apply_state_on_every_word() {
+        // Each core permutation's tables must give exactly the words of
+        // the struct-relabeled state, for both partition actions.
+        let mut s = ModelState::initial();
+        s.caches[0][1] = Moesi::Exclusive;
+        s.caches[3][2] = Moesi::Owned;
+        s.caches[1][2] = Moesi::Shared;
+        s.caches[2][3] = Moesi::Modified;
+        s.vd[1] = secdir_coherence::SharerSet::single(secdir_mem::CoreId(0));
+        let mut sharers = secdir_coherence::SharerSet::single(secdir_mem::CoreId(1));
+        sharers.insert(secdir_mem::CoreId(3));
+        s.ed[2] = Some((3, secdir_coherence::EdEntry { sharers }));
+        s.td[3] = Some((
+            2,
+            secdir_coherence::TdEntry {
+                sharers: secdir_coherence::SharerSet::single(secdir_mem::CoreId(2)),
+                has_data: true,
+                llc_dirty: true,
+            },
+        ));
+        for permute_parts in [false, true] {
+            let table = CanonTable::new(4, 4, permute_parts);
+            for (cp, relabel) in table.core_perms.iter().zip(&table.relabels) {
+                let g = PermPair {
+                    core: *cp,
+                    line: [0, 1, 2, 3],
+                };
+                let expected = line_words(&g.apply_state(&s, permute_parts));
+                assert_eq!(line_words(&s).map(|w| relabel.word(w)), expected);
+            }
+        }
     }
 
     #[test]

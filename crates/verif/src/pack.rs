@@ -26,8 +26,10 @@
 //! ```
 //!
 //! Every field of a bounded-model state fits: cores ≤ 4 so sharer masks
-//! and partitions are 4 bits / 2 bits, and `pack` debug-asserts the
-//! bounds. `unpack(pack(s)) == s` for every in-bounds state
+//! and partitions are 4 bits / 2 bits, and `pack` asserts the bounds in
+//! release builds too — an out-of-range field would otherwise be masked
+//! off and silently alias two distinct states in the visited set.
+//! `unpack(pack(s)) == s` for every in-bounds state
 //! (`tests/canon_props.rs` proves it property-style).
 
 use secdir_coherence::{EdEntry, Moesi, SharerSet, TdEntry};
@@ -62,15 +64,33 @@ fn moesi_decode(code: u32) -> Moesi {
     }
 }
 
-/// The low-[`MAX_CORES`] bits of a sharer set as a packed mask.
+/// A sharer set as a packed [`MAX_CORES`]-bit mask.
+///
+/// # Panics
+///
+/// Panics if the set names a core at or above [`MAX_CORES`].
 #[inline]
 fn mask_of(set: SharerSet) -> u32 {
     let bits = set.bits();
-    debug_assert!(
+    assert!(
         bits < (1 << MAX_CORES),
         "sharer set {bits:#x} exceeds the model's core bound"
     );
-    (bits & 0xf) as u32
+    bits as u32
+}
+
+/// A directory entry's owning partition as a packed 2-bit field.
+///
+/// # Panics
+///
+/// Panics if the partition is at or above [`MAX_CORES`].
+#[inline]
+fn part_of(part: u8) -> u32 {
+    assert!(
+        (part as usize) < MAX_CORES,
+        "partition {part} exceeds the model's core bound"
+    );
+    u32::from(part)
 }
 
 /// Rebuilds a sharer set from a packed 4-bit mask.
@@ -85,34 +105,31 @@ fn mask_to_set(mask: u32) -> SharerSet {
     s
 }
 
-/// Packs the 32-bit word of `line` under the core relabeling `cp`
-/// (`cp[c]` is the new index of old core `c`; pass the identity for a
-/// plain pack) and the partition relabeling `pp`. The two differ because
-/// the partition field is *semantic* only under the way-partitioned
-/// organization (where partition `c` belongs to core `c` and relabels
-/// with the cores, `pp == cp`); every other kind stores a constant 0
-/// there, which the symmetry action must leave untouched (`pp` =
-/// identity) or canonical forms stop being constant on orbits. The word
-/// describes the line's content with cores renamed but the line
-/// *position* unchanged — callers place the word.
+/// Packs the 32-bit word of `line`, cores in their original positions.
+/// The word describes the line's content, not its position — callers
+/// place the word. [`canon`](crate::canon) relabels cores on these words
+/// through per-permutation tables instead of re-packing the struct.
+///
+/// # Panics
+///
+/// Panics if a sharer set or partition field exceeds the model's core
+/// bound (see module docs).
 #[inline]
-pub fn line_word(s: &ModelState, line: usize, cp: &[u8; MAX_CORES], pp: &[u8; MAX_CORES]) -> u32 {
+pub fn line_word(s: &ModelState, line: usize) -> u32 {
     let mut w = 0u32;
-    for (core, &renamed) in cp.iter().enumerate().take(MAX_CORES) {
-        w |= moesi_code(s.caches[core][line]) << (3 * renamed as u32);
+    for (core, row) in s.caches.iter().enumerate() {
+        w |= moesi_code(row[line]) << (3 * core as u32);
     }
-    w |= permute_mask(mask_of(s.vd[line]), cp) << 12;
+    w |= mask_of(s.vd[line]) << 12;
     if let Some((part, e)) = s.ed[line] {
-        debug_assert!((part as usize) < MAX_CORES, "ED partition out of range");
         w |= 1 << 16;
-        w |= u32::from(pp[part as usize]) << 17;
-        w |= permute_mask(mask_of(e.sharers), cp) << 19;
+        w |= part_of(part) << 17;
+        w |= mask_of(e.sharers) << 19;
     }
     if let Some((part, t)) = s.td[line] {
-        debug_assert!((part as usize) < MAX_CORES, "TD partition out of range");
         w |= 1 << 23;
-        w |= u32::from(pp[part as usize]) << 24;
-        w |= permute_mask(mask_of(t.sharers), cp) << 26;
+        w |= part_of(part) << 24;
+        w |= mask_of(t.sharers) << 26;
         w |= u32::from(t.has_data) << 30;
         w |= u32::from(t.llc_dirty) << 31;
     }
@@ -140,15 +157,24 @@ pub fn assemble(words: [u32; MAX_LINES]) -> u128 {
     packed
 }
 
+/// The four line words of `s`, line 0 first.
+///
+/// # Panics
+///
+/// Panics on out-of-bounds fields, as [`line_word`] does.
+#[inline]
+pub fn line_words(s: &ModelState) -> [u32; MAX_LINES] {
+    std::array::from_fn(|line| line_word(s, line))
+}
+
 /// Packs `s` with cores and lines in their original positions.
+///
+/// # Panics
+///
+/// Panics on out-of-bounds fields, as [`line_word`] does.
 #[inline]
 pub fn pack(s: &ModelState) -> u128 {
-    const IDENT: [u8; MAX_CORES] = [0, 1, 2, 3];
-    let mut words = [0u32; MAX_LINES];
-    for (line, w) in words.iter_mut().enumerate() {
-        *w = line_word(s, line, &IDENT, &IDENT);
-    }
-    assemble(words)
+    assemble(line_words(s))
 }
 
 /// Expands a packed word back into the struct form (exact inverse of
@@ -288,20 +314,32 @@ mod tests {
     }
 
     #[test]
-    fn line_word_respects_core_relabeling() {
+    #[should_panic(expected = "exceeds the model's core bound")]
+    fn pack_rejects_out_of_bounds_sharers() {
+        // Core 5 does not fit the 4-bit mask; masking it off would alias
+        // this state with the one without it.
         let mut s = ModelState::initial();
-        s.caches[0][1] = Moesi::Exclusive;
-        s.vd[1] = SharerSet::single(CoreId(0));
-        // Swap cores 0 and 1: the word must equal the plain word of the
-        // pre-swapped state.
-        let mut swapped = ModelState::initial();
-        swapped.caches[1][1] = Moesi::Exclusive;
-        swapped.vd[1] = SharerSet::single(CoreId(1));
-        let cp = [1u8, 0, 2, 3];
-        let ident = [0u8, 1, 2, 3];
-        assert_eq!(
-            line_word(&s, 1, &cp, &cp),
-            line_word(&swapped, 1, &ident, &ident)
-        );
+        s.ed[0] = Some((
+            0,
+            EdEntry {
+                sharers: SharerSet::single(CoreId(5)),
+            },
+        ));
+        pack(&s);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the model's core bound")]
+    fn pack_rejects_out_of_bounds_partitions() {
+        let mut s = ModelState::initial();
+        s.td[2] = Some((
+            4,
+            TdEntry {
+                sharers: SharerSet::single(CoreId(0)),
+                has_data: true,
+                llc_dirty: false,
+            },
+        ));
+        pack(&s);
     }
 }

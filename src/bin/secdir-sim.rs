@@ -1411,7 +1411,7 @@ usage: secdir-sim verif [--full] [--raw] [--threads N] [--bench PATH]
             (default 1); results are bit-identical at every thread count
   --bench   also run the checker benchmark (both geometries, raw leg
             timed at quick / orbit-derived at full) and write JSONL
-            records (schema secdir-bench-checker/1) to PATH
+            records (schema secdir-bench-checker/2) to PATH
   --kinds   comma list of baseline | baseline-fixed | way-partitioned
             | secdir | vd-only (default: all five)
   --cores   model cores, 1..=4 (default 2)
