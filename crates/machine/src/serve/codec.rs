@@ -1,45 +1,57 @@
-//! The binary journal codec: `secdir-journal/1`.
+//! The journal's typed record model and its two codecs.
 //!
-//! A binary journal is an 8-byte magic followed by a sequence of
-//! **frames**:
+//! Every journal record is a [`Record`]: one header pinning the
+//! scheduling configuration, one spec per tenant, then checkpoint and
+//! terminal records in `(tick, tenant-index)` order. A record has two
+//! encodings ([`JournalFormat`]):
 //!
-//! ```text
-//! [payload_len: varint] [payload: payload_len bytes] [crc32(payload): 4 bytes LE]
-//! ```
+//! * **JSONL** — [`render`] writes one JSON object per line, fields in
+//!   a fixed order. Decoding is the strict inverse: a line decodes to a
+//!   `Record` only if it is byte-identical to that record's rendering
+//!   (keys in order, minimal decimal numbers, exactly the renderer's
+//!   escapes), so every accepted line has one meaning and one spelling.
+//! * **binary** (`secdir-journal/1`) — an 8-byte magic followed by a
+//!   sequence of **frames**:
 //!
-//! The payload is a back-to-back run of **records**, each a one-byte
-//! type tag followed by varint-packed fields (strings are a varint
-//! length plus UTF-8 bytes). The record set mirrors the JSONL journal
-//! one-to-one — header, tenant spec, checkpoint, terminal — and
-//! [`decode_journal`] re-renders each record through the *same*
-//! rendering functions the JSONL writer uses, so decoding a binary
-//! journal reproduces the JSONL journal byte-for-byte.
+//!   ```text
+//!   [payload_len: varint] [payload: payload_len bytes] [crc32(payload): 4 bytes LE]
+//!   ```
+//!
+//!   The payload is a back-to-back run of records, each a one-byte type
+//!   tag followed by varint-packed fields (strings are a varint length
+//!   plus UTF-8 bytes; tenants and table values are indices).
+//!
+//! [`Reader`] pulls records out of either encoding one at a time: resume
+//! validates them and the replay compares them as typed values, without
+//! ever holding more than one. [`decode_journal`] renders each decoded
+//! binary record through [`render`], so a decoded binary journal is the
+//! JSONL journal of the same run byte for byte.
 //!
 //! Framing is the durability and crash-recovery unit: the writer
 //! buffers all records emitted in one scheduler tick into one frame and
 //! writes it with a single `write + flush` (group commit — see
-//! `DESIGN.md` §13 for the bounded-loss argument). On resume, a file
-//! that ends mid-varint, mid-payload, or mid-checksum is a *torn tail*
-//! — the complete frames before it are kept and the tail is discarded,
+//! `DESIGN.md` §13 for the bounded-loss argument). A file that ends
+//! mid-varint, mid-payload, or mid-checksum is a *torn tail* — the
+//! complete frames before it are kept and the tail is discarded,
 //! exactly like the JSONL planner forgives one incomplete final line.
 //! Anything else — a checksum mismatch over a fully present frame, a
 //! non-minimal varint, an unknown record type, an out-of-range index, a
-//! record that does not tile the payload exactly — is a hard
-//! [`ServeError::Corrupt`]: truncation is the only corruption a crash
-//! can produce, so everything else means the bytes cannot be trusted.
+//! record that does not tile the payload exactly, records out of header
+//! → specs → stream order — is a hard [`ServeError::Corrupt`]:
+//! truncation is the only corruption a crash can produce, so everything
+//! else means the bytes cannot be trusted.
 //!
 //! Varints are LEB128, and the decoder enforces the *minimal* encoding
 //! (a multi-byte varint must not end in a zero group): every value has
 //! exactly one valid byte representation, which is what lets a resumed
 //! run re-encode replayed records and produce a byte-identical file.
 
-use super::journal::{
-    render_checkpoint, render_header, render_spec, render_terminal, ServeError, TerminalInfo,
-};
+use super::journal::ServeError;
 use super::{ServeConfig, TenantSpec, TenantStatus};
 use crate::inject::{FaultKind, FaultPlan};
 use crate::DirectoryKind;
 use secdir_mem::CoreId;
+use std::borrow::Cow;
 use std::io::{self, Write};
 
 /// On-disk journal encoding, selected by `serve --format`.
@@ -87,32 +99,47 @@ const REC_SPEC: u8 = 2;
 const REC_CHECKPOINT: u8 = 3;
 const REC_TERMINAL: u8 = 4;
 
-/// The scheduling-configuration scalars pinned by the journal header
-/// record — the shared source for both the JSONL rendering and the
-/// binary encoding of record type 1.
+/// The `schema` value of a JSONL header record.
+const SCHEMA: &str = "secdir-serve/1";
+
+/// JSONL keys of [`HeaderRec::scalars`], in order.
+const HEADER_KEYS: [&str; 11] = [
+    "tenants",
+    "pool",
+    "queue_cap",
+    "global_cap",
+    "ingest",
+    "drain",
+    "idle_timeout",
+    "checkpoint_interval",
+    "max_waiting",
+    "burst_on",
+    "burst_off",
+];
+
+/// One journal record, as both encodings carry it. Strings borrow from
+/// the decoded bytes where they can, so reading a journal allocates
+/// only for spec records and for JSONL text that holds escapes.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Record<'a> {
+    /// The scheduling configuration (the first record).
+    Header(HeaderRec),
+    /// One tenant's identity (the next `tenants` records, in index
+    /// order).
+    Spec(Cow<'a, TenantSpec>),
+    /// Periodic progress of one tenant.
+    Checkpoint(Checkpoint),
+    /// How one tenant ended (its last record).
+    Terminal(TerminalInfo<'a>),
+}
+
+/// The scheduling configuration a journal header pins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct HeaderRec {
-    /// Tenant count (and the number of spec records that follow).
-    pub tenants: u64,
-    /// See [`ServeConfig::pool`].
-    pub pool: u64,
-    /// See [`ServeConfig::queue_cap`].
-    pub queue_cap: u64,
-    /// See [`ServeConfig::global_cap`].
-    pub global_cap: u64,
-    /// See [`ServeConfig::ingest`].
-    pub ingest: u64,
-    /// See [`ServeConfig::drain`].
-    pub drain: u64,
-    /// See [`ServeConfig::idle_timeout`].
-    pub idle_timeout: u64,
-    /// See [`ServeConfig::checkpoint_interval`].
-    pub checkpoint_interval: u64,
-    /// See [`ServeConfig::max_waiting`].
-    pub max_waiting: u64,
-    /// See [`ServeConfig::burst_on_max`].
-    pub burst_on: u64,
-    /// See [`ServeConfig::burst_off_max`].
-    pub burst_off: u64,
+    /// The values [`HEADER_KEYS`] names, in its order: the tenant count
+    /// (the number of spec records that follow), then the
+    /// [`ServeConfig`] bounds.
+    pub scalars: [u64; 11],
     /// See [`ServeConfig::final_audit`].
     pub audit: bool,
 }
@@ -121,36 +148,63 @@ impl HeaderRec {
     /// The header record a run over `cfg` writes.
     pub(crate) fn of(cfg: &ServeConfig) -> HeaderRec {
         HeaderRec {
-            tenants: cfg.tenants.len() as u64,
-            pool: cfg.pool as u64,
-            queue_cap: cfg.queue_cap as u64,
-            global_cap: cfg.global_cap,
-            ingest: cfg.ingest,
-            drain: cfg.drain,
-            idle_timeout: cfg.idle_timeout,
-            checkpoint_interval: cfg.checkpoint_interval,
-            max_waiting: cfg.max_waiting as u64,
-            burst_on: cfg.burst_on_max,
-            burst_off: cfg.burst_off_max,
+            scalars: [
+                cfg.tenants.len() as u64,
+                cfg.pool as u64,
+                cfg.queue_cap as u64,
+                cfg.global_cap,
+                cfg.ingest,
+                cfg.drain,
+                cfg.idle_timeout,
+                cfg.checkpoint_interval,
+                cfg.max_waiting as u64,
+                cfg.burst_on_max,
+                cfg.burst_off_max,
+            ],
             audit: cfg.final_audit,
         }
     }
+}
 
-    fn scalars(&self) -> [u64; 11] {
-        [
-            self.tenants,
-            self.pool,
-            self.queue_cap,
-            self.global_cap,
-            self.ingest,
-            self.drain,
-            self.idle_timeout,
-            self.checkpoint_interval,
-            self.max_waiting,
-            self.burst_on,
-            self.burst_off,
-        ]
-    }
+/// A progress checkpoint record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Checkpoint {
+    /// Tenant (spec) index.
+    pub tenant: usize,
+    /// Tick the checkpoint was taken.
+    pub tick: u64,
+    /// References retired so far.
+    pub retired: u64,
+    /// References delayed by backpressure so far.
+    pub stalled: u64,
+    /// Simulated cycles so far.
+    pub cycles: u64,
+}
+
+/// A terminal record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct TerminalInfo<'a> {
+    /// Tenant (spec) index.
+    pub tenant: usize,
+    /// Tick the tenant went terminal.
+    pub tick: u64,
+    /// Why it went terminal.
+    pub status: TenantStatus,
+    /// Final retired / stalled / cycle counters.
+    pub retired: u64,
+    /// See `retired`.
+    pub stalled: u64,
+    /// See `retired`.
+    pub cycles: u64,
+    /// Access count at which an armed fault fired, if it did.
+    pub fired_at: Option<u64>,
+    /// Final machine stats (zero for sheds and for machines a panic
+    /// destroyed).
+    pub l2_misses: u64,
+    /// See `l2_misses`.
+    pub vd_hits: u64,
+    /// Panic message or invariant text (empty otherwise).
+    pub detail: Cow<'a, str>,
 }
 
 // --- varints and checksums ------------------------------------------
@@ -254,7 +308,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-// --- record encoding ------------------------------------------------
+// --- binary encoding ------------------------------------------------
 
 fn put_str(frame: &mut Vec<u8>, s: &str) {
     put_uv(frame, s.len() as u64);
@@ -277,71 +331,71 @@ fn status_index(s: TenantStatus) -> u64 {
     TenantStatus::ALL.iter().position(|&x| x == s).unwrap_or(0) as u64
 }
 
-/// Appends the header record to a frame under construction.
-pub(crate) fn enc_header(frame: &mut Vec<u8>, h: &HeaderRec) {
-    frame.push(REC_HEADER);
-    for v in h.scalars() {
-        put_uv(frame, v);
-    }
-    frame.push(u8::from(h.audit));
-}
-
-/// Appends one tenant's spec record. The fault field is a tag varint:
-/// 0 for no fault, `1 + FaultKind index` followed by trigger and core
-/// otherwise.
-pub(crate) fn enc_spec(frame: &mut Vec<u8>, spec: &TenantSpec) {
-    frame.push(REC_SPEC);
-    put_str(frame, &spec.name);
-    put_str(frame, &spec.workload);
-    put_uv(frame, kind_index(spec.kind));
-    put_uv(frame, spec.seed);
-    put_uv(frame, spec.cores as u64);
-    put_uv(frame, spec.refs);
-    match spec.fault {
-        None => put_uv(frame, 0),
-        Some(plan) => {
-            put_uv(frame, 1 + fault_index(plan.kind));
-            put_uv(frame, plan.trigger);
-            put_uv(frame, plan.core.0 as u64);
-        }
-    }
-}
-
-/// Appends one checkpoint record (`tenant` is the spec index).
-pub(crate) fn enc_checkpoint(
-    frame: &mut Vec<u8>,
-    tenant: u64,
-    tick: u64,
-    retired: u64,
-    stalled: u64,
-    cycles: u64,
-) {
-    frame.push(REC_CHECKPOINT);
-    for v in [tenant, tick, retired, stalled, cycles] {
-        put_uv(frame, v);
-    }
-}
-
-/// Appends one terminal record. `fired_at` is a presence tag (0/1)
+/// Appends `rec` to a frame under construction. A spec's fault is a tag
+/// varint — 0 for none, `1 + FaultKind index` followed by trigger and
+/// core otherwise — and a terminal's `fired_at` is a presence tag (0/1)
 /// followed by the value when present, mirroring the JSONL `null`.
-pub(crate) fn enc_terminal(frame: &mut Vec<u8>, tenant: u64, info: &TerminalInfo<'_>) {
-    frame.push(REC_TERMINAL);
-    put_uv(frame, tenant);
-    put_uv(frame, info.tick);
-    put_uv(frame, status_index(info.status));
-    put_uv(frame, info.retired);
-    put_uv(frame, info.stalled);
-    put_uv(frame, info.cycles);
-    match info.fired_at {
-        None => put_uv(frame, 0),
-        Some(v) => {
-            put_uv(frame, 1);
-            put_uv(frame, v);
+pub(crate) fn encode(frame: &mut Vec<u8>, rec: &Record<'_>) {
+    match rec {
+        Record::Header(h) => {
+            frame.push(REC_HEADER);
+            for v in h.scalars {
+                put_uv(frame, v);
+            }
+            frame.push(u8::from(h.audit));
+        }
+        Record::Spec(spec) => {
+            frame.push(REC_SPEC);
+            put_str(frame, &spec.name);
+            put_str(frame, &spec.workload);
+            for v in [
+                kind_index(spec.kind),
+                spec.seed,
+                spec.cores as u64,
+                spec.refs,
+            ] {
+                put_uv(frame, v);
+            }
+            match spec.fault {
+                None => put_uv(frame, 0),
+                Some(p) => {
+                    for v in [1 + fault_index(p.kind), p.trigger, p.core.0 as u64] {
+                        put_uv(frame, v);
+                    }
+                }
+            }
+        }
+        Record::Checkpoint(c) => {
+            frame.push(REC_CHECKPOINT);
+            for v in [c.tenant as u64, c.tick, c.retired, c.stalled, c.cycles] {
+                put_uv(frame, v);
+            }
+        }
+        Record::Terminal(t) => {
+            frame.push(REC_TERMINAL);
+            let status = status_index(t.status);
+            for v in [
+                t.tenant as u64,
+                t.tick,
+                status,
+                t.retired,
+                t.stalled,
+                t.cycles,
+            ] {
+                put_uv(frame, v);
+            }
+            match t.fired_at {
+                None => put_uv(frame, 0),
+                Some(v) => {
+                    put_uv(frame, 1);
+                    put_uv(frame, v);
+                }
+            }
+            put_uv(frame, t.l2_misses);
+            put_uv(frame, t.vd_hits);
+            put_str(frame, &t.detail);
         }
     }
-    put_uv(frame, info.l2_misses);
-    put_uv(frame, info.vd_hits);
-    put_str(frame, info.detail);
 }
 
 /// Writes one complete frame — length prefix, payload, checksum — and
@@ -357,7 +411,701 @@ pub(crate) fn write_frame(sink: &mut dyn Write, frame: &[u8]) -> io::Result<u64>
     Ok((hn + frame.len() + 4) as u64)
 }
 
-// --- decoding -------------------------------------------------------
+// --- JSONL rendering ------------------------------------------------
+
+/// One record line under construction, rendered into a caller-owned
+/// buffer so the steady-state emission path allocates nothing (the
+/// buffer reaches its high-water capacity once and is reused).
+struct Line<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> Line<'a> {
+    fn start(out: &'a mut String) -> Line<'a> {
+        out.clear();
+        out.push('{');
+        Line { out }
+    }
+
+    fn key(&mut self, k: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(k);
+        self.out.push_str("\":");
+    }
+
+    fn str_field(&mut self, k: &str, v: &str) {
+        self.key(k);
+        self.out.push('"');
+        push_escaped(self.out, v);
+        self.out.push('"');
+    }
+
+    fn num_field(&mut self, k: &str, v: u64) {
+        self.key(k);
+        push_u64(self.out, v);
+    }
+
+    fn end(self) {
+        self.out.push('}');
+    }
+}
+
+/// Appends `v` in decimal without allocating.
+fn push_u64(out: &mut String, v: u64) {
+    if v == 0 {
+        out.push('0');
+        return;
+    }
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut x = v;
+    while x > 0 {
+        i -= 1;
+        buf[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    for &b in &buf[i..] {
+        out.push(b as char);
+    }
+}
+
+/// Appends `s` JSON-escaped (quotes, backslashes, control bytes).
+fn push_escaped(out: &mut String, s: &str) {
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str("\\u00");
+                let n = c as u32;
+                for shift in [4u32, 0] {
+                    let d = (n >> shift) & 0xf;
+                    out.push(char::from_digit(d, 16).unwrap_or('0'));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Renders `rec` as its JSONL line into `out` (cleared first). `names`
+/// maps tenant indices to the names stream records carry.
+pub(crate) fn render(out: &mut String, rec: &Record<'_>, names: &[&str]) {
+    let name = |t: usize| names.get(t).copied().unwrap_or("");
+    let mut l = Line::start(out);
+    match rec {
+        Record::Header(h) => {
+            l.str_field("schema", SCHEMA);
+            for (k, v) in HEADER_KEYS.into_iter().zip(h.scalars) {
+                l.num_field(k, v);
+            }
+            l.key("audit");
+            l.out.push_str(if h.audit { "true" } else { "false" });
+        }
+        Record::Spec(spec) => {
+            l.str_field("tenant", &spec.name);
+            l.str_field("workload", &spec.workload);
+            l.str_field("directory", spec.kind.name());
+            l.num_field("seed", spec.seed);
+            l.num_field("cores", spec.cores as u64);
+            l.num_field("refs", spec.refs);
+            let (fault, trigger, core) = spec
+                .fault
+                .map_or(("none", 0, 0), |p| (p.kind.name(), p.trigger, p.core.0));
+            l.str_field("fault", fault);
+            l.num_field("trigger", trigger);
+            l.num_field("fault_core", core as u64);
+        }
+        Record::Checkpoint(c) => {
+            l.num_field("tick", c.tick);
+            l.str_field("tenant", name(c.tenant));
+            l.num_field("retired", c.retired);
+            l.num_field("stalled", c.stalled);
+            l.num_field("cycles", c.cycles);
+        }
+        Record::Terminal(t) => {
+            l.num_field("tick", t.tick);
+            l.str_field("tenant", name(t.tenant));
+            l.str_field("status", t.status.name());
+            l.num_field("retired", t.retired);
+            l.num_field("stalled", t.stalled);
+            l.num_field("cycles", t.cycles);
+            match t.fired_at {
+                Some(v) => l.num_field("fired_at", v),
+                None => {
+                    l.key("fired_at");
+                    l.out.push_str("null");
+                }
+            }
+            l.num_field("l2_misses", t.l2_misses);
+            l.num_field("vd_hits", t.vd_hits);
+            l.str_field("detail", &t.detail);
+        }
+    }
+    l.end();
+}
+
+// --- JSONL decoding -------------------------------------------------
+
+/// The strict inverse of [`Line`]: reads one record line field by
+/// field, accepting only the bytes [`render`] writes.
+#[derive(Clone, Copy)]
+struct Fields<'a> {
+    s: &'a str,
+    pos: usize,
+    /// A stream record's tenant name that matched no spec record.
+    unknown: Option<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        let hit = self.s.get(self.pos..)?.starts_with(lit);
+        hit.then(|| self.pos += lit.len())
+    }
+
+    fn key(&mut self, k: &str) -> Option<()> {
+        if self.pos > 1 {
+            self.lit(",")?;
+        }
+        self.lit("\"")?;
+        self.lit(k)?;
+        self.lit("\":")
+    }
+
+    /// A minimal decimal `u64` (no sign, no leading zero).
+    fn num(&mut self) -> Option<u64> {
+        let rest = self.s.get(self.pos..)?;
+        let n = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let digits = rest.get(..n)?;
+        if n == 0 || (n > 1 && digits.starts_with('0')) {
+            return None;
+        }
+        self.pos += n;
+        digits.parse().ok()
+    }
+
+    fn num_field(&mut self, k: &str) -> Option<u64> {
+        self.key(k)?;
+        self.num()
+    }
+
+    /// A string field's raw text, still escaped: the bytes between the
+    /// quotes, provided every escape is one [`push_escaped`] writes.
+    fn raw_field(&mut self, k: &str) -> Option<&'a str> {
+        self.key(k)?;
+        self.lit("\"")?;
+        let start = self.pos;
+        let b = self.s.as_bytes();
+        loop {
+            match *b.get(self.pos)? {
+                b'"' => break,
+                b'\\' => self.pos += 1 + escape_len(b.get(self.pos + 1..)?)?,
+                c if c < 0x20 => return None,
+                _ => self.pos += 1,
+            }
+        }
+        let raw = self.s.get(start..self.pos)?;
+        self.pos += 1;
+        Some(raw)
+    }
+
+    /// Decodes the whole line. Returns the record and, for a spec, its
+    /// raw tenant name; stream records resolve their tenant against
+    /// `names` (the spec records' raw names).
+    fn record(&mut self, names: &[&'a str]) -> Option<(Record<'a>, &'a str)> {
+        self.lit("{")?;
+        let mut spec_name = "";
+        let rec = if self.s.get(1..)?.starts_with("\"schema\"") {
+            if self.raw_field("schema")? != SCHEMA {
+                return None;
+            }
+            let mut scalars = [0u64; 11];
+            for (slot, k) in scalars.iter_mut().zip(HEADER_KEYS) {
+                *slot = self.num_field(k)?;
+            }
+            self.key("audit")?;
+            let audit = match self.lit("true") {
+                Some(()) => true,
+                None => self.lit("false").map(|()| false)?,
+            };
+            Record::Header(HeaderRec { scalars, audit })
+        } else if self.s.get(1..)?.starts_with("\"tenant\"") {
+            spec_name = self.raw_field("tenant")?;
+            let workload = unescape(self.raw_field("workload")?).into_owned();
+            let kind = DirectoryKind::parse(self.raw_field("directory")?).ok()?;
+            let seed = self.num_field("seed")?;
+            let cores = usize::try_from(self.num_field("cores")?).ok()?;
+            let refs = self.num_field("refs")?;
+            let fault = self.raw_field("fault")?;
+            let trigger = self.num_field("trigger")?;
+            let core = CoreId(usize::try_from(self.num_field("fault_core")?).ok()?);
+            let fault = match fault {
+                "none" if trigger == 0 && core.0 == 0 => None,
+                "none" => return None,
+                f => Some(FaultPlan {
+                    kind: FaultKind::parse(f).ok()?,
+                    trigger,
+                    core,
+                }),
+            };
+            Record::Spec(Cow::Owned(TenantSpec {
+                name: unescape(spec_name).into_owned(),
+                workload,
+                kind,
+                seed,
+                cores,
+                refs,
+                fault,
+            }))
+        } else {
+            let tick = self.num_field("tick")?;
+            let name = self.raw_field("tenant")?;
+            let Some(tenant) = names.iter().position(|&n| n == name) else {
+                self.unknown = Some(name);
+                return None;
+            };
+            let mut probe = *self;
+            match probe.raw_field("status") {
+                Some(status) => {
+                    *self = probe;
+                    Record::Terminal(TerminalInfo {
+                        tenant,
+                        tick,
+                        status: TenantStatus::parse(status)?,
+                        retired: self.num_field("retired")?,
+                        stalled: self.num_field("stalled")?,
+                        cycles: self.num_field("cycles")?,
+                        fired_at: {
+                            self.key("fired_at")?;
+                            match self.lit("null") {
+                                Some(()) => None,
+                                None => Some(self.num()?),
+                            }
+                        },
+                        l2_misses: self.num_field("l2_misses")?,
+                        vd_hits: self.num_field("vd_hits")?,
+                        detail: unescape(self.raw_field("detail")?),
+                    })
+                }
+                None => Record::Checkpoint(Checkpoint {
+                    tenant,
+                    tick,
+                    retired: self.num_field("retired")?,
+                    stalled: self.num_field("stalled")?,
+                    cycles: self.num_field("cycles")?,
+                }),
+            }
+        };
+        self.lit("}")?;
+        (self.pos == self.s.len()).then_some((rec, spec_name))
+    }
+}
+
+/// Length of the escape sequence `esc` starts (the bytes after its
+/// backslash), if it is one [`push_escaped`] writes: a short form for
+/// `"`, `\`, newline, CR and tab, `u00xx` in lowercase hex for every
+/// other control character.
+fn escape_len(esc: &[u8]) -> Option<usize> {
+    match esc {
+        [b'"' | b'\\' | b'n' | b'r' | b't', ..] => Some(1),
+        [b'u', b'0', b'0', hi @ (b'0' | b'1'), lo @ (b'0'..=b'9' | b'a'..=b'f'), ..] => {
+            let code = (hi - b'0') * 16 + char::from(*lo).to_digit(16)? as u8;
+            (!matches!(code, b'\t' | b'\n' | b'\r')).then_some(5)
+        }
+        _ => None,
+    }
+}
+
+/// Decodes a string field [`Fields::raw_field`] accepted, borrowing it
+/// when it holds no escape.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next() {
+            Some('n') => '\n',
+            Some('r') => '\r',
+            Some('t') => '\t',
+            // `\u00xx`: the four hex digits are the code point.
+            Some('u') => chars
+                .by_ref()
+                .take(4)
+                .filter_map(|d| d.to_digit(16))
+                .fold(0, |v, d| v * 16 + d)
+                .try_into()
+                .unwrap_or('\0'),
+            Some(escaped) => escaped,
+            None => '\\',
+        });
+    }
+    Cow::Owned(out)
+}
+
+// --- the pull reader ------------------------------------------------
+
+/// A pull decoder over a surviving journal: yields one [`Record`] at a
+/// time — binary journals frame by frame, each frame's checksum checked
+/// as it is reached; JSONL journals line by line — and checks record
+/// order (one header, then the specs it promises, then stream records
+/// naming known tenants).
+#[derive(Clone)]
+pub(crate) struct Reader<'a> {
+    format: JournalFormat,
+    /// Binary: the journal bytes.
+    bytes: &'a [u8],
+    /// JSONL: the longest valid UTF-8 prefix of the journal.
+    text: &'a str,
+    /// Start of the next unread frame or line.
+    off: usize,
+    /// Binary: the current frame's payload, the read offset in it, and
+    /// the frame's file offset (for messages).
+    payload: &'a [u8],
+    pos: usize,
+    frame_at: usize,
+    /// JSONL: the final line is an interrupted write (it lacks a
+    /// newline, or the file ends mid-character after it).
+    open_tail: bool,
+    /// JSONL: the line last read, and its 1-based number.
+    pub line: &'a str,
+    line_no: usize,
+    /// Spec-record tenant names, in index order (raw text for JSONL).
+    pub names: Vec<&'a str>,
+    /// Tenant count the header promised.
+    tenants: u64,
+    saw_header: bool,
+    records_started: bool,
+    /// Reading stopped at a torn (incomplete) final frame, or the file
+    /// is a torn magic.
+    pub torn: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `bytes` in `format`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Corrupt`] on a binary journal with a bad magic, or
+    /// a JSONL journal that is not UTF-8 text.
+    pub(crate) fn new(bytes: &'a [u8], format: JournalFormat) -> Result<Reader<'a>, ServeError> {
+        let mut r = Reader {
+            format,
+            bytes,
+            text: "",
+            off: 0,
+            payload: &[],
+            pos: 0,
+            frame_at: 0,
+            open_tail: false,
+            line: "",
+            line_no: 0,
+            names: Vec::new(),
+            tenants: 0,
+            saw_header: false,
+            records_started: false,
+            torn: false,
+        };
+        match format {
+            JournalFormat::Jsonl => {
+                let (text, cut_mid_char) = match std::str::from_utf8(bytes) {
+                    Ok(t) => (t, false),
+                    // A file that is valid UTF-8 up to a trailing
+                    // incomplete character is an interrupted write, not
+                    // corruption.
+                    Err(e) if e.error_len().is_none() => (
+                        std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or(""),
+                        true,
+                    ),
+                    Err(_) => {
+                        return Err(ServeError::Corrupt(
+                            "journal is not UTF-8 text — is it a binary journal? \
+                             (resume with --format binary)"
+                                .to_string(),
+                        ))
+                    }
+                };
+                r.text = text;
+                r.open_tail = cut_mid_char || !text.ends_with('\n');
+            }
+            JournalFormat::Binary if bytes.is_empty() => {}
+            JournalFormat::Binary => {
+                let head = &bytes[..bytes.len().min(MAGIC.len())];
+                if head != &MAGIC[..head.len()] {
+                    let msg = "not a secdir binary journal (bad magic)";
+                    return Err(ServeError::Corrupt(msg.to_string()));
+                }
+                r.torn = head.len() < MAGIC.len();
+                r.off = head.len();
+            }
+        }
+        Ok(r)
+    }
+
+    /// The next record, or `None` at the end of the journal (or at a
+    /// torn final frame).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Corrupt`] on a frame or line that does not decode,
+    /// or a record out of header → specs → stream order.
+    pub(crate) fn next(&mut self) -> Result<Option<Record<'a>>, ServeError> {
+        let decoded = match self.format {
+            JournalFormat::Jsonl => self.next_line(),
+            JournalFormat::Binary => self.next_frame_record(),
+        };
+        let Some((rec, name)) = decoded? else {
+            return Ok(None);
+        };
+        let order = match &rec {
+            Record::Header(_) if self.saw_header => Err("duplicate header record"),
+            Record::Header(h) => {
+                self.saw_header = true;
+                self.tenants = h.scalars[0];
+                Ok(())
+            }
+            Record::Spec(_) if !self.saw_header => Err("spec record before the header"),
+            Record::Spec(_) if self.records_started => Err("spec record after stream records"),
+            Record::Spec(_) if self.names.len() as u64 >= self.tenants => {
+                Err("more spec records than the header promised")
+            }
+            Record::Spec(_) => {
+                self.names.push(name);
+                Ok(())
+            }
+            _ if (self.names.len() as u64) < self.tenants => {
+                Err("stream record before all tenant specs")
+            }
+            _ => {
+                self.records_started = true;
+                Ok(())
+            }
+        };
+        order.map(|()| Some(rec)).map_err(|msg| self.bad(msg))
+    }
+
+    /// Whether the line just read is the journal's interrupted final
+    /// write (always false for binary journals, whose torn tail never
+    /// reaches a decoder).
+    pub(crate) fn at_open_tail(&self) -> bool {
+        self.open_tail && self.off >= self.text.len()
+    }
+
+    fn bad(&self, msg: &str) -> ServeError {
+        ServeError::Corrupt(match self.format {
+            JournalFormat::Jsonl => format!("journal line {}: {msg}", self.line_no),
+            JournalFormat::Binary => format!("journal byte {}: {msg}", self.frame_at),
+        })
+    }
+
+    fn next_line(&mut self) -> Result<Option<(Record<'a>, &'a str)>, ServeError> {
+        let rest = self.text.get(self.off..).unwrap_or("");
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        // `str::lines` semantics: a newline ends a line, and a `\r`
+        // right before it is not part of the line.
+        let (line, used) = match rest.find('\n') {
+            Some(i) => {
+                let line = &rest[..i];
+                (line.strip_suffix('\r').unwrap_or(line), i + 1)
+            }
+            None => (rest, rest.len()),
+        };
+        self.off += used;
+        self.line = line;
+        self.line_no += 1;
+        let mut f = Fields {
+            s: line,
+            pos: 0,
+            unknown: None,
+        };
+        match (f.record(&self.names), f.unknown) {
+            (Some(decoded), _) => Ok(Some(decoded)),
+            (None, Some(name)) => Err(self.bad(&format!("record for unknown tenant `{name}`"))),
+            (None, None) => Err(self.bad("malformed record before end of file")),
+        }
+    }
+
+    /// Marks a torn final frame: reading stops, the tail is discarded.
+    fn tear(&mut self) -> Result<bool, ServeError> {
+        self.torn = true;
+        self.off = self.bytes.len();
+        Ok(false)
+    }
+
+    /// Loads the next complete, checksum-valid frame; false at the end
+    /// of the journal or at a torn tail.
+    fn next_frame(&mut self) -> Result<bool, ServeError> {
+        let at = self.off;
+        if at >= self.bytes.len() {
+            return Ok(false);
+        }
+        self.frame_at = at;
+        let mut off = at;
+        let len = match get_uv(self.bytes, &mut off) {
+            Uv::Val(v) => v,
+            Uv::Eof => return self.tear(),
+            Uv::Malformed => return Err(self.bad("malformed frame length")),
+        };
+        if len == 0 || len > MAX_FRAME {
+            return Err(self.bad("implausible frame length"));
+        }
+        let len = len as usize;
+        // The frame body or its checksum is cut off: an interrupted
+        // write, not corruption.
+        let Some(frame) = self.bytes.get(off..off + len + 4) else {
+            return self.tear();
+        };
+        let (payload, crc) = frame.split_at(len);
+        if crc != crc32(payload).to_le_bytes() {
+            return Err(self.bad("frame checksum mismatch"));
+        }
+        self.payload = payload;
+        self.pos = 0;
+        self.off = off + len + 4;
+        Ok(true)
+    }
+
+    /// Reads one varint inside a checksum-valid payload, where running
+    /// off the end is corruption, never truncation.
+    fn uv(&mut self) -> Result<u64, ServeError> {
+        match get_uv(self.payload, &mut self.pos) {
+            Uv::Val(v) => Ok(v),
+            Uv::Eof | Uv::Malformed => Err(self.bad("malformed varint inside frame")),
+        }
+    }
+
+    /// Reads one varint naming an entry of `table` (`what` names the
+    /// table in the message).
+    fn pick<T: Copy>(&mut self, table: &[T], what: &str) -> Result<T, ServeError> {
+        let v = self.uv()?;
+        usize::try_from(v)
+            .ok()
+            .and_then(|i| table.get(i).copied())
+            .ok_or_else(|| self.bad(&format!("{what} index out of range")))
+    }
+
+    fn size(&mut self) -> Result<usize, ServeError> {
+        let v = self.uv()?;
+        usize::try_from(v).map_err(|_| self.bad("implausible count"))
+    }
+
+    /// Reads one length-prefixed UTF-8 string, borrowed from the frame.
+    fn str(&mut self) -> Result<&'a str, ServeError> {
+        let len = self.size()?;
+        let bytes = self
+            .pos
+            .checked_add(len)
+            .and_then(|end| self.payload.get(self.pos..end))
+            .ok_or_else(|| self.bad("string overruns its frame"))?;
+        let s = std::str::from_utf8(bytes).map_err(|_| self.bad("string field is not UTF-8"))?;
+        self.pos += len;
+        Ok(s)
+    }
+
+    /// Reads a stream record's tenant index, which must name a spec
+    /// record already read.
+    fn tenant(&mut self) -> Result<usize, ServeError> {
+        let v = self.uv()?;
+        usize::try_from(v)
+            .ok()
+            .filter(|&i| i < self.names.len())
+            .ok_or_else(|| self.bad("record references an unknown tenant index"))
+    }
+
+    fn next_frame_record(&mut self) -> Result<Option<(Record<'a>, &'a str)>, ServeError> {
+        while self.pos >= self.payload.len() {
+            if !self.next_frame()? {
+                return Ok(None);
+            }
+        }
+        let tag = self.payload[self.pos];
+        self.pos += 1;
+        let mut name = "";
+        let rec = match tag {
+            REC_HEADER => {
+                let mut scalars = [0u64; 11];
+                for slot in &mut scalars {
+                    *slot = self.uv()?;
+                }
+                let audit = match self.payload.get(self.pos) {
+                    Some(0) => false,
+                    Some(1) => true,
+                    _ => return Err(self.bad("malformed header audit flag")),
+                };
+                self.pos += 1;
+                Record::Header(HeaderRec { scalars, audit })
+            }
+            REC_SPEC => {
+                name = self.str()?;
+                let workload = self.str()?.to_string();
+                let kind = self.pick(&DirectoryKind::ALL, "spec record directory")?;
+                let seed = self.uv()?;
+                let cores = self.size()?;
+                let refs = self.uv()?;
+                let fault = match self.uv()? {
+                    0 => None,
+                    tag => Some(FaultPlan {
+                        kind: usize::try_from(tag - 1)
+                            .ok()
+                            .and_then(|i| FaultKind::ALL.get(i).copied())
+                            .ok_or_else(|| self.bad("spec record fault index out of range"))?,
+                        trigger: self.uv()?,
+                        core: CoreId(self.size()?),
+                    }),
+                };
+                Record::Spec(Cow::Owned(TenantSpec {
+                    name: name.to_string(),
+                    workload,
+                    kind,
+                    seed,
+                    cores,
+                    refs,
+                    fault,
+                }))
+            }
+            REC_CHECKPOINT => Record::Checkpoint(Checkpoint {
+                tenant: self.tenant()?,
+                tick: self.uv()?,
+                retired: self.uv()?,
+                stalled: self.uv()?,
+                cycles: self.uv()?,
+            }),
+            REC_TERMINAL => Record::Terminal(TerminalInfo {
+                tenant: self.tenant()?,
+                tick: self.uv()?,
+                status: self.pick(&TenantStatus::ALL, "terminal record status")?,
+                retired: self.uv()?,
+                stalled: self.uv()?,
+                cycles: self.uv()?,
+                fired_at: match self.uv()? {
+                    0 => None,
+                    1 => Some(self.uv()?),
+                    _ => return Err(self.bad("malformed fired_at presence tag")),
+                },
+                l2_misses: self.uv()?,
+                vd_hits: self.uv()?,
+                detail: Cow::Borrowed(self.str()?),
+            }),
+            _ => return Err(self.bad("unknown record type inside frame")),
+        };
+        Ok(Some((rec, name)))
+    }
+}
+
+// --- decode ---------------------------------------------------------
 
 /// A binary journal decoded back to JSONL.
 pub struct DecodedJournal {
@@ -367,27 +1115,6 @@ pub struct DecodedJournal {
     /// Whether the file ended in a torn (incomplete) frame, whose bytes
     /// were discarded — the binary analogue of a truncated final line.
     pub torn: bool,
-}
-
-fn corrupt(msg: &str) -> ServeError {
-    ServeError::Corrupt(msg.to_string())
-}
-
-fn corrupt_at(off: usize, msg: &str) -> ServeError {
-    ServeError::Corrupt(format!("journal byte {off}: {msg}"))
-}
-
-/// Decoder state threaded across frames: record ordering and the
-/// tenant-name table indices resolve against.
-struct DecodeState {
-    /// Spec-record names, in index order.
-    names: Vec<String>,
-    /// Tenant count promised by the header.
-    tenants: u64,
-    /// A checkpoint/terminal record has been seen (specs are closed).
-    records_started: bool,
-    /// The header record has been seen.
-    saw_header: bool,
 }
 
 /// Decodes a complete `secdir-journal/1` byte stream to JSONL lines.
@@ -405,292 +1132,17 @@ struct DecodeState {
 /// that is not UTF-8, records that do not tile the payload exactly, or
 /// records out of header → specs → stream order).
 pub fn decode_journal(bytes: &[u8]) -> Result<DecodedJournal, ServeError> {
-    let mut out = DecodedJournal {
-        lines: Vec::new(),
-        torn: false,
-    };
-    if bytes.is_empty() {
-        return Ok(out);
+    let mut reader = Reader::new(bytes, JournalFormat::Binary)?;
+    let mut lines = Vec::new();
+    let mut buf = String::new();
+    while let Some(rec) = reader.next()? {
+        render(&mut buf, &rec, &reader.names);
+        lines.push(buf.as_str().to_owned());
     }
-    if bytes.len() < MAGIC.len() {
-        if MAGIC.starts_with(bytes) {
-            out.torn = true;
-            return Ok(out);
-        }
-        return Err(corrupt("not a secdir binary journal (bad magic)"));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("not a secdir binary journal (bad magic)"));
-    }
-    let mut off = MAGIC.len();
-    let mut st = DecodeState {
-        names: Vec::new(),
-        tenants: 0,
-        records_started: false,
-        saw_header: false,
-    };
-    while off < bytes.len() {
-        let frame_start = off;
-        let len = match get_uv(bytes, &mut off) {
-            Uv::Val(v) => v,
-            Uv::Eof => {
-                out.torn = true;
-                break;
-            }
-            Uv::Malformed => return Err(corrupt_at(frame_start, "malformed frame length")),
-        };
-        if len == 0 || len > MAX_FRAME {
-            return Err(corrupt_at(frame_start, "implausible frame length"));
-        }
-        let len = len as usize;
-        let Some(rest) = bytes.get(off..) else {
-            out.torn = true;
-            break;
-        };
-        if rest.len() < len + 4 {
-            // The frame body or its checksum is cut off: an interrupted
-            // write, not corruption.
-            out.torn = true;
-            break;
-        }
-        let payload = &rest[..len];
-        let want = u32::from_le_bytes([rest[len], rest[len + 1], rest[len + 2], rest[len + 3]]);
-        if crc32(payload) != want {
-            return Err(corrupt_at(frame_start, "frame checksum mismatch"));
-        }
-        off += len + 4;
-        st.decode_frame(payload, frame_start, &mut out.lines)?;
-    }
-    Ok(out)
-}
-
-impl DecodeState {
-    /// Reads one varint inside a checksum-valid payload, where running
-    /// off the end is corruption, never truncation.
-    fn uv(&self, payload: &[u8], off: &mut usize, at: usize) -> Result<u64, ServeError> {
-        match get_uv(payload, off) {
-            Uv::Val(v) => Ok(v),
-            Uv::Eof | Uv::Malformed => Err(corrupt_at(at, "malformed varint inside frame")),
-        }
-    }
-
-    /// Reads one length-prefixed UTF-8 string.
-    fn str(&self, payload: &[u8], off: &mut usize, at: usize) -> Result<String, ServeError> {
-        let len = self.uv(payload, off, at)?;
-        let len = usize::try_from(len).map_err(|_| corrupt_at(at, "implausible string length"))?;
-        let end = off
-            .checked_add(len)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| corrupt_at(at, "string overruns its frame"))?;
-        let s = std::str::from_utf8(&payload[*off..end])
-            .map_err(|_| corrupt_at(at, "string field is not UTF-8"))?;
-        *off = end;
-        Ok(s.to_string())
-    }
-
-    /// Resolves a tenant index against the spec-name table.
-    fn tenant(&self, idx: u64, at: usize) -> Result<usize, ServeError> {
-        usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.names.len())
-            .ok_or_else(|| corrupt_at(at, "record references an unknown tenant index"))
-    }
-
-    /// Decodes every record in one frame payload onto `lines`.
-    fn decode_frame(
-        &mut self,
-        payload: &[u8],
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        let mut off = 0usize;
-        while off < payload.len() {
-            let tag = payload[off];
-            off += 1;
-            match tag {
-                REC_HEADER => self.rec_header(payload, &mut off, at, lines)?,
-                REC_SPEC => self.rec_spec(payload, &mut off, at, lines)?,
-                REC_CHECKPOINT => self.rec_checkpoint(payload, &mut off, at, lines)?,
-                REC_TERMINAL => self.rec_terminal(payload, &mut off, at, lines)?,
-                _ => return Err(corrupt_at(at, "unknown record type inside frame")),
-            }
-        }
-        Ok(())
-    }
-
-    fn rec_header(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        if self.saw_header {
-            return Err(corrupt_at(at, "duplicate header record"));
-        }
-        let mut scalars = [0u64; 11];
-        for slot in &mut scalars {
-            *slot = self.uv(payload, off, at)?;
-        }
-        let audit = match payload.get(*off) {
-            Some(0) => false,
-            Some(1) => true,
-            _ => return Err(corrupt_at(at, "malformed header audit flag")),
-        };
-        *off += 1;
-        let [tenants, pool, queue_cap, global_cap, ingest, drain, idle_timeout, checkpoint_interval, max_waiting, burst_on, burst_off] =
-            scalars;
-        let h = HeaderRec {
-            tenants,
-            pool,
-            queue_cap,
-            global_cap,
-            ingest,
-            drain,
-            idle_timeout,
-            checkpoint_interval,
-            max_waiting,
-            burst_on,
-            burst_off,
-            audit,
-        };
-        self.tenants = h.tenants;
-        self.saw_header = true;
-        lines.push(render_header(&h));
-        Ok(())
-    }
-
-    fn rec_spec(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        if !self.saw_header {
-            return Err(corrupt_at(at, "spec record before the header"));
-        }
-        if self.records_started {
-            return Err(corrupt_at(at, "spec record after stream records"));
-        }
-        if self.names.len() as u64 >= self.tenants {
-            return Err(corrupt_at(at, "more spec records than the header promised"));
-        }
-        let name = self.str(payload, off, at)?;
-        let workload = self.str(payload, off, at)?;
-        let kind_idx = self.uv(payload, off, at)?;
-        let kind = usize::try_from(kind_idx)
-            .ok()
-            .and_then(|i| DirectoryKind::ALL.get(i).copied())
-            .ok_or_else(|| corrupt_at(at, "spec record directory index out of range"))?;
-        let seed = self.uv(payload, off, at)?;
-        let cores = usize::try_from(self.uv(payload, off, at)?)
-            .map_err(|_| corrupt_at(at, "implausible core count"))?;
-        let refs = self.uv(payload, off, at)?;
-        let fault = match self.uv(payload, off, at)? {
-            0 => None,
-            tag => {
-                let kind = usize::try_from(tag - 1)
-                    .ok()
-                    .and_then(|i| FaultKind::ALL.get(i).copied())
-                    .ok_or_else(|| corrupt_at(at, "spec record fault index out of range"))?;
-                let trigger = self.uv(payload, off, at)?;
-                let core = usize::try_from(self.uv(payload, off, at)?)
-                    .map_err(|_| corrupt_at(at, "implausible fault core"))?;
-                Some(FaultPlan {
-                    kind,
-                    trigger,
-                    core: CoreId(core),
-                })
-            }
-        };
-        let spec = TenantSpec {
-            name,
-            workload,
-            kind,
-            seed,
-            cores,
-            refs,
-            fault,
-        };
-        lines.push(render_spec(&spec));
-        self.names.push(spec.name);
-        Ok(())
-    }
-
-    /// Guards the specs → stream-records transition.
-    fn start_records(&mut self, at: usize) -> Result<(), ServeError> {
-        if (self.names.len() as u64) < self.tenants {
-            return Err(corrupt_at(at, "stream record before all tenant specs"));
-        }
-        self.records_started = true;
-        Ok(())
-    }
-
-    fn rec_checkpoint(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        self.start_records(at)?;
-        let tenant = self.uv(payload, off, at)?;
-        let tenant = self.tenant(tenant, at)?;
-        let tick = self.uv(payload, off, at)?;
-        let retired = self.uv(payload, off, at)?;
-        let stalled = self.uv(payload, off, at)?;
-        let cycles = self.uv(payload, off, at)?;
-        lines.push(render_checkpoint(
-            &self.names[tenant],
-            tick,
-            retired,
-            stalled,
-            cycles,
-        ));
-        Ok(())
-    }
-
-    fn rec_terminal(
-        &mut self,
-        payload: &[u8],
-        off: &mut usize,
-        at: usize,
-        lines: &mut Vec<String>,
-    ) -> Result<(), ServeError> {
-        self.start_records(at)?;
-        let tenant = self.uv(payload, off, at)?;
-        let tenant = self.tenant(tenant, at)?;
-        let tick = self.uv(payload, off, at)?;
-        let status = usize::try_from(self.uv(payload, off, at)?)
-            .ok()
-            .and_then(|i| TenantStatus::ALL.get(i).copied())
-            .ok_or_else(|| corrupt_at(at, "terminal record status index out of range"))?;
-        let retired = self.uv(payload, off, at)?;
-        let stalled = self.uv(payload, off, at)?;
-        let cycles = self.uv(payload, off, at)?;
-        let fired_at = match self.uv(payload, off, at)? {
-            0 => None,
-            1 => Some(self.uv(payload, off, at)?),
-            _ => return Err(corrupt_at(at, "malformed fired_at presence tag")),
-        };
-        let l2_misses = self.uv(payload, off, at)?;
-        let vd_hits = self.uv(payload, off, at)?;
-        let detail = self.str(payload, off, at)?;
-        let info = TerminalInfo {
-            tick,
-            status,
-            retired,
-            stalled,
-            cycles,
-            fired_at,
-            l2_misses,
-            vd_hits,
-            detail: &detail,
-        };
-        lines.push(render_terminal(&self.names[tenant], &info));
-        Ok(())
-    }
+    Ok(DecodedJournal {
+        lines,
+        torn: reader.torn,
+    })
 }
 
 #[cfg(test)]
@@ -759,6 +1211,96 @@ mod tests {
         );
     }
 
+    #[test]
+    fn push_u64_matches_display() {
+        for v in [0u64, 1, 9, 10, 12345, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+    }
+
+    /// Every record `text` (a JSONL journal) holds, or the first error.
+    fn read_jsonl(text: &str) -> Result<Vec<Record<'_>>, ServeError> {
+        let mut reader = Reader::new(text.as_bytes(), JournalFormat::Jsonl)?;
+        let mut out = Vec::new();
+        while let Some(rec) = reader.next()? {
+            out.push(rec);
+        }
+        Ok(out)
+    }
+
+    /// A one-tenant JSONL prologue (tenant `t"0`), so stream records
+    /// after it resolve.
+    fn prologue() -> String {
+        let spec = TenantSpec {
+            name: "t\"0".to_string(),
+            workload: "w".to_string(),
+            kind: DirectoryKind::SecDir,
+            seed: 1,
+            cores: 2,
+            refs: 3,
+            fault: None,
+        };
+        let mut cfg = ServeConfig::new(vec![spec.clone()]);
+        cfg.final_audit = false;
+        let mut out = String::new();
+        let mut line = String::new();
+        render(&mut line, &Record::Header(HeaderRec::of(&cfg)), &[]);
+        out.push_str(&line);
+        out.push('\n');
+        render(&mut line, &Record::Spec(Cow::Owned(spec)), &[]);
+        out.push_str(&line);
+        out.push('\n');
+        out
+    }
+
+    #[test]
+    fn jsonl_decodes_exactly_the_rendered_bytes() {
+        let info = TerminalInfo {
+            tenant: 0,
+            tick: 7,
+            status: TenantStatus::Panicked,
+            retired: 42,
+            stalled: 1,
+            cycles: 999,
+            fired_at: None,
+            l2_misses: 3,
+            vd_hits: 0,
+            detail: Cow::Borrowed("quote \" slash \\ newline \n ctl \u{1f} \u{7f} brace } é"),
+        };
+        let mut line = String::new();
+        render(&mut line, &Record::Terminal(info.clone()), &["t\"0"]);
+        assert!(!line.contains('\n'));
+        let text = format!("{}{line}\n", prologue());
+        let recs = read_jsonl(&text).expect("the rendering decodes");
+        assert_eq!(recs[2], Record::Terminal(info));
+
+        // The same content spelled any other way is not a record.
+        let checkpoint =
+            "{\"tick\":5,\"tenant\":\"t\\\"0\",\"retired\":4,\"stalled\":0,\"cycles\":10}";
+        assert!(read_jsonl(&format!("{}{checkpoint}\n", prologue())).is_ok());
+        for bad in [
+            checkpoint.replace("\"retired\":", "\"retired\": "),
+            checkpoint.replace("\"retired\":4,\"stalled\":0", "\"stalled\":0,\"retired\":4"),
+            checkpoint.replace(":4,", ":04,"),
+            checkpoint.replace(":10}", ":10} "),
+            checkpoint.replace(":10}", ":18446744073709551616}"),
+            line.replace("\\u001f", "\\u001F"),
+            line.replace("\\n", "\\u000a"),
+            line.replace("slash \\\\", "slash \\/"),
+            line.replace("quote", "\\u0071uote"),
+            line.replace("\\n", "\n"),
+            line.replace("null", "nul"),
+        ] {
+            let text = format!("{}{bad}\n", prologue());
+            match read_jsonl(&text) {
+                Err(ServeError::Corrupt(msg)) => assert!(msg.contains("line 3"), "{msg}"),
+                other => panic!("{bad:?} decoded: {other:?}"),
+            }
+        }
+    }
+
     use proptest::prelude::*;
 
     /// Characters the generated strings draw from: JSON-hostile (quotes,
@@ -777,8 +1319,8 @@ mod tests {
     }
 
     /// One fully populated journal — header, one hostile-named spec, a
-    /// checkpoint, a terminal — encoded into frames, plus the JSONL
-    /// lines the same records render to.
+    /// checkpoint, a terminal — encoded into frames, plus its records
+    /// and the JSONL lines they render to.
     #[allow(clippy::too_many_arguments)]
     fn encode_case(
         name: &str,
@@ -788,7 +1330,7 @@ mod tests {
         status_i: usize,
         fault_i: usize,
         nums: &[u64; 12],
-    ) -> (Vec<u8>, Vec<String>) {
+    ) -> (Vec<u8>, Vec<String>, Vec<Record<'static>>) {
         let spec = TenantSpec {
             name: name.to_string(),
             workload: workload.to_string(),
@@ -803,52 +1345,68 @@ mod tests {
             }),
         };
         let header = HeaderRec {
-            tenants: 1,
-            pool: nums[5],
-            queue_cap: nums[6],
-            global_cap: nums[7],
-            ingest: nums[8],
-            drain: nums[9],
-            idle_timeout: nums[10],
-            checkpoint_interval: nums[11],
-            max_waiting: nums[0].rotate_left(17),
-            burst_on: nums[1].rotate_left(31),
-            burst_off: nums[2].rotate_left(7),
+            scalars: [
+                1,
+                nums[5],
+                nums[6],
+                nums[7],
+                nums[8],
+                nums[9],
+                nums[10],
+                nums[11],
+                nums[0].rotate_left(17),
+                nums[1].rotate_left(31),
+                nums[2].rotate_left(7),
+            ],
             audit: nums[3] & 1 == 1,
         };
-        let info = TerminalInfo {
-            tick: nums[4],
-            status: TenantStatus::ALL[status_i],
-            retired: nums[5].wrapping_mul(3),
-            stalled: nums[6].wrapping_mul(5),
-            cycles: nums[7].wrapping_mul(7),
-            fired_at: (nums[8] & 1 == 1).then_some(nums[9]),
-            l2_misses: nums[10].wrapping_add(1),
-            vd_hits: nums[11].wrapping_add(2),
-            detail,
-        };
-        let mut bytes = MAGIC.to_vec();
-        let mut frame = Vec::new();
-        enc_header(&mut frame, &header);
-        enc_spec(&mut frame, &spec);
-        write_frame(&mut bytes, &frame).expect("vec write");
-        frame.clear();
-        enc_checkpoint(&mut frame, 0, nums[0], nums[1], nums[2], nums[3]);
-        enc_terminal(&mut frame, 0, &info);
-        write_frame(&mut bytes, &frame).expect("vec write");
-        let lines = vec![
-            render_header(&header),
-            render_spec(&spec),
-            render_checkpoint(&spec.name, nums[0], nums[1], nums[2], nums[3]),
-            render_terminal(&spec.name, &info),
+        let records = vec![
+            Record::Header(header),
+            Record::Spec(Cow::Owned(spec)),
+            Record::Checkpoint(Checkpoint {
+                tenant: 0,
+                tick: nums[0],
+                retired: nums[1],
+                stalled: nums[2],
+                cycles: nums[3],
+            }),
+            Record::Terminal(TerminalInfo {
+                tenant: 0,
+                tick: nums[4],
+                status: TenantStatus::ALL[status_i],
+                retired: nums[5].wrapping_mul(3),
+                stalled: nums[6].wrapping_mul(5),
+                cycles: nums[7].wrapping_mul(7),
+                fired_at: (nums[8] & 1 == 1).then_some(nums[9]),
+                l2_misses: nums[10].wrapping_add(1),
+                vd_hits: nums[11].wrapping_add(2),
+                detail: Cow::Owned(detail.to_string()),
+            }),
         ];
-        (bytes, lines)
+        let mut bytes = MAGIC.to_vec();
+        for pair in records.chunks(2) {
+            let mut frame = Vec::new();
+            for rec in pair {
+                encode(&mut frame, rec);
+            }
+            write_frame(&mut bytes, &frame).expect("vec write");
+        }
+        let mut line = String::new();
+        let lines = records
+            .iter()
+            .map(|rec| {
+                render(&mut line, rec, &[name]);
+                line.clone()
+            })
+            .collect();
+        (bytes, lines, records)
     }
 
     proptest! {
         /// Arbitrary counters and hostile strings survive the full
         /// encode → frame → checksum → decode round trip, reproducing
-        /// exactly the JSONL lines the text writer renders.
+        /// exactly the JSONL lines the text writer renders — and those
+        /// lines decode back to the same typed records.
         #[test]
         fn frames_round_trip_hostile_records(
             name in prop::collection::vec(0usize..ALPHABET.len(), 0..12),
@@ -861,13 +1419,15 @@ mod tests {
         ) {
             let mut fixed = [0u64; 12];
             fixed.copy_from_slice(&nums);
-            let (bytes, want) = encode_case(
+            let (bytes, want, records) = encode_case(
                 &hostile(&name), &hostile(&workload), &hostile(&detail),
                 kind_i, status_i, fault_i, &fixed,
             );
             let decoded = decode_journal(&bytes).expect("valid journal decodes");
             prop_assert!(!decoded.torn);
-            prop_assert_eq!(decoded.lines, want);
+            prop_assert_eq!(&decoded.lines, &want);
+            let text: String = want.iter().map(|l| format!("{l}\n")).collect();
+            prop_assert_eq!(read_jsonl(&text).expect("rendered lines decode"), records);
         }
 
         /// Truncation is the only corruption a kill can produce: every
@@ -881,7 +1441,7 @@ mod tests {
         ) {
             let mut fixed = [0u64; 12];
             fixed.copy_from_slice(&nums);
-            let (bytes, want) = encode_case(&hostile(&name), "w", "d", 0, 0, 0, &fixed);
+            let (bytes, want, _) = encode_case(&hostile(&name), "w", "d", 0, 0, 0, &fixed);
             let cut = (cut_pick % (bytes.len() as u64 + 1)) as usize;
             let decoded = decode_journal(&bytes[..cut])
                 .unwrap_or_else(|e| panic!("prefix of {cut} bytes errored: {e}"));

@@ -1,42 +1,33 @@
-//! The serve journal: crash-safe record rendering, the resume planner,
-//! and the splice/compare emission sink.
+//! The serve journal: the resume planner and the replaying emission
+//! sink.
 //!
-//! The journal is the server's only durable state, written in one of
+//! The journal is the server's only durable state: one header record
+//! pinning the scheduling configuration, one spec record per tenant,
+//! then checkpoint and terminal records in `(tick, tenant-index)` order
+//! — the typed [`Record`] model of [`super::codec`], written in one of
 //! two encodings ([`JournalFormat`]):
 //!
-//! * **JSONL** — every record is one JSON object on one line, written
-//!   in a fixed field order and flushed before the next record starts,
-//!   so a SIGKILL at any byte leaves a well-formed prefix plus at most
-//!   one truncated final line.
-//! * **binary** (`secdir-journal/1`, see [`super::codec`]) — records
-//!   are varint-packed into length-prefixed, CRC-checksummed frames,
-//!   one frame per scheduler tick, flushed per frame (group commit), so
-//!   a SIGKILL at any byte leaves a run of complete frames plus at most
-//!   one torn tail.
+//! * **JSONL** — one JSON object per line, flushed before the next
+//!   record starts, so a SIGKILL at any byte leaves a well-formed prefix
+//!   plus at most one truncated final line.
+//! * **binary** (`secdir-journal/1`) — records varint-packed into
+//!   CRC-checksummed frames, one frame per scheduler tick, flushed per
+//!   frame (group commit), so a SIGKILL at any byte leaves a run of
+//!   complete frames plus at most one torn tail.
 //!
-//! Both encodings carry the same record sequence:
-//!
-//! 1. one **header** record (`"schema":"secdir-serve/1"` in JSONL)
-//!    pinning the scheduling configuration,
-//! 2. one **spec** record per tenant (identity, workload, directory,
-//!    seed, armed fault),
-//! 3. interleaved **checkpoint** and **terminal** records in `(tick,
-//!    tenant-index)` order — the same deterministic total order the
-//!    scheduler emits them in.
-//!
-//! Resume is replay: [`plan`] recovers the surviving record lines (for
-//! binary journals by decoding complete frames back to their JSONL
-//! rendering), validates them against the current configuration
-//! (byte-comparing the header/spec lines, structurally parsing the
-//! records with the shared [`crate::resume::scan_top_level`] scanner),
-//! and the server re-runs the whole schedule from tick 0. Tenants whose
-//! terminal record survived become *ghosts* (their records are spliced
-//! from the kept prefix, their machines are never rebuilt); live
-//! tenants are re-simulated and every regenerated record is compared
-//! against the kept prefix through [`JournalSink`]. Any mismatch is a
-//! hard [`ServeError::Corrupt`] — never a panic, never silent
-//! divergence. Only an interrupted final write (incomplete line, torn
-//! frame) is forgiven.
+//! Resume is replay. [`plan`] pulls the surviving records through a
+//! [`Reader`] and validates them without storing any: the header and
+//! specs must equal the configuration's, every stream record must name
+//! a known tenant, ticks must not go backwards, and no record may follow
+//! a tenant's terminal. The server then re-runs the whole schedule from
+//! tick 0 while [`JournalSink`] re-reads the same prefix in step with
+//! it: every regenerated record must equal the kept one as a typed
+//! value. Tenants whose terminal record survived become *ghosts* —
+//! their machines are never rebuilt, and their kept records are spliced
+//! (checked against the fields the schedule recomputes, re-encoded from
+//! the rest). Any mismatch is a hard [`ServeError::Corrupt`] — never a
+//! panic, never silent divergence. Only an interrupted final write
+//! (incomplete line, torn frame) is forgiven.
 //!
 //! Worker count appears nowhere in the journal: a journal produced at
 //! `--workers 4` resumes byte-identically at `--workers 1` and vice
@@ -44,9 +35,9 @@
 //! journal reproduces the JSONL journal byte-for-byte, which is what
 //! `secdir-sim decode` exposes.
 
-use super::codec::{self, HeaderRec, JournalFormat};
-use super::{ServeConfig, TenantSpec, TenantStatus};
-use crate::resume::{scan_top_level, Prim};
+use super::codec::{self, Checkpoint, HeaderRec, JournalFormat, Reader, Record, TerminalInfo};
+use super::{ServeConfig, TenantStatus};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
 
@@ -73,295 +64,7 @@ impl fmt::Display for ServeError {
     }
 }
 
-// --- rendering ------------------------------------------------------
-
-/// One record line under construction, rendered into a caller-owned
-/// buffer so the steady-state emission path allocates nothing (the
-/// buffer reaches its high-water capacity once and is reused).
-struct Line<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Line<'a> {
-    fn start(out: &'a mut String) -> Line<'a> {
-        out.clear();
-        out.push('{');
-        Line { out }
-    }
-
-    fn sep(&mut self) {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.sep();
-        self.out.push('"');
-        self.out.push_str(k);
-        self.out.push_str("\":");
-    }
-
-    fn str_field(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.out.push('"');
-        push_escaped(self.out, v);
-        self.out.push('"');
-    }
-
-    fn num_field(&mut self, k: &str, v: u64) {
-        self.key(k);
-        push_u64(self.out, v);
-    }
-
-    fn bool_field(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    fn opt_num_field(&mut self, k: &str, v: Option<u64>) {
-        self.key(k);
-        match v {
-            Some(n) => push_u64(self.out, n),
-            None => self.out.push_str("null"),
-        }
-    }
-
-    fn end(self) {
-        self.out.push('}');
-    }
-}
-
-/// Appends `v` in decimal without allocating.
-fn push_u64(out: &mut String, v: u64) {
-    if v == 0 {
-        out.push('0');
-        return;
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut x = v;
-    while x > 0 {
-        i -= 1;
-        buf[i] = b'0' + (x % 10) as u8;
-        x /= 10;
-    }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
-}
-
-/// Appends `s` JSON-escaped (quotes, backslashes, control bytes).
-fn push_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let n = c as u32;
-                for shift in [4u32, 0] {
-                    let d = (n >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Inverts [`push_escaped`]: decodes the raw (escaped) text of a JSONL
-/// string field back to the original string, or `None` if the text is
-/// not something the renderer could have produced.
-pub(crate) fn unescape(raw: &str) -> Option<String> {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let mut v = 0u32;
-                for _ in 0..4 {
-                    v = v * 16 + chars.next()?.to_digit(16)?;
-                }
-                out.push(char::from_u32(v)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Renders the header record into `out` (cleared first).
-pub(crate) fn render_header_into(out: &mut String, h: &HeaderRec) {
-    out.reserve(256);
-    let mut l = Line::start(out);
-    l.str_field("schema", "secdir-serve/1");
-    l.num_field("tenants", h.tenants);
-    l.num_field("pool", h.pool);
-    l.num_field("queue_cap", h.queue_cap);
-    l.num_field("global_cap", h.global_cap);
-    l.num_field("ingest", h.ingest);
-    l.num_field("drain", h.drain);
-    l.num_field("idle_timeout", h.idle_timeout);
-    l.num_field("checkpoint_interval", h.checkpoint_interval);
-    l.num_field("max_waiting", h.max_waiting);
-    l.num_field("burst_on", h.burst_on);
-    l.num_field("burst_off", h.burst_off);
-    l.bool_field("audit", h.audit);
-    l.end();
-}
-
-/// Renders the header record pinning the scheduling configuration.
-pub(crate) fn render_header(h: &HeaderRec) -> String {
-    let mut out = String::new();
-    render_header_into(&mut out, h);
-    out
-}
-
-/// Renders one tenant's spec record into `out` (cleared first).
-pub(crate) fn render_spec_into(out: &mut String, spec: &TenantSpec) {
-    out.reserve(192 + spec.name.len() + spec.workload.len());
-    let mut l = Line::start(out);
-    l.str_field("tenant", &spec.name);
-    l.str_field("workload", &spec.workload);
-    l.str_field("directory", spec.kind.name());
-    l.num_field("seed", spec.seed);
-    l.num_field("cores", spec.cores as u64);
-    l.num_field("refs", spec.refs);
-    match spec.fault {
-        Some(plan) => {
-            l.str_field("fault", plan.kind.name());
-            l.num_field("trigger", plan.trigger);
-            l.num_field("fault_core", plan.core.0 as u64);
-        }
-        None => {
-            l.str_field("fault", "none");
-            l.num_field("trigger", 0);
-            l.num_field("fault_core", 0);
-        }
-    }
-    l.end();
-}
-
-/// Renders one tenant's spec record.
-pub(crate) fn render_spec(spec: &TenantSpec) -> String {
-    let mut out = String::new();
-    render_spec_into(&mut out, spec);
-    out
-}
-
-/// Renders one progress checkpoint record into `out` (cleared first).
-pub(crate) fn render_checkpoint_into(
-    out: &mut String,
-    name: &str,
-    tick: u64,
-    retired: u64,
-    stalled: u64,
-    cycles: u64,
-) {
-    out.reserve(128 + name.len());
-    let mut l = Line::start(out);
-    l.num_field("tick", tick);
-    l.str_field("tenant", name);
-    l.num_field("retired", retired);
-    l.num_field("stalled", stalled);
-    l.num_field("cycles", cycles);
-    l.end();
-}
-
-/// Renders one progress checkpoint record.
-pub(crate) fn render_checkpoint(
-    name: &str,
-    tick: u64,
-    retired: u64,
-    stalled: u64,
-    cycles: u64,
-) -> String {
-    let mut out = String::new();
-    render_checkpoint_into(&mut out, name, tick, retired, stalled, cycles);
-    out
-}
-
-/// Everything a terminal record carries beyond the tenant name.
-pub(crate) struct TerminalInfo<'a> {
-    /// Tick the tenant went terminal.
-    pub tick: u64,
-    /// Why it went terminal.
-    pub status: TenantStatus,
-    /// Final retired / stalled / cycle counters.
-    pub retired: u64,
-    /// See `retired`.
-    pub stalled: u64,
-    /// See `retired`.
-    pub cycles: u64,
-    /// Access count at which an armed fault fired, if it did.
-    pub fired_at: Option<u64>,
-    /// Final machine stats (zero for ghosts, sheds, and panics that
-    /// destroyed the machine).
-    pub l2_misses: u64,
-    /// See `l2_misses`.
-    pub vd_hits: u64,
-    /// Panic message or invariant text (empty otherwise).
-    pub detail: &'a str,
-}
-
-/// Renders one terminal record into `out` (cleared first).
-pub(crate) fn render_terminal_into(out: &mut String, name: &str, info: &TerminalInfo<'_>) {
-    out.reserve(224 + name.len() + info.detail.len() * 6);
-    let mut l = Line::start(out);
-    l.num_field("tick", info.tick);
-    l.str_field("tenant", name);
-    l.str_field("status", info.status.name());
-    l.num_field("retired", info.retired);
-    l.num_field("stalled", info.stalled);
-    l.num_field("cycles", info.cycles);
-    l.opt_num_field("fired_at", info.fired_at);
-    l.num_field("l2_misses", info.l2_misses);
-    l.num_field("vd_hits", info.vd_hits);
-    l.str_field("detail", info.detail);
-    l.end();
-}
-
-/// Renders one terminal record.
-pub(crate) fn render_terminal(name: &str, info: &TerminalInfo<'_>) -> String {
-    let mut out = String::new();
-    render_terminal_into(&mut out, name, info);
-    out
-}
-
-// --- parsing / resume planning --------------------------------------
-
-fn get_num(fields: &[(&str, Prim<'_>)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| match v {
-        Prim::Num(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
-fn get_str<'a>(fields: &[(&'a str, Prim<'a>)], key: &str) -> Option<&'a str> {
-    fields.iter().find_map(|(k, v)| match v {
-        Prim::Str(s) if *k == key => Some(*s),
-        _ => None,
-    })
-}
-
-/// Extracts one numeric field from a record line (used to recover
-/// counters from spliced ghost records).
-pub(crate) fn parsed_num(line: &str, key: &str) -> Option<u64> {
-    scan_top_level(line).and_then(|fields| get_num(&fields, key))
-}
+// --- resume planning ------------------------------------------------
 
 /// A tenant whose terminal record survived in the journal prefix: its
 /// replay is spliced, not re-simulated.
@@ -373,208 +76,144 @@ pub(crate) struct GhostEnd {
     pub status: TenantStatus,
 }
 
-/// Validated resume state: the surviving journal prefix plus which
-/// tenants it already finished.
-pub(crate) struct ServePlan {
-    /// Complete journal lines, in file order (header, specs, records).
-    pub kept: Vec<String>,
+/// Validated resume state: how much of the surviving journal is kept,
+/// and which tenants it already finished.
+pub(crate) struct ServePlan<'a> {
+    /// A reader at the start of the surviving journal, for the replay.
+    pub replay: Reader<'a>,
+    /// Records in the kept prefix (header and specs included).
+    pub kept: usize,
     /// Per tenant index: the recorded terminal, if one survived.
     pub ghost: Vec<Option<GhostEnd>>,
     /// Whether a truncated final line / torn final frame was discarded.
     pub recovered_truncation: bool,
 }
 
-/// The header + spec lines a run over `cfg` writes, in order.
-pub(crate) fn expected_prefix(cfg: &ServeConfig) -> Vec<String> {
-    let mut lines = Vec::with_capacity(1 + cfg.tenants.len());
-    lines.push(render_header(&HeaderRec::of(cfg)));
-    for spec in &cfg.tenants {
-        lines.push(render_spec(spec));
-    }
-    lines
+fn corrupt(record_no: usize, msg: &str) -> ServeError {
+    ServeError::Corrupt(format!("journal line {record_no}: {msg}"))
 }
 
-fn corrupt(line_no: usize, msg: &str) -> ServeError {
-    ServeError::Corrupt(format!("journal line {line_no}: {msg}"))
-}
+const MISMATCH: &str = "header/spec record does not match the current configuration";
+const SPLICE_DIVERGED: &str = "kept record diverges from the replayed schedule";
 
 /// Validates a surviving journal against `cfg` and plans the replay.
 ///
-/// `checkpoint` is the raw surviving file content; `format` says how to
-/// read it (the format the interrupted run was started with). JSONL
-/// journals are split into lines, binary journals are decoded frame by
-/// frame back to their JSONL rendering; the recovered record lines then
-/// go through the same validation either way.
+/// `checkpoint` is the raw surviving file content, in `cfg.format` (the
+/// format the interrupted run was started with). Records are decoded
+/// one at a time and checked, never stored: the kept prefix is re-read
+/// by the replay.
 ///
 /// # Errors
 ///
 /// [`ServeError::Corrupt`] on any complete record that is malformed,
-/// mismatched against the configuration, out of order, duplicated after
-/// a terminal, or otherwise untrustworthy — including a journal in the
+/// mismatched against the configuration, out of order, after a
+/// terminal, or otherwise untrustworthy — including a journal in the
 /// *other* format (a binary journal is never valid UTF-8 JSONL, and a
 /// JSONL journal never starts with the binary magic). An interrupted
 /// final write (incomplete line, torn frame) is discarded and reported
 /// via `recovered_truncation` instead.
-pub(crate) fn plan(
+pub(crate) fn plan<'a>(
     cfg: &ServeConfig,
-    checkpoint: &[u8],
-    format: JournalFormat,
-) -> Result<ServePlan, ServeError> {
+    checkpoint: &'a [u8],
+) -> Result<ServePlan<'a>, ServeError> {
     let n = cfg.tenants.len();
-    let mut out = ServePlan {
-        kept: Vec::new(),
-        ghost: vec![None; n],
-        recovered_truncation: false,
+    let replay = Reader::new(checkpoint, cfg.format)?;
+    let mut reader = replay.clone();
+    let mut ghost = vec![None; n];
+    let mut kept = 0;
+    let mut last_tick = 0;
+    let recovered_truncation = loop {
+        let checked = reader.next().and_then(|rec| match rec {
+            None => Ok(false),
+            Some(rec) => admit(cfg, kept, &rec, &mut last_tick, &mut ghost).map(|()| true),
+        });
+        match checked {
+            Ok(true) => kept += 1,
+            Ok(false) => break reader.torn,
+            // An interrupted final line is forgiven, unless it cannot
+            // even be the start of the prologue record the configuration
+            // expects there.
+            Err(_) if reader.at_open_tail() && kept > n => break true,
+            Err(_) if reader.at_open_tail() => {
+                let want = match kept {
+                    0 => Record::Header(HeaderRec::of(cfg)),
+                    i => Record::Spec(Cow::Borrowed(&cfg.tenants[i - 1])),
+                };
+                let mut text = String::new();
+                codec::render(&mut text, &want, &[]);
+                if text.starts_with(reader.line) {
+                    break true;
+                }
+                return Err(corrupt(kept + 1, MISMATCH));
+            }
+            Err(e) => return Err(e),
+        }
     };
-    if checkpoint.is_empty() {
-        return Ok(out);
-    }
-    match format {
-        JournalFormat::Jsonl => {
-            let (text, cut_mid_char) = match std::str::from_utf8(checkpoint) {
-                Ok(t) => (t, false),
-                // A file that is valid UTF-8 up to a trailing incomplete
-                // character is an interrupted write, not corruption.
-                Err(e) if e.error_len().is_none() => {
-                    let valid = &checkpoint[..e.valid_up_to()];
-                    (std::str::from_utf8(valid).unwrap_or(""), true)
-                }
-                Err(_) => {
-                    return Err(ServeError::Corrupt(
-                        "journal is not UTF-8 text — is it a binary journal? \
-                         (resume with --format binary)"
-                            .to_string(),
-                    ))
-                }
-            };
-            let has_final_newline = !cut_mid_char && text.ends_with('\n');
-            let lines: Vec<&str> = text.lines().collect();
-            plan_lines(cfg, &lines, has_final_newline, &mut out)?;
-        }
-        JournalFormat::Binary => {
-            let decoded = codec::decode_journal(checkpoint)?;
-            let lines: Vec<&str> = decoded.lines.iter().map(String::as_str).collect();
-            // Every decoded line came out of a complete, checksum-valid
-            // frame, so none of them is forgivably truncated.
-            plan_lines(cfg, &lines, true, &mut out)?;
-            out.recovered_truncation |= decoded.torn;
-        }
-    }
-    Ok(out)
+    Ok(ServePlan {
+        replay,
+        kept,
+        ghost,
+        recovered_truncation,
+    })
 }
 
-/// The format-independent planning core: validates recovered record
-/// lines in order. `has_final_newline` is false when the last line is
-/// an incomplete (interrupted) write and may be forgiven.
-fn plan_lines(
+/// Checks kept record number `idx` (0-based) against the configuration
+/// and the record stream so far.
+fn admit(
     cfg: &ServeConfig,
-    lines: &[&str],
-    has_final_newline: bool,
-    out: &mut ServePlan,
+    idx: usize,
+    rec: &Record<'_>,
+    last_tick: &mut u64,
+    ghost: &mut [Option<GhostEnd>],
 ) -> Result<(), ServeError> {
-    let expected = expected_prefix(cfg);
-    let mut last_tick = 0u64;
-    for (idx, line) in lines.iter().enumerate() {
-        let line_no = idx + 1;
-        let complete = idx + 1 < lines.len() || has_final_newline;
-        if let Some(want) = expected.get(idx) {
-            if line == want {
-                out.kept.push((*line).to_string());
-                continue;
-            }
-            if !complete && want.starts_with(line) {
-                out.recovered_truncation = true;
-                return Ok(());
-            }
-            return Err(corrupt(
-                line_no,
-                "header/spec record does not match the current configuration",
-            ));
-        }
-        match classify_record(cfg, line, last_tick, &out.ghost) {
-            Ok((tick, tenant, terminal)) => {
-                last_tick = tick;
-                if let Some(status) = terminal {
-                    out.ghost[tenant] = Some(GhostEnd { tick, status });
-                }
-                out.kept.push((*line).to_string());
-            }
-            Err(msg) => {
-                if !complete {
-                    out.recovered_truncation = true;
-                    return Ok(());
-                }
-                return Err(corrupt(line_no, &msg));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Parses and validates one record line: returns `(tick, tenant index,
-/// terminal status if any)` or a description of what is wrong.
-fn classify_record(
-    cfg: &ServeConfig,
-    line: &str,
-    last_tick: u64,
-    ghost: &[Option<GhostEnd>],
-) -> Result<(u64, usize, Option<TenantStatus>), String> {
-    let fields =
-        scan_top_level(line).ok_or_else(|| "malformed record before end of file".to_string())?;
-    if get_str(&fields, "schema").is_some() {
-        return Err("unexpected second header record".to_string());
-    }
-    if get_str(&fields, "workload").is_some() {
-        return Err("unexpected extra spec record".to_string());
-    }
-    let tick = get_num(&fields, "tick").ok_or_else(|| "record missing `tick`".to_string())?;
-    let name = get_str(&fields, "tenant").ok_or_else(|| "record missing `tenant`".to_string())?;
-    let tenant = cfg
-        .tenants
-        .iter()
-        .position(|t| t.name == name)
-        .ok_or_else(|| format!("record for unknown tenant `{name}`"))?;
-    if ghost.get(tenant).is_some_and(Option::is_some) {
-        return Err(format!("record after terminal record for tenant `{name}`"));
-    }
-    if tick < last_tick {
-        return Err("out-of-order record".to_string());
-    }
-    for counter in ["retired", "stalled", "cycles"] {
-        if get_num(&fields, counter).is_none() {
-            return Err(format!("record missing `{counter}`"));
-        }
-    }
-    let terminal = match get_str(&fields, "status") {
-        None => None,
-        Some(s) => {
-            Some(TenantStatus::parse(s).ok_or_else(|| format!("unknown terminal status `{s}`"))?)
-        }
+    let n = cfg.tenants.len();
+    let fail = |msg: &str| Err(corrupt(idx + 1, msg));
+    let (tenant, tick, status) = match rec {
+        Record::Header(h) if idx == 0 && *h == HeaderRec::of(cfg) => return Ok(()),
+        Record::Spec(s) if idx > 0 && cfg.tenants.get(idx - 1) == Some(&**s) => return Ok(()),
+        Record::Checkpoint(c) if idx > n => (c.tenant, c.tick, None),
+        Record::Terminal(t) if idx > n => (t.tenant, t.tick, Some(t.status)),
+        _ => return fail(MISMATCH),
     };
-    Ok((tick, tenant, terminal))
+    // The reader only yields tenant indices below the header's tenant
+    // count, which is `n` once the header matched.
+    if ghost[tenant].is_some() {
+        let name = &cfg.tenants[tenant].name;
+        return fail(&format!("record after terminal record for tenant `{name}`"));
+    }
+    if tick < *last_tick {
+        return fail("out-of-order record");
+    }
+    *last_tick = tick;
+    ghost[tenant] = status.map(|status| GhostEnd { tick, status });
+    Ok(())
 }
 
 // --- emission sink --------------------------------------------------
 
 /// Where journal records go during a run.
 ///
-/// Every record is rendered (into a reusable buffer) as its JSONL line
-/// — that line is the format-independent identity of the record, used
-/// for the kept-prefix replay comparison and surfaced as the tenant's
-/// terminal `record`. What reaches the sink depends on the format:
-/// JSONL writes the line plus a flush per record; binary appends the
-/// varint-packed record to the current frame, and [`JournalSink::commit`]
-/// (called once per scheduler tick) writes the frame with one
-/// write+flush. While a kept prefix remains, every regenerated record
-/// is checked against it — byte-compare for re-simulated records,
-/// field-compare-and-splice for ghost records.
+/// JSONL renders each record into a reusable buffer and writes it with
+/// a flush per record; binary appends the varint-packed record to the
+/// current frame, and [`JournalSink::commit`] (called once per
+/// scheduler tick) writes the frame with one write+flush. While a kept
+/// prefix remains, the sink reads it in step with the replay and checks
+/// every regenerated record against the kept one as a typed value —
+/// equality for re-simulated records, the recomputed fields for ghost
+/// records, which are spliced from the kept record itself.
 pub(crate) struct JournalSink<'a> {
     sink: &'a mut dyn Write,
-    kept: Vec<String>,
+    cfg: &'a ServeConfig,
+    /// Tenant names by index, for JSONL rendering.
+    names: Vec<&'a str>,
+    /// The surviving journal, re-read in step with the replay.
+    kept: Reader<'a>,
+    /// Records in the kept prefix.
+    kept_len: usize,
+    /// Records emitted so far.
     cursor: usize,
-    format: JournalFormat,
-    /// Reusable JSONL render buffer; after each `emit_*` it holds the
-    /// record's line.
+    /// Reusable JSONL render buffer; after a terminal record is emitted
+    /// (in either format) it holds that record's line.
     buf: String,
     /// Binary frame under construction (records since the last commit).
     frame: Vec<u8>,
@@ -584,18 +223,26 @@ pub(crate) struct JournalSink<'a> {
     started: bool,
 }
 
+fn io_err(e: std::io::Error) -> ServeError {
+    ServeError::Io(e.to_string())
+}
+
 impl<'a> JournalSink<'a> {
-    /// Wraps `sink`, replaying against the `kept` prefix from [`plan`].
+    /// Wraps `sink` for a run over `cfg`, replaying against the first
+    /// `kept` records of `replay` (from [`plan`]).
     pub(crate) fn new(
         sink: &'a mut dyn Write,
-        kept: Vec<String>,
-        format: JournalFormat,
+        cfg: &'a ServeConfig,
+        replay: Reader<'a>,
+        kept: usize,
     ) -> JournalSink<'a> {
         JournalSink {
             sink,
-            kept,
+            cfg,
+            names: cfg.tenants.iter().map(|t| t.name.as_str()).collect(),
+            kept: replay,
+            kept_len: kept,
             cursor: 0,
-            format,
             buf: String::new(),
             frame: Vec::new(),
             bytes: 0,
@@ -603,221 +250,118 @@ impl<'a> JournalSink<'a> {
         }
     }
 
-    fn io_err(e: std::io::Error) -> ServeError {
-        ServeError::Io(e.to_string())
+    /// The next kept record, while the kept prefix lasts.
+    fn next_kept(&mut self) -> Result<Option<Record<'a>>, ServeError> {
+        if self.cursor >= self.kept_len {
+            return Ok(None);
+        }
+        self.kept.next()
     }
 
-    /// Byte-compares `self.buf` against the kept prefix (while one
-    /// remains) and advances the replay cursor.
-    fn check_kept(&mut self) -> Result<(), ServeError> {
-        if let Some(want) = self.kept.get(self.cursor) {
-            if *want != self.buf {
+    /// Delivers one record. JSONL renders it and writes the line plus
+    /// its newline in one write, then flushes — the per-record
+    /// durability contract. Binary appends it to the pending frame,
+    /// which leaves with [`JournalSink::commit`]; a terminal is rendered
+    /// too, since its line is the tenant's `record` artifact.
+    fn put(&mut self, rec: &Record<'_>) -> Result<(), ServeError> {
+        self.cursor += 1;
+        let text = self.cfg.format == JournalFormat::Jsonl;
+        if text || matches!(rec, Record::Terminal(_)) {
+            codec::render(&mut self.buf, rec, &self.names);
+        }
+        if !text {
+            codec::encode(&mut self.frame, rec);
+            return Ok(());
+        }
+        self.buf.push('\n');
+        self.sink.write_all(self.buf.as_bytes()).map_err(io_err)?;
+        self.sink.flush().map_err(io_err)?;
+        self.bytes += self.buf.len() as u64;
+        self.buf.pop();
+        Ok(())
+    }
+
+    /// Emits one regenerated record.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Corrupt`] when it differs from the kept record at
+    /// this position.
+    pub(crate) fn emit(&mut self, rec: &Record<'_>) -> Result<(), ServeError> {
+        if let Some(kept) = self.next_kept()? {
+            if kept != *rec {
                 return Err(corrupt(
                     self.cursor + 1,
                     "kept record diverges from the deterministic replay",
                 ));
             }
         }
-        self.cursor += 1;
-        Ok(())
-    }
-
-    /// JSONL delivery: the rendered line, a newline, and a flush — the
-    /// per-record durability contract.
-    fn write_text_line(&mut self) -> Result<(), ServeError> {
-        writeln!(self.sink, "{}", self.buf).map_err(Self::io_err)?;
-        self.sink.flush().map_err(Self::io_err)?;
-        self.bytes += self.buf.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Post-render step shared by every emitter: replay check, then
-    /// format-dependent delivery (JSONL writes now; binary records were
-    /// already appended to the pending frame and leave with `commit`).
-    fn advance(&mut self) -> Result<(), ServeError> {
-        self.check_kept()?;
-        if self.format == JournalFormat::Jsonl {
-            self.write_text_line()?;
-        }
-        Ok(())
+        self.put(rec)
     }
 
     /// Emits the journal prologue — header and spec records — and
     /// commits it as the first frame.
-    pub(crate) fn begin(&mut self, cfg: &ServeConfig) -> Result<(), ServeError> {
-        let h = HeaderRec::of(cfg);
-        render_header_into(&mut self.buf, &h);
-        if self.format == JournalFormat::Binary {
-            codec::enc_header(&mut self.frame, &h);
-        }
-        self.advance()?;
+    pub(crate) fn begin(&mut self) -> Result<(), ServeError> {
+        let cfg = self.cfg;
+        self.emit(&Record::Header(HeaderRec::of(cfg)))?;
         for spec in &cfg.tenants {
-            render_spec_into(&mut self.buf, spec);
-            if self.format == JournalFormat::Binary {
-                codec::enc_spec(&mut self.frame, spec);
-            }
-            self.advance()?;
+            self.emit(&Record::Spec(Cow::Borrowed(spec)))?;
         }
         self.commit()
     }
 
-    /// Emits a regenerated checkpoint record for tenant index `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] when the regenerated record differs from
-    /// the kept line at this position.
-    pub(crate) fn emit_checkpoint(
-        &mut self,
-        tenant: usize,
-        name: &str,
-        tick: u64,
-        retired: u64,
-        stalled: u64,
-        cycles: u64,
-    ) -> Result<(), ServeError> {
-        if self.format == JournalFormat::Binary {
-            codec::enc_checkpoint(
-                &mut self.frame,
-                tenant as u64,
-                tick,
-                retired,
-                stalled,
-                cycles,
-            );
-            // Checkpoints dominate a journal-heavy run, and once the
-            // kept prefix is exhausted nothing reads their text
-            // rendering — skip it and keep the binary hot path pure
-            // varint appends.
-            if self.cursor >= self.kept.len() {
-                self.cursor += 1;
-                return Ok(());
-            }
-        }
-        render_checkpoint_into(&mut self.buf, name, tick, retired, stalled, cycles);
-        self.advance()
-    }
-
-    /// Emits a regenerated terminal record and returns its JSONL line
-    /// (the tenant's terminal `record` artifact).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] when the regenerated record differs from
-    /// the kept line at this position.
-    pub(crate) fn emit_terminal(
-        &mut self,
-        tenant: usize,
-        name: &str,
-        info: &TerminalInfo<'_>,
-    ) -> Result<String, ServeError> {
-        render_terminal_into(&mut self.buf, name, info);
-        if self.format == JournalFormat::Binary {
-            codec::enc_terminal(&mut self.frame, tenant as u64, info);
-        }
-        self.advance()?;
+    /// Emits a regenerated terminal record and returns its JSONL line.
+    pub(crate) fn emit_terminal(&mut self, info: &TerminalInfo<'_>) -> Result<String, ServeError> {
+        self.emit(&Record::Terminal(info.clone()))?;
         Ok(self.buf.clone())
     }
 
-    /// Splices the next kept line for ghost tenant `name`, checking the
-    /// fields the replay recomputes (`tick`, `tenant`, `retired`,
-    /// `stalled`, and terminal status presence/value). Counters the
-    /// replay does not recompute (`cycles`, machine stats, `detail`)
-    /// come out of the kept line itself; in binary mode the record is
-    /// re-encoded canonically from those parsed fields. Returns the
-    /// spliced line.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] when the prefix is exhausted or the kept
-    /// line disagrees with the recomputed schedule.
-    pub(crate) fn emit_ghost(
-        &mut self,
-        tenant: usize,
-        name: &str,
-        tick: u64,
-        retired: u64,
-        stalled: u64,
-        terminal: Option<TenantStatus>,
-    ) -> Result<String, ServeError> {
-        let Some(line) = self.kept.get(self.cursor).cloned() else {
-            return Err(ServeError::Corrupt(format!(
-                "journal ended before tenant `{name}` finished its replayed records"
-            )));
-        };
-        let ok = scan_top_level(&line).is_some_and(|fields| {
-            get_num(&fields, "tick") == Some(tick)
-                && get_str(&fields, "tenant") == Some(name)
-                && get_num(&fields, "retired") == Some(retired)
-                && get_num(&fields, "stalled") == Some(stalled)
-                && get_str(&fields, "status") == terminal.map(TenantStatus::name)
-        });
-        if !ok {
-            return Err(corrupt(
-                self.cursor + 1,
-                "kept record diverges from the replayed schedule",
-            ));
+    /// Splices the next kept record as ghost tenant `now.tenant`'s
+    /// checkpoint. Its tenant, tick, `retired` and `stalled` must be the
+    /// recomputed ones in `now`; `cycles` comes from the kept record.
+    pub(crate) fn splice_checkpoint(&mut self, now: &Checkpoint) -> Result<(), ServeError> {
+        match self.next_kept()? {
+            Some(Record::Checkpoint(c))
+                if (c.tenant, c.tick, c.retired, c.stalled)
+                    == (now.tenant, now.tick, now.retired, now.stalled) =>
+            {
+                self.put(&Record::Checkpoint(c))
+            }
+            _ => Err(corrupt(self.cursor + 1, SPLICE_DIVERGED)),
         }
-        if self.format == JournalFormat::Binary {
-            self.encode_ghost(&line, tenant, tick, retired, stalled, terminal)?;
-        }
-        self.buf.clear();
-        self.buf.push_str(&line);
-        self.cursor += 1;
-        if self.format == JournalFormat::Jsonl {
-            self.write_text_line()?;
-        }
-        Ok(line)
     }
 
-    /// Re-encodes a spliced ghost line into the pending binary frame.
-    /// Rendering is canonical (one line per record content), so the
-    /// re-encoded record decodes back to exactly the spliced line.
-    fn encode_ghost(
+    /// Splices the next kept record as ghost tenant `now.tenant`'s
+    /// terminal and returns it with its JSONL line. Tenant, tick, status
+    /// and `stalled` must be the recomputed ones in `now`, and so must
+    /// `retired` — except after a `panicked` or `quarantined` end, where
+    /// the kept value need only lie inside this tick's drained `batch`:
+    /// a live tenant counts references per access and may stop
+    /// mid-batch, its ghost counts whole batches. Everything the
+    /// schedule does not recompute (`cycles`, machine stats, `detail`)
+    /// comes from the kept record.
+    pub(crate) fn splice_terminal(
         &mut self,
-        line: &str,
-        tenant: usize,
-        tick: u64,
-        retired: u64,
-        stalled: u64,
-        terminal: Option<TenantStatus>,
-    ) -> Result<(), ServeError> {
-        let fields = scan_top_level(line).unwrap_or_default();
-        let cycles = get_num(&fields, "cycles").unwrap_or(0);
-        match terminal {
-            None => {
-                codec::enc_checkpoint(
-                    &mut self.frame,
-                    tenant as u64,
-                    tick,
-                    retired,
-                    stalled,
-                    cycles,
-                );
+        now: &TerminalInfo<'_>,
+        batch: u64,
+    ) -> Result<(TerminalInfo<'a>, String), ServeError> {
+        let Some(Record::Terminal(t)) = self.next_kept()? else {
+            return Err(corrupt(self.cursor + 1, SPLICE_DIVERGED));
+        };
+        let retired_ok = match now.status {
+            TenantStatus::Panicked | TenantStatus::Quarantined => {
+                (now.retired.saturating_sub(batch)..=now.retired).contains(&t.retired)
             }
-            Some(status) => {
-                let detail_raw = get_str(&fields, "detail").unwrap_or("");
-                let detail = unescape(detail_raw).ok_or_else(|| {
-                    corrupt(
-                        self.cursor + 1,
-                        "ghost terminal record detail field does not unescape",
-                    )
-                })?;
-                let info = TerminalInfo {
-                    tick,
-                    status,
-                    retired,
-                    stalled,
-                    cycles,
-                    fired_at: get_num(&fields, "fired_at"),
-                    l2_misses: get_num(&fields, "l2_misses").unwrap_or(0),
-                    vd_hits: get_num(&fields, "vd_hits").unwrap_or(0),
-                    detail: &detail,
-                };
-                codec::enc_terminal(&mut self.frame, tenant as u64, &info);
-            }
+            _ => t.retired == now.retired,
+        };
+        if !retired_ok
+            || (t.tenant, t.tick, t.status, t.stalled)
+                != (now.tenant, now.tick, now.status, now.stalled)
+        {
+            return Err(corrupt(self.cursor + 1, SPLICE_DIVERGED));
         }
-        Ok(())
+        self.put(&Record::Terminal(t.clone()))?;
+        Ok((t, self.buf.clone()))
     }
 
     /// Delivers the pending frame (binary group commit): one write plus
@@ -826,93 +370,31 @@ impl<'a> JournalSink<'a> {
     /// is pending, and always a no-op for JSONL (which flushed per
     /// record already).
     pub(crate) fn commit(&mut self) -> Result<(), ServeError> {
-        if self.format != JournalFormat::Binary {
+        if self.cfg.format != JournalFormat::Binary {
             return Ok(());
         }
         if !self.started {
-            self.sink.write_all(&codec::MAGIC).map_err(Self::io_err)?;
+            self.sink.write_all(&codec::MAGIC).map_err(io_err)?;
             self.bytes += codec::MAGIC.len() as u64;
             self.started = true;
         }
         if self.frame.is_empty() {
             return Ok(());
         }
-        let n = codec::write_frame(self.sink, &self.frame).map_err(Self::io_err)?;
+        let n = codec::write_frame(self.sink, &self.frame).map_err(io_err)?;
         self.bytes += n;
         self.frame.clear();
         Ok(())
     }
 
-    /// Kept lines not yet consumed by the replay (must be zero at the
+    /// Kept records not yet consumed by the replay (must be zero at the
     /// end of a clean run).
     pub(crate) fn leftover(&self) -> usize {
-        self.kept.len().saturating_sub(self.cursor)
-    }
-
-    /// Total kept lines this sink started with.
-    pub(crate) fn kept_len(&self) -> usize {
-        self.kept.len()
+        self.kept_len.saturating_sub(self.cursor)
     }
 
     /// Bytes delivered to the sink so far.
     pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rendering_is_single_line_and_escapes_hostile_text() {
-        let info = TerminalInfo {
-            tick: 7,
-            status: TenantStatus::Panicked,
-            retired: 42,
-            stalled: 1,
-            cycles: 999,
-            fired_at: None,
-            l2_misses: 3,
-            vd_hits: 0,
-            detail: "quote \" slash \\ newline \n brace } done",
-        };
-        let line = render_terminal("t\"0", &info);
-        assert!(!line.contains('\n'));
-        let fields = scan_top_level(&line).expect("terminal record parses");
-        assert_eq!(get_num(&fields, "tick"), Some(7));
-        assert_eq!(get_str(&fields, "status"), Some("panicked"));
-        // fired_at:null parses as Other, not Num.
-        assert_eq!(get_num(&fields, "fired_at"), None);
-    }
-
-    #[test]
-    fn push_u64_matches_display() {
-        for v in [0u64, 1, 9, 10, 12345, u64::MAX] {
-            let mut s = String::new();
-            push_u64(&mut s, v);
-            assert_eq!(s, v.to_string());
-        }
-    }
-
-    #[test]
-    fn unescape_inverts_push_escaped() {
-        let hostile = [
-            "",
-            "plain",
-            "quote \" slash \\ newline \n cr \r tab \t",
-            "control \u{1} \u{1f} end",
-            "unicode \u{00e9}\u{4e16}\u{1f600}",
-        ];
-        for s in hostile {
-            let mut escaped = String::new();
-            push_escaped(&mut escaped, s);
-            assert_eq!(unescape(&escaped).as_deref(), Some(s), "for {s:?}");
-        }
-        // Text no renderer produces is rejected, not mangled.
-        assert_eq!(unescape("\\q"), None);
-        assert_eq!(unescape("tail\\"), None);
-        assert_eq!(unescape("\\u00"), None);
-        assert_eq!(unescape("\\u00zz"), None);
     }
 }

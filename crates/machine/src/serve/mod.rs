@@ -46,9 +46,11 @@ use crate::machine::Machine;
 use crate::sweep::panic_message;
 use crate::{DirectoryKind, MachineConfig};
 use admission::Admission;
-use journal::{GhostEnd, JournalSink, TerminalInfo};
+use codec::{Checkpoint, Record, TerminalInfo};
+use journal::{GhostEnd, JournalSink};
 use scheduler::{SourceRt, TenantShared};
 use secdir_mem::{LineAddr, SplitMix64};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -126,6 +128,18 @@ pub struct TenantSpec {
     pub refs: u64,
     /// Fault to arm on the tenant's machine, if any.
     pub fault: Option<FaultPlan>,
+}
+
+/// Field-by-field equality: a journal's spec records must equal the
+/// configuration's.
+impl PartialEq for TenantSpec {
+    fn eq(&self, other: &TenantSpec) -> bool {
+        let key = |t: &TenantSpec| {
+            let fault = t.fault.map(|p| (p.kind, p.trigger, p.core));
+            (t.kind, t.seed, t.cores, t.refs, fault)
+        };
+        self.name == other.name && self.workload == other.workload && key(self) == key(other)
+    }
 }
 
 /// The full service configuration. Every scheduling decision is a pure
@@ -292,7 +306,7 @@ pub fn uniform_streams(spec: &TenantSpec) -> Vec<Box<dyn AccessStream + 'static>
 }
 
 /// How one tenant's service ended.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantOutcome {
     /// Tenant name.
     pub name: String,
@@ -317,6 +331,37 @@ pub struct TenantOutcome {
     /// The tenant's terminal JSONL record, byte-identical to its
     /// journal line (the per-tenant output artifact).
     pub record: String,
+}
+
+/// Emits tenant `now.tenant`'s terminal record and returns its outcome.
+/// A ghost (`ghost_batch` is its last drained batch) splices the kept
+/// record, which supplies every field; a live tenant emits `now`.
+fn finish(
+    journal: &mut JournalSink<'_>,
+    name: &str,
+    now: TerminalInfo<'_>,
+    ghost_batch: Option<u64>,
+) -> Result<TenantOutcome, ServeError> {
+    let (t, record) = match ghost_batch {
+        Some(batch) => journal.splice_terminal(&now, batch)?,
+        None => {
+            let record = journal.emit_terminal(&now)?;
+            (now, record)
+        }
+    };
+    Ok(TenantOutcome {
+        name: name.to_string(),
+        status: t.status,
+        tick: t.tick,
+        retired: t.retired,
+        stalled: t.stalled,
+        cycles: t.cycles,
+        fired_at: t.fired_at,
+        l2_misses: t.l2_misses,
+        vd_hits: t.vd_hits,
+        detail: t.detail.into_owned(),
+        record,
+    })
 }
 
 /// Summary of a completed serve run.
@@ -447,37 +492,21 @@ impl Driver<'_, '_, '_> {
         let cfg = self.cfg;
         let n = cfg.tenants.len();
         for i in self.admission.shed(n) {
-            let spec = &cfg.tenants[i];
-            let record = if self.ghost[i].is_some() {
-                self.journal
-                    .emit_ghost(i, &spec.name, 0, 0, 0, Some(TenantStatus::Shed))?
-            } else {
-                let info = TerminalInfo {
-                    tick: 0,
-                    status: TenantStatus::Shed,
-                    retired: 0,
-                    stalled: 0,
-                    cycles: 0,
-                    fired_at: None,
-                    l2_misses: 0,
-                    vd_hits: 0,
-                    detail: "",
-                };
-                self.journal.emit_terminal(i, &spec.name, &info)?
-            };
-            self.outcomes[i] = Some(TenantOutcome {
-                name: spec.name.clone(),
-                status: TenantStatus::Shed,
+            let now = TerminalInfo {
+                tenant: i,
                 tick: 0,
+                status: TenantStatus::Shed,
                 retired: 0,
                 stalled: 0,
                 cycles: 0,
                 fired_at: None,
                 l2_misses: 0,
                 vd_hits: 0,
-                detail: String::new(),
-                record,
-            });
+                detail: Cow::Borrowed(""),
+            };
+            let ghost = self.ghost[i].map(|_| 0);
+            let outcome = finish(self.journal, &cfg.tenants[i].name, now, ghost)?;
+            self.outcomes[i] = Some(outcome);
             self.phase[i] = Phase::Terminal;
             self.live -= 1;
         }
@@ -646,72 +675,44 @@ impl Driver<'_, '_, '_> {
                     let due = rt.retired / cfg.checkpoint_interval;
                     if due > self.checkpoints[i] {
                         self.checkpoints[i] = due;
+                        let at = Checkpoint {
+                            tenant: i,
+                            tick: self.tick,
+                            retired: rt.retired,
+                            stalled: rt.stalled,
+                            cycles: rt.cycles,
+                        };
                         if rt.ghost {
-                            self.journal.emit_ghost(
-                                i, &spec.name, self.tick, rt.retired, rt.stalled, None,
-                            )?;
+                            self.journal.splice_checkpoint(&at)?;
                         } else {
-                            self.journal.emit_checkpoint(
-                                i, &spec.name, self.tick, rt.retired, rt.stalled, rt.cycles,
-                            )?;
+                            self.journal.emit(&Record::Checkpoint(at))?;
                         }
                     }
                 }
                 Some((status, detail)) => {
-                    let mut fired = rt.machine.as_ref().and_then(Machine::fault_fired);
-                    let (record, cycles, l2_misses, vd_hits) = if rt.ghost {
-                        let line = self.journal.emit_ghost(
-                            i,
-                            &spec.name,
-                            self.tick,
-                            rt.retired,
-                            rt.stalled,
-                            Some(status),
-                        )?;
-                        // Counters a ghost replay does not recompute come
-                        // back out of the spliced record itself.
-                        let cycles = journal::parsed_num(&line, "cycles").unwrap_or(0);
-                        let l2 = journal::parsed_num(&line, "l2_misses").unwrap_or(0);
-                        let vd = journal::parsed_num(&line, "vd_hits").unwrap_or(0);
-                        fired = journal::parsed_num(&line, "fired_at");
-                        (line, cycles, l2, vd)
-                    } else {
-                        let (l2_misses, vd_hits) = rt
-                            .machine
-                            .as_ref()
-                            .map(|m| {
-                                let stats = m.stats();
-                                let vd = stats.cores.iter().map(|c| c.vd_hits).sum();
-                                (stats.total_l2_misses(), vd)
-                            })
-                            .unwrap_or((0, 0));
-                        let info = TerminalInfo {
-                            tick: self.tick,
-                            status,
-                            retired: rt.retired,
-                            stalled: rt.stalled,
-                            cycles: rt.cycles,
-                            fired_at: fired,
-                            l2_misses,
-                            vd_hits,
-                            detail: &detail,
-                        };
-                        let line = self.journal.emit_terminal(i, &spec.name, &info)?;
-                        (line, rt.cycles, l2_misses, vd_hits)
-                    };
-                    self.outcomes[i] = Some(TenantOutcome {
-                        name: spec.name.clone(),
-                        status,
+                    let (l2_misses, vd_hits) = rt
+                        .machine
+                        .as_ref()
+                        .map(|m| {
+                            let stats = m.stats();
+                            let vd = stats.cores.iter().map(|c| c.vd_hits).sum();
+                            (stats.total_l2_misses(), vd)
+                        })
+                        .unwrap_or((0, 0));
+                    let now = TerminalInfo {
+                        tenant: i,
                         tick: self.tick,
+                        status,
                         retired: rt.retired,
                         stalled: rt.stalled,
-                        cycles,
-                        fired_at: fired,
+                        cycles: rt.cycles,
+                        fired_at: rt.machine.as_ref().and_then(Machine::fault_fired),
                         l2_misses,
                         vd_hits,
-                        detail,
-                        record,
-                    });
+                        detail: Cow::Owned(detail),
+                    };
+                    let ghost = rt.ghost.then_some(rt.drained_this_tick);
+                    self.outcomes[i] = Some(finish(self.journal, &spec.name, now, ghost)?);
                     rt.active = false;
                     rt.machine = None;
                     rt.queues = Vec::new();
@@ -795,11 +796,11 @@ pub fn run_serve(
     sink: &mut dyn Write,
 ) -> Result<ServeReport, ServeError> {
     cfg.validate()?;
-    let plan = journal::plan(cfg, checkpoint, cfg.format)?;
+    let plan = journal::plan(cfg, checkpoint)?;
     let recovered_truncation = plan.recovered_truncation;
-    let mut journal_sink = JournalSink::new(sink, plan.kept, cfg.format);
-    let kept_records = journal_sink.kept_len();
-    journal_sink.begin(cfg)?;
+    let kept_records = plan.kept;
+    let mut journal_sink = JournalSink::new(sink, cfg, plan.replay, plan.kept);
+    journal_sink.begin()?;
 
     let n = cfg.tenants.len();
     let shared: Vec<Mutex<TenantShared>> = (0..n)

@@ -365,6 +365,36 @@ mod serve_journal {
     }
 
     #[test]
+    fn non_canonical_kept_checkpoint_is_corrupt() {
+        // Cut right after the first checkpoint, so its tenant is still
+        // live and the replay regenerates that record. The same content
+        // spelled any other way than the writer spells it is not a
+        // record of this run.
+        let full = full_journal();
+        let start = full.find("{\"tick\"").expect("a stream record");
+        let end = start + full[start..].find('\n').expect("a complete line");
+        let line = &full[start..end];
+        assert!(
+            !line.contains("\"status\""),
+            "fixture needs a checkpoint first"
+        );
+        let (r, s, c) = (
+            line.find(",\"retired\"").expect("retired"),
+            line.find(",\"stalled\"").expect("stalled"),
+            line.find(",\"cycles\"").expect("cycles"),
+        );
+        let swapped = format!("{}{}{}{}", &line[..r], &line[s..c], &line[r..s], &line[c..]);
+        let spaced = line.replacen("\"retired\":", "\"retired\": ", 1);
+        assert!(run(&format!("{}\n", &full[..end])).is_ok());
+        for bad in [spaced, swapped] {
+            match run(&format!("{}{bad}\n", &full[..start])) {
+                Err(ServeError::Corrupt(msg)) => assert!(msg.contains("journal"), "{msg}"),
+                other => panic!("non-canonical {bad:?} accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn out_of_order_records_are_rejected() {
         let full = full_journal();
         let mut lines: Vec<&str> = full.lines().collect();

@@ -327,3 +327,77 @@ fn idle_eviction_fires_deterministically() {
         r1.outcomes.iter().map(|o| o.status).collect::<Vec<_>>()
     );
 }
+
+/// The shortest prefix of `journal` whose complete records include
+/// `line` (a record's JSONL rendering).
+fn cut_after(journal: &[u8], format: JournalFormat, line: &str) -> usize {
+    let want = format!("{line}\n");
+    (0..=journal.len())
+        .find(|&cut| match format {
+            JournalFormat::Jsonl => journal[..cut].ends_with(want.as_bytes()),
+            JournalFormat::Binary => decode_journal(&journal[..cut])
+                .is_ok_and(|d| d.lines.last().is_some_and(|l| l == line)),
+        })
+        .expect("the journal holds the record")
+}
+
+/// A resumed run reports exactly what the uninterrupted one did, also
+/// for a tenant whose fault ended it early and whose terminal survived
+/// the cut: its splice must carry the kept `detail`, counters and
+/// `fired_at` into the report, in both formats.
+#[test]
+fn resumed_outcomes_equal_fresh_ones_when_a_fault_terminal_survives() {
+    for format in JournalFormat::ALL {
+        let mut mallory = tenant("mallory", DirectoryKind::Baseline, 22, 4, 4000);
+        mallory.fault = Some(FaultPlan {
+            kind: FaultKind::DropInvalidation,
+            trigger: 600,
+            core: CoreId(1),
+        });
+        let tenants = vec![
+            tenant("alice", DirectoryKind::SecDir, 11, 2, 1200),
+            mallory,
+            tenant("carol", DirectoryKind::SecDir, 33, 2, 1200),
+        ];
+        let mut cfg = ServeConfig::new(tenants);
+        cfg.pool = 3;
+        cfg.format = format;
+        let (full, fresh) = run_raw(&cfg, b"");
+        let early = &fresh.outcomes[1];
+        assert_eq!(early.status, TenantStatus::Quarantined);
+        assert!(!early.detail.is_empty() && early.fired_at.is_some());
+        let cut = cut_after(&full, format, &early.record);
+        assert!(cut < full.len(), "the cut must leave the neighbours live");
+        let (resumed, report) = run_raw(&cfg, &full[..cut]);
+        assert_eq!(resumed, full, "{} journal diverged", format.name());
+        assert_eq!(report.outcomes, fresh.outcomes, "{} report", format.name());
+    }
+}
+
+/// A tenant whose machine panics in the middle of a drain batch records
+/// the exact count it retired; its ghost replays whole batches. Resuming
+/// the complete journal must accept that record and reproduce the run.
+#[test]
+fn complete_journal_with_a_mid_drain_panic_resumes_byte_identically() {
+    for format in JournalFormat::ALL {
+        let mut victim = tenant("victim", DirectoryKind::WayPartitioned, 24301 ^ 12, 4, 6000);
+        victim.fault = Some(FaultPlan {
+            kind: FaultKind::FlipSharerBit,
+            trigger: 600,
+            core: CoreId(1),
+        });
+        let mut cfg = ServeConfig::new(vec![victim]);
+        cfg.format = format;
+        let (full, fresh) = run_raw(&cfg, b"");
+        let outcome = &fresh.outcomes[0];
+        assert!(
+            outcome.detail.contains("protocol invariant violated"),
+            "expected a mid-drain engine panic, got {:?}: {}",
+            outcome.status,
+            outcome.detail
+        );
+        let (resumed, report) = run_raw(&cfg, &full);
+        assert_eq!(resumed, full, "{} journal diverged", format.name());
+        assert_eq!(report.outcomes, fresh.outcomes, "{} report", format.name());
+    }
+}

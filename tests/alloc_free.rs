@@ -13,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use secdir_machine::serve::{run_serve, uniform_streams, JournalFormat, ServeConfig, TenantSpec};
+use secdir_machine::serve::{
+    decode_journal, run_serve, uniform_streams, JournalFormat, ServeConfig, TenantSpec,
+};
 use secdir_machine::{
     run_workload_sliced_with, Access, AccessStream, DirectoryKind, Machine, MachineConfig,
     SlicedOptions,
@@ -189,4 +191,57 @@ fn steady_state_accesses_do_not_allocate() {
             format.name()
         );
     }
+
+    // Resume: the surviving journal is decoded one record at a time and
+    // compared as typed values, never stored or rendered, so a binary
+    // resume that keeps twice the checkpoint records allocates the same.
+    // Both cuts fall before the first terminal record: every tenant
+    // re-simulates in both runs and only the kept share differs.
+    let tenants = (0..2)
+        .map(|i| TenantSpec {
+            name: format!("t{i}"),
+            workload: "uniform".to_string(),
+            kind: DirectoryKind::ALL[i],
+            seed: 0x5e5 + i as u64,
+            cores: 1,
+            refs: 3_000,
+            fault: None,
+        })
+        .collect();
+    let mut cfg = ServeConfig::new(tenants);
+    cfg.checkpoint_interval = 4;
+    cfg.final_audit = false;
+    cfg.format = JournalFormat::Binary;
+    let mut full = Vec::new();
+    run_serve(&cfg, &uniform_streams, b"", &mut full).expect("fresh serve run");
+    let records = |cut: usize| decode_journal(&full[..cut]).expect("prefix decodes").lines;
+    // The shortest cut keeping `n` records (decoded record counts only
+    // grow with the cut).
+    let cut_keeping = |n: usize| {
+        let (mut lo, mut hi) = (0, full.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if records(mid).len() < n {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(!records(lo).iter().any(|l| l.contains("\"status\"")));
+        lo
+    };
+    let resume_allocations = |cut: usize| {
+        let mut sink = Vec::with_capacity(2 * full.len());
+        let before = allocations();
+        run_serve(&cfg, &uniform_streams, &full[..cut], &mut sink).expect("resumed run");
+        let delta = allocations() - before;
+        assert_eq!(sink, full, "resume diverged");
+        delta
+    };
+    let short = resume_allocations(cut_keeping(300));
+    let long = resume_allocations(cut_keeping(600));
+    assert!(
+        long.abs_diff(short) <= 2,
+        "binary resume allocates per kept record ({short} vs {long} for 300 more)"
+    );
 }
