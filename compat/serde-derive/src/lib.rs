@@ -2,8 +2,8 @@
 //!
 //! The container image has no registry access, so the real serde cannot be
 //! vendored. Nothing in this workspace calls serde's serialization engine —
-//! the derives only decorate types and JSON output is hand-rolled (see
-//! `secdir_machine::sweep::jsonl`) — so expanding to nothing is sound. The
+//! the derives only decorate types and JSON output goes through the
+//! std-only writer in `secdir_mem::json` — so expanding to nothing is sound. The
 //! `serde` helper-attribute registration keeps `#[serde(...)]` field
 //! attributes compiling should they ever appear.
 #![forbid(unsafe_code)]

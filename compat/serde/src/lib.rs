@@ -4,7 +4,7 @@
 //! cannot be fetched or vendored. This workspace only ever *decorates* types
 //! with `#[derive(Serialize, Deserialize)]` — nothing monomorphizes over the
 //! traits or invokes a serde data format (JSON lines are written by the
-//! hand-rolled encoder in `secdir_machine::sweep`). The shim therefore
+//! std-only writer in `secdir_mem::json`). The shim therefore
 //! provides the two marker traits and no-op derive macros under the same
 //! import paths, keeping every `use serde::{Deserialize, Serialize};` line
 //! source-compatible with the real crate.

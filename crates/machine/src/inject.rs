@@ -30,6 +30,7 @@
 //! [`secdir_verif::Fault`]: ../secdir_verif/enum.Fault.html
 
 use secdir_coherence::{InvalidationCause, Invalidations};
+use secdir_mem::json::Writer;
 use secdir_mem::{CoreId, LineAddr, SplitMix64};
 
 use crate::config::{DirectoryKind, MachineConfig};
@@ -303,26 +304,17 @@ impl InjectOutcome {
     /// One fixed-order JSON object describing this outcome (the
     /// `secdir-sim inject` report format).
     pub fn to_json_line(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-        let mut s = String::new();
-        s.push_str("{\"directory\":\"");
-        s.push_str(self.kind.name());
-        s.push_str("\",\"fault\":\"");
-        s.push_str(self.fault.name());
-        s.push_str("\",\"fired_at\":");
-        s.push_str(&opt(self.fired_at));
-        s.push_str(",\"detected_at\":");
-        s.push_str(&opt(self.detected_at));
-        s.push_str(",\"accesses\":");
-        s.push_str(&self.accesses.to_string());
-        s.push_str(",\"detected_in_time\":");
-        s.push_str(if self.detected_in_time() {
-            "true"
-        } else {
-            "false"
-        });
-        s.push('}');
-        s
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.obj();
+        w.key("directory").str(self.kind.name());
+        w.key("fault").str(self.fault.name());
+        w.key("fired_at").opt_u64(self.fired_at);
+        w.key("detected_at").opt_u64(self.detected_at);
+        w.key("accesses").u64(self.accesses);
+        w.key("detected_in_time").bool(self.detected_in_time());
+        w.end_obj();
+        out
     }
 }
 

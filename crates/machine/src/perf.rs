@@ -29,6 +29,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use secdir_mem::json::Writer;
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{sweep, CellSpec, StreamFactory};
@@ -167,40 +168,30 @@ impl PerfSample {
     /// `mode:"sliced"` and gave them `epoch_batch`/`pipeline` fields
     /// after `threads`; schema `/4` added `host_cpus` before `accesses`.
     pub fn to_json_line(&self, spec: &PerfSpec) -> String {
-        let tuning = match self.tuning {
-            Some(t) => format!(
-                ",\"epoch_batch\":{},\"pipeline\":{}",
-                t.epoch_batch, t.pipeline
-            ),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"schema\":\"secdir-bench-throughput/4\",",
-                "\"workload\":\"{workload}\",\"directory\":\"{directory}\",",
-                "\"mode\":\"{mode}\",\"cores\":{cores},\"warmup\":{warmup},",
-                "\"measure\":{measure},\"serial_reps\":{reps},",
-                "\"warmup_timed\":{warmup_timed},",
-                "\"cells\":{cells},\"threads\":{threads}{tuning},",
-                "\"host_cpus\":{host_cpus},\"accesses\":{accesses},\"nanos\":{nanos},",
-                "\"accesses_per_sec\":{aps}}}"
-            ),
-            workload = spec.workload,
-            directory = self.directory.name(),
-            mode = self.mode,
-            cores = spec.cores,
-            warmup = spec.warmup,
-            measure = spec.measure,
-            reps = spec.serial_reps,
-            warmup_timed = self.warmup_timed,
-            cells = self.cells,
-            threads = self.threads,
-            tuning = tuning,
-            host_cpus = self.host_cpus,
-            accesses = self.accesses,
-            nanos = self.nanos,
-            aps = self.accesses_per_sec(),
-        )
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.obj();
+        w.key("schema").str("secdir-bench-throughput/4");
+        w.key("workload").str(&spec.workload);
+        w.key("directory").str(self.directory.name());
+        w.key("mode").str(self.mode);
+        w.key("cores").u64(spec.cores as u64);
+        w.key("warmup").u64(spec.warmup);
+        w.key("measure").u64(spec.measure);
+        w.key("serial_reps").u64(spec.serial_reps as u64);
+        w.key("warmup_timed").bool(self.warmup_timed);
+        w.key("cells").u64(self.cells as u64);
+        w.key("threads").u64(self.threads as u64);
+        if let Some(t) = self.tuning {
+            w.key("epoch_batch").u64(t.epoch_batch as u64);
+            w.key("pipeline").bool(t.pipeline);
+        }
+        w.key("host_cpus").u64(self.host_cpus as u64);
+        w.key("accesses").u64(self.accesses);
+        w.key("nanos").u128(self.nanos);
+        w.key("accesses_per_sec").u64(self.accesses_per_sec());
+        w.end_obj();
+        out
     }
 }
 

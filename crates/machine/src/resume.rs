@@ -1,8 +1,6 @@
 //! Checkpoint/resume for interrupted sweeps (`secdir-sim sweep --resume`).
 //!
-//! A sweep's JSONL output doubles as its checkpoint: every record is
-//! flushed as soon as its cell completes, so a killed run leaves a prefix
-//! of complete lines plus at most one truncated tail line. This module
+//! A sweep's JSONL output doubles as its checkpoint. This module
 //! validates such a file against the sweep matrix and plans the minimal
 //! continuation:
 //!
@@ -15,215 +13,21 @@
 //!   error, as are records for unknown cells, duplicate records, and
 //!   records whose cell parameters disagree with the matrix.
 //!
+//! Every line is read with [`CellOutcome::from_json_line`], the strict
+//! inverse of the record writer: a line is a record only if it is exactly
+//! the writer's rendering of one outcome — every key in order, every
+//! value spelled as the writer spells it. So free text inside a failure
+//! record's `msg` can never supply or shadow an identity field, and no
+//! cut-off prefix of a record is itself a record, which is what tells a
+//! truncated tail from a complete line.
+//!
 //! Merging the kept lines with the fresh results ([`ResumePlan::merge`])
 //! yields output byte-identical to an uninterrupted run (asserted by
 //! `tests/determinism.rs`).
-//!
-//! Parsing is intentionally shallow: the offline `serde` facade has no
-//! JSON parser, and resume only needs the fixed-order cell-identity
-//! prefix every record shape shares (see EXPERIMENTS.md). A string-aware
-//! structural scanner walks the **top level** of each record: keys and
-//! values inside string literals or nested objects/arrays are never
-//! mistaken for identity fields — a `"panicked"` record whose free-text
-//! `msg` embeds JSON-shaped text (`","workload":"x"`, `"seed":999`,
-//! stray braces) parses to exactly the cell that failed — and a line cut
-//! mid-record cannot complete the scan, which is what distinguishes a
-//! truncated tail from corruption.
 
 use std::collections::HashMap;
 
 use crate::sweep::{CellOutcome, CellSpec};
-
-/// A top-level JSON value as seen by the shallow scanner. Shared with
-/// [`crate::serve`]'s journal parser, which reuses the same structural
-/// scan for its checkpoint records.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Prim<'a> {
-    /// String value, raw (escapes not decoded — the cell-identity fields
-    /// resume reads never contain escapes; `msg` does, but resume only
-    /// needs to skip over it).
-    Str(&'a str),
-    /// Unsigned integer value.
-    Num(u64),
-    /// Anything else (nested object/array, float, bool, null).
-    Other,
-}
-
-/// Advances past a JSON string literal whose opening quote is at `i`.
-/// Returns the index just past the closing quote, or `None` if the line
-/// ends first (a record truncated mid-string).
-fn skip_string(bytes: &[u8], mut i: usize) -> Option<usize> {
-    debug_assert_eq!(bytes[i], b'"');
-    i += 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2, // the escaped byte can never close the string
-            b'"' => return Some(i + 1),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Advances past a balanced nested `{...}`/`[...]` starting at `i`,
-/// ignoring brackets inside string literals. Returns the index just past
-/// the closing bracket, or `None` if the line ends unbalanced.
-fn skip_nested(bytes: &[u8], mut i: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => i = skip_string(bytes, i)?,
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// String-aware structural scan of one record line: returns the top-level
-/// `(key, value)` pairs of the outermost object, or `None` when the line
-/// is malformed or truncated. The whole line must be consumed by the
-/// outermost object — trailing garbage is malformed.
-pub(crate) fn scan_top_level(line: &str) -> Option<Vec<(&str, Prim<'_>)>> {
-    let bytes = line.as_bytes();
-    let skip_ws = |mut i: usize| {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    let mut i = skip_ws(0);
-    if i >= bytes.len() || bytes[i] != b'{' {
-        return None;
-    }
-    i = skip_ws(i + 1);
-    let mut fields = Vec::new();
-    if i < bytes.len() && bytes[i] == b'}' {
-        return (skip_ws(i + 1) == bytes.len()).then_some(fields);
-    }
-    loop {
-        // Key.
-        if i >= bytes.len() || bytes[i] != b'"' {
-            return None;
-        }
-        let key_end = skip_string(bytes, i)?;
-        let key = &line[i + 1..key_end - 1];
-        i = skip_ws(key_end);
-        if i >= bytes.len() || bytes[i] != b':' {
-            return None;
-        }
-        i = skip_ws(i + 1);
-        // Value.
-        let value = match *bytes.get(i)? {
-            b'"' => {
-                let end = skip_string(bytes, i)?;
-                let v = Prim::Str(&line[i + 1..end - 1]);
-                i = end;
-                v
-            }
-            b'{' | b'[' => {
-                i = skip_nested(bytes, i)?;
-                Prim::Other
-            }
-            b'0'..=b'9' | b'-' => {
-                let start = i;
-                while i < bytes.len()
-                    && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                match line[start..i].parse::<u64>() {
-                    Ok(n) => Prim::Num(n),
-                    Err(_) => Prim::Other, // float or negative: not an identity field
-                }
-            }
-            b't' | b'f' | b'n' => {
-                while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                    i += 1;
-                }
-                Prim::Other
-            }
-            _ => return None,
-        };
-        fields.push((key, value));
-        i = skip_ws(i);
-        match bytes.get(i) {
-            Some(b',') => i = skip_ws(i + 1),
-            Some(b'}') => return (skip_ws(i + 1) == bytes.len()).then_some(fields),
-            _ => return None,
-        }
-    }
-}
-
-/// The cell-identity prefix shared by every sweep record shape.
-#[derive(Debug)]
-struct ParsedRecord {
-    status: Option<String>,
-    workload: String,
-    directory: String,
-    seed: u64,
-    cores: u64,
-    warmup: u64,
-    measure: u64,
-}
-
-/// Parses one JSONL line into its cell-identity prefix, or `None` when
-/// the line is malformed/truncated. Only **top-level** fields count:
-/// JSON-shaped text inside a failure record's `msg` string, or the
-/// nested `summary`/`stats` objects of a success record, can never
-/// supply or shadow an identity field.
-fn parse_record(line: &str) -> Option<ParsedRecord> {
-    let fields = scan_top_level(line)?;
-    let mut status = None;
-    let mut workload = None;
-    let mut directory = None;
-    let mut seed = None;
-    let mut cores = None;
-    let mut warmup = None;
-    let mut measure = None;
-    for (key, value) in fields {
-        let slot_str = match key {
-            "status" => &mut status,
-            "workload" => &mut workload,
-            "directory" => &mut directory,
-            _ => {
-                let slot_num = match key {
-                    "seed" => &mut seed,
-                    "cores" => &mut cores,
-                    "warmup" => &mut warmup,
-                    "measure" => &mut measure,
-                    _ => continue,
-                };
-                if let (Prim::Num(n), None) = (&value, &slot_num) {
-                    *slot_num = Some(*n);
-                }
-                continue;
-            }
-        };
-        if let (Prim::Str(s), None) = (&value, &slot_str) {
-            *slot_str = Some((*s).to_string());
-        }
-    }
-    Some(ParsedRecord {
-        status,
-        workload: workload?,
-        directory: directory?,
-        seed: seed?,
-        cores: cores?,
-        warmup: warmup?,
-        measure: measure?,
-    })
-}
 
 /// The validated continuation plan for a sweep checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -292,7 +96,7 @@ pub fn plan_resume(cells: &[CellSpec], text: &str) -> Result<ResumePlan, String>
     let lines: Vec<&str> = text.lines().collect();
     for (n, line) in lines.iter().enumerate() {
         let lineno = n + 1;
-        let Some(rec) = parse_record(line) else {
+        let Some(outcome) = CellOutcome::from_json_line(line) else {
             if n + 1 == lines.len() {
                 // A cut-off tail is the expected shape of a killed run:
                 // drop it, its cell simply re-runs.
@@ -303,30 +107,31 @@ pub fn plan_resume(cells: &[CellSpec], text: &str) -> Result<ResumePlan, String>
                 "line {lineno}: malformed record before end of file (interleaved garbage?)"
             ));
         };
-        let key = (rec.workload.as_str(), rec.directory.as_str(), rec.seed);
-        let Some(&i) = index.get(&key) else {
+        let rec = outcome.cell();
+        let (workload, directory) = (&rec.workload, rec.kind.name());
+        let Some(&i) = index.get(&(workload.as_str(), directory, rec.seed)) else {
             return Err(format!(
-                "line {lineno}: cell `{}` × `{}` × seed {} is not in the sweep matrix",
-                rec.workload, rec.directory, rec.seed
+                "line {lineno}: cell `{workload}` × `{directory}` × seed {} is not in the sweep matrix",
+                rec.seed
             ));
         };
         if seen[i] {
             return Err(format!(
-                "line {lineno}: duplicate record for cell `{}` × `{}` × seed {}",
-                rec.workload, rec.directory, rec.seed
+                "line {lineno}: duplicate record for cell `{workload}` × `{directory}` × seed {}",
+                rec.seed
             ));
         }
         seen[i] = true;
         let c = &cells[i];
-        if rec.cores != c.cores as u64 || rec.warmup != c.warmup || rec.measure != c.measure {
+        if (rec.cores, rec.warmup, rec.measure) != (c.cores, c.warmup, c.measure) {
             return Err(format!(
-                "line {lineno}: cell `{}` parameter mismatch: file has \
+                "line {lineno}: cell `{workload}` parameter mismatch: file has \
                  cores={} warmup={} measure={}, matrix has cores={} warmup={} measure={}",
-                rec.workload, rec.cores, rec.warmup, rec.measure, c.cores, c.warmup, c.measure
+                rec.cores, rec.warmup, rec.measure, c.cores, c.warmup, c.measure
             ));
         }
         // Success records are kept verbatim; failure records re-run.
-        if rec.status.is_none() {
+        if outcome.is_done() {
             kept[i] = Some((*line).to_string());
         }
     }
@@ -421,22 +226,40 @@ mod tests {
         assert!(err.contains("duplicate"), "err={err}");
     }
 
+    /// The first record of a full run, with `from` replaced by `to` once.
+    fn edited_first_line(cells: &[CellSpec], from: &str, to: &str) -> String {
+        let text = full_output(cells);
+        let first = text.lines().next().unwrap();
+        assert!(first.contains(from), "fixture needs {from:?}");
+        format!("{}\n", first.replacen(from, to, 1))
+    }
+
     #[test]
     fn unknown_cell_is_a_hard_error() {
         let cells = matrix().cells();
-        let stray = "{\"workload\":\"zzz\",\"directory\":\"baseline\",\"seed\":1,\
-                     \"cores\":2,\"warmup\":50,\"measure\":200}\n";
-        let err = plan_resume(&cells, stray).unwrap_err();
+        let stray = edited_first_line(&cells, "\"workload\":\"a\"", "\"workload\":\"zzz\"");
+        let err = plan_resume(&cells, &stray).unwrap_err();
         assert!(err.contains("not in the sweep matrix"), "err={err}");
     }
 
     #[test]
     fn parameter_mismatch_is_a_hard_error() {
         let cells = matrix().cells();
-        let wrong = "{\"workload\":\"a\",\"directory\":\"baseline\",\"seed\":1,\
-                     \"cores\":2,\"warmup\":50,\"measure\":999}\n";
-        let err = plan_resume(&cells, wrong).unwrap_err();
+        let wrong = edited_first_line(&cells, "\"measure\":200", "\"measure\":999");
+        let err = plan_resume(&cells, &wrong).unwrap_err();
         assert!(err.contains("parameter mismatch"), "err={err}");
+    }
+
+    #[test]
+    fn quoted_workload_name_round_trips() {
+        let cells = SweepMatrix {
+            workloads: vec!["a\"b".into()],
+            ..matrix()
+        }
+        .cells();
+        let plan = plan_resume(&cells, &full_output(&cells)).unwrap();
+        assert!(plan.is_complete());
+        assert!(!plan.recovered_truncation);
     }
 
     #[test]
@@ -498,37 +321,48 @@ mod tests {
     }
 
     #[test]
-    fn scanner_rejects_truncations_and_trailing_garbage() {
-        let whole = "{\"workload\":\"a\",\"directory\":\"baseline\",\"seed\":1,\
-                     \"cores\":2,\"warmup\":50,\"measure\":200}";
-        assert!(parse_record(whole).is_some());
+    fn truncations_and_trailing_garbage_are_not_records() {
+        let cells = matrix().cells();
+        let text = full_output(&cells);
+        let whole = text.lines().next().unwrap();
+        assert!(CellOutcome::from_json_line(whole).is_some());
         for cut in 1..whole.len() {
             assert!(
-                parse_record(&whole[..cut]).is_none(),
+                CellOutcome::from_json_line(&whole[..cut]).is_none(),
                 "prefix of length {cut} must not parse"
             );
         }
-        assert!(parse_record(&format!("{whole}junk")).is_none());
-        assert!(parse_record(&format!("{whole}{{}}")).is_none());
+        assert!(CellOutcome::from_json_line(&format!("{whole}junk")).is_none());
+        assert!(CellOutcome::from_json_line(&format!("{whole}{{}}")).is_none());
     }
 
     #[test]
-    fn scanner_handles_floats_booleans_and_nulls() {
-        let fields = scan_top_level(
-            "{\"a\":1.5,\"b\":true,\"c\":null,\"d\":-3,\"e\":42,\"f\":[1,{\"x\":2}]}",
-        )
-        .unwrap();
-        assert_eq!(
-            fields,
-            vec![
-                ("a", Prim::Other),
-                ("b", Prim::Other),
-                ("c", Prim::Other),
-                ("d", Prim::Other),
-                ("e", Prim::Num(42)),
-                ("f", Prim::Other),
-            ]
+    fn non_canonical_kept_record_is_malformed() {
+        // The same content spelled any other way than the writer spells
+        // it is not a record: corruption mid-file, a torn tail at the end.
+        let cells = matrix().cells();
+        let text = full_output(&cells);
+        let lines: Vec<&str> = text.lines().collect();
+        let line = lines[0];
+        let swapped = line.replacen(
+            "\"workload\":\"a\",\"directory\":\"baseline\"",
+            "\"directory\":\"baseline\",\"workload\":\"a\"",
+            1,
         );
+        let spaced = line.replacen("\"seed\":", "\"seed\": ", 1);
+        for bad in [spaced, swapped] {
+            assert_ne!(bad, line);
+            let mid = format!("{bad}\n{}\n", lines[1]);
+            let err = plan_resume(&cells, &mid).unwrap_err();
+            assert!(
+                err.contains("line 1") && err.contains("malformed"),
+                "err={err}"
+            );
+            let tail = format!("{}\n{bad}\n", lines[1]);
+            let plan = plan_resume(&cells, &tail).unwrap();
+            assert!(plan.recovered_truncation, "{bad:?}");
+            assert!(plan.kept[0].is_none() && plan.kept[1].is_some());
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! encodings ([`JournalFormat`]):
 //!
 //! * **JSONL** — [`render`] writes one JSON object per line, fields in
-//!   a fixed order. Decoding is the strict inverse: a line decodes to a
-//!   `Record` only if it is byte-identical to that record's rendering
-//!   (keys in order, minimal decimal numbers, exactly the renderer's
-//!   escapes), so every accepted line has one meaning and one spelling.
+//!   a fixed order, through the workspace's one JSON writer
+//!   ([`secdir_mem::json`]). Decoding walks the same keys with that
+//!   module's strict reader: a line decodes to a `Record` only if it is
+//!   byte-identical to that record's rendering (keys in order, minimal
+//!   decimal numbers, exactly the writer's escapes), so every accepted
+//!   line has one meaning and one spelling.
 //! * **binary** (`secdir-journal/1`) — an 8-byte magic followed by a
 //!   sequence of **frames**:
 //!
@@ -50,6 +52,7 @@ use super::journal::ServeError;
 use super::{ServeConfig, TenantSpec, TenantStatus};
 use crate::inject::{FaultKind, FaultPlan};
 use crate::DirectoryKind;
+use secdir_mem::json::{self, Writer};
 use secdir_mem::CoreId;
 use std::borrow::Cow;
 use std::io::{self, Write};
@@ -411,347 +414,142 @@ pub(crate) fn write_frame(sink: &mut dyn Write, frame: &[u8]) -> io::Result<u64>
     Ok((hn + frame.len() + 4) as u64)
 }
 
-// --- JSONL rendering ------------------------------------------------
-
-/// One record line under construction, rendered into a caller-owned
-/// buffer so the steady-state emission path allocates nothing (the
-/// buffer reaches its high-water capacity once and is reused).
-struct Line<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Line<'a> {
-    fn start(out: &'a mut String) -> Line<'a> {
-        out.clear();
-        out.push('{');
-        Line { out }
-    }
-
-    fn key(&mut self, k: &str) {
-        if self.out.len() > 1 {
-            self.out.push(',');
-        }
-        self.out.push('"');
-        self.out.push_str(k);
-        self.out.push_str("\":");
-    }
-
-    fn str_field(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.out.push('"');
-        push_escaped(self.out, v);
-        self.out.push('"');
-    }
-
-    fn num_field(&mut self, k: &str, v: u64) {
-        self.key(k);
-        push_u64(self.out, v);
-    }
-
-    fn end(self) {
-        self.out.push('}');
-    }
-}
-
-/// Appends `v` in decimal without allocating.
-fn push_u64(out: &mut String, v: u64) {
-    if v == 0 {
-        out.push('0');
-        return;
-    }
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut x = v;
-    while x > 0 {
-        i -= 1;
-        buf[i] = b'0' + (x % 10) as u8;
-        x /= 10;
-    }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
-}
-
-/// Appends `s` JSON-escaped (quotes, backslashes, control bytes).
-fn push_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let n = c as u32;
-                for shift in [4u32, 0] {
-                    let d = (n >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
+// --- JSONL ----------------------------------------------------------
 
 /// Renders `rec` as its JSONL line into `out` (cleared first). `names`
 /// maps tenant indices to the names stream records carry.
 pub(crate) fn render(out: &mut String, rec: &Record<'_>, names: &[&str]) {
     let name = |t: usize| names.get(t).copied().unwrap_or("");
-    let mut l = Line::start(out);
+    let mut w = Writer::new(out);
+    w.obj();
     match rec {
         Record::Header(h) => {
-            l.str_field("schema", SCHEMA);
+            w.key("schema").str(SCHEMA);
             for (k, v) in HEADER_KEYS.into_iter().zip(h.scalars) {
-                l.num_field(k, v);
+                w.key(k).u64(v);
             }
-            l.key("audit");
-            l.out.push_str(if h.audit { "true" } else { "false" });
+            w.key("audit").bool(h.audit);
         }
         Record::Spec(spec) => {
-            l.str_field("tenant", &spec.name);
-            l.str_field("workload", &spec.workload);
-            l.str_field("directory", spec.kind.name());
-            l.num_field("seed", spec.seed);
-            l.num_field("cores", spec.cores as u64);
-            l.num_field("refs", spec.refs);
+            w.key("tenant").str(&spec.name);
+            w.key("workload").str(&spec.workload);
+            w.key("directory").str(spec.kind.name());
+            w.key("seed").u64(spec.seed);
+            w.key("cores").u64(spec.cores as u64);
+            w.key("refs").u64(spec.refs);
             let (fault, trigger, core) = spec
                 .fault
                 .map_or(("none", 0, 0), |p| (p.kind.name(), p.trigger, p.core.0));
-            l.str_field("fault", fault);
-            l.num_field("trigger", trigger);
-            l.num_field("fault_core", core as u64);
+            w.key("fault").str(fault);
+            w.key("trigger").u64(trigger);
+            w.key("fault_core").u64(core as u64);
         }
         Record::Checkpoint(c) => {
-            l.num_field("tick", c.tick);
-            l.str_field("tenant", name(c.tenant));
-            l.num_field("retired", c.retired);
-            l.num_field("stalled", c.stalled);
-            l.num_field("cycles", c.cycles);
+            w.key("tick").u64(c.tick);
+            w.key("tenant").str(name(c.tenant));
+            w.key("retired").u64(c.retired);
+            w.key("stalled").u64(c.stalled);
+            w.key("cycles").u64(c.cycles);
         }
         Record::Terminal(t) => {
-            l.num_field("tick", t.tick);
-            l.str_field("tenant", name(t.tenant));
-            l.str_field("status", t.status.name());
-            l.num_field("retired", t.retired);
-            l.num_field("stalled", t.stalled);
-            l.num_field("cycles", t.cycles);
-            match t.fired_at {
-                Some(v) => l.num_field("fired_at", v),
-                None => {
-                    l.key("fired_at");
-                    l.out.push_str("null");
-                }
-            }
-            l.num_field("l2_misses", t.l2_misses);
-            l.num_field("vd_hits", t.vd_hits);
-            l.str_field("detail", &t.detail);
+            w.key("tick").u64(t.tick);
+            w.key("tenant").str(name(t.tenant));
+            w.key("status").str(t.status.name());
+            w.key("retired").u64(t.retired);
+            w.key("stalled").u64(t.stalled);
+            w.key("cycles").u64(t.cycles);
+            w.key("fired_at").opt_u64(t.fired_at);
+            w.key("l2_misses").u64(t.l2_misses);
+            w.key("vd_hits").u64(t.vd_hits);
+            w.key("detail").str(&t.detail);
         }
     }
-    l.end();
+    w.end_obj();
 }
 
-// --- JSONL decoding -------------------------------------------------
-
-/// The strict inverse of [`Line`]: reads one record line field by
-/// field, accepting only the bytes [`render`] writes.
-#[derive(Clone, Copy)]
-struct Fields<'a> {
-    s: &'a str,
-    pos: usize,
-    /// A stream record's tenant name that matched no spec record.
-    unknown: Option<&'a str>,
-}
-
-impl<'a> Fields<'a> {
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        let hit = self.s.get(self.pos..)?.starts_with(lit);
-        hit.then(|| self.pos += lit.len())
-    }
-
-    fn key(&mut self, k: &str) -> Option<()> {
-        if self.pos > 1 {
-            self.lit(",")?;
-        }
-        self.lit("\"")?;
-        self.lit(k)?;
-        self.lit("\":")
-    }
-
-    /// A minimal decimal `u64` (no sign, no leading zero).
-    fn num(&mut self) -> Option<u64> {
-        let rest = self.s.get(self.pos..)?;
-        let n = rest.bytes().take_while(u8::is_ascii_digit).count();
-        let digits = rest.get(..n)?;
-        if n == 0 || (n > 1 && digits.starts_with('0')) {
+/// Decodes one JSONL line, the strict inverse of [`render`]. Returns the
+/// record and, for a spec, its raw tenant name; stream records resolve
+/// their tenant against `names` (the spec records' raw names), and one
+/// naming no spec stores that name in `unknown`.
+fn decode_line<'a>(
+    line: &'a str,
+    names: &[&'a str],
+    unknown: &mut Option<&'a str>,
+) -> Option<(Record<'a>, &'a str)> {
+    let mut r = json::Reader::new(line);
+    r.obj()?;
+    let mut spec_name = "";
+    let rec = if r.at_key("schema") {
+        if r.key("schema")?.raw_str()? != SCHEMA {
             return None;
         }
-        self.pos += n;
-        digits.parse().ok()
-    }
-
-    fn num_field(&mut self, k: &str) -> Option<u64> {
-        self.key(k)?;
-        self.num()
-    }
-
-    /// A string field's raw text, still escaped: the bytes between the
-    /// quotes, provided every escape is one [`push_escaped`] writes.
-    fn raw_field(&mut self, k: &str) -> Option<&'a str> {
-        self.key(k)?;
-        self.lit("\"")?;
-        let start = self.pos;
-        let b = self.s.as_bytes();
-        loop {
-            match *b.get(self.pos)? {
-                b'"' => break,
-                b'\\' => self.pos += 1 + escape_len(b.get(self.pos + 1..)?)?,
-                c if c < 0x20 => return None,
-                _ => self.pos += 1,
-            }
+        let mut scalars = [0u64; 11];
+        for (slot, k) in scalars.iter_mut().zip(HEADER_KEYS) {
+            *slot = r.key(k)?.u64()?;
         }
-        let raw = self.s.get(start..self.pos)?;
-        self.pos += 1;
-        Some(raw)
-    }
-
-    /// Decodes the whole line. Returns the record and, for a spec, its
-    /// raw tenant name; stream records resolve their tenant against
-    /// `names` (the spec records' raw names).
-    fn record(&mut self, names: &[&'a str]) -> Option<(Record<'a>, &'a str)> {
-        self.lit("{")?;
-        let mut spec_name = "";
-        let rec = if self.s.get(1..)?.starts_with("\"schema\"") {
-            if self.raw_field("schema")? != SCHEMA {
-                return None;
-            }
-            let mut scalars = [0u64; 11];
-            for (slot, k) in scalars.iter_mut().zip(HEADER_KEYS) {
-                *slot = self.num_field(k)?;
-            }
-            self.key("audit")?;
-            let audit = match self.lit("true") {
-                Some(()) => true,
-                None => self.lit("false").map(|()| false)?,
-            };
-            Record::Header(HeaderRec { scalars, audit })
-        } else if self.s.get(1..)?.starts_with("\"tenant\"") {
-            spec_name = self.raw_field("tenant")?;
-            let workload = unescape(self.raw_field("workload")?).into_owned();
-            let kind = DirectoryKind::parse(self.raw_field("directory")?).ok()?;
-            let seed = self.num_field("seed")?;
-            let cores = usize::try_from(self.num_field("cores")?).ok()?;
-            let refs = self.num_field("refs")?;
-            let fault = self.raw_field("fault")?;
-            let trigger = self.num_field("trigger")?;
-            let core = CoreId(usize::try_from(self.num_field("fault_core")?).ok()?);
-            let fault = match fault {
-                "none" if trigger == 0 && core.0 == 0 => None,
-                "none" => return None,
-                f => Some(FaultPlan {
-                    kind: FaultKind::parse(f).ok()?,
-                    trigger,
-                    core,
-                }),
-            };
-            Record::Spec(Cow::Owned(TenantSpec {
-                name: unescape(spec_name).into_owned(),
-                workload,
-                kind,
-                seed,
-                cores,
-                refs,
-                fault,
-            }))
-        } else {
-            let tick = self.num_field("tick")?;
-            let name = self.raw_field("tenant")?;
-            let Some(tenant) = names.iter().position(|&n| n == name) else {
-                self.unknown = Some(name);
-                return None;
-            };
-            let mut probe = *self;
-            match probe.raw_field("status") {
-                Some(status) => {
-                    *self = probe;
-                    Record::Terminal(TerminalInfo {
-                        tenant,
-                        tick,
-                        status: TenantStatus::parse(status)?,
-                        retired: self.num_field("retired")?,
-                        stalled: self.num_field("stalled")?,
-                        cycles: self.num_field("cycles")?,
-                        fired_at: {
-                            self.key("fired_at")?;
-                            match self.lit("null") {
-                                Some(()) => None,
-                                None => Some(self.num()?),
-                            }
-                        },
-                        l2_misses: self.num_field("l2_misses")?,
-                        vd_hits: self.num_field("vd_hits")?,
-                        detail: unescape(self.raw_field("detail")?),
-                    })
-                }
-                None => Record::Checkpoint(Checkpoint {
-                    tenant,
-                    tick,
-                    retired: self.num_field("retired")?,
-                    stalled: self.num_field("stalled")?,
-                    cycles: self.num_field("cycles")?,
-                }),
-            }
+        let audit = r.key("audit")?.bool()?;
+        Record::Header(HeaderRec { scalars, audit })
+    } else if r.at_key("tenant") {
+        spec_name = r.key("tenant")?.raw_str()?;
+        let workload = r.key("workload")?.str()?.into_owned();
+        let kind = DirectoryKind::parse(r.key("directory")?.raw_str()?).ok()?;
+        let seed = r.key("seed")?.u64()?;
+        let cores = usize::try_from(r.key("cores")?.u64()?).ok()?;
+        let refs = r.key("refs")?.u64()?;
+        let fault = r.key("fault")?.raw_str()?;
+        let trigger = r.key("trigger")?.u64()?;
+        let core = CoreId(usize::try_from(r.key("fault_core")?.u64()?).ok()?);
+        let fault = match fault {
+            "none" if trigger == 0 && core.0 == 0 => None,
+            "none" => return None,
+            f => Some(FaultPlan {
+                kind: FaultKind::parse(f).ok()?,
+                trigger,
+                core,
+            }),
         };
-        self.lit("}")?;
-        (self.pos == self.s.len()).then_some((rec, spec_name))
-    }
-}
-
-/// Length of the escape sequence `esc` starts (the bytes after its
-/// backslash), if it is one [`push_escaped`] writes: a short form for
-/// `"`, `\`, newline, CR and tab, `u00xx` in lowercase hex for every
-/// other control character.
-fn escape_len(esc: &[u8]) -> Option<usize> {
-    match esc {
-        [b'"' | b'\\' | b'n' | b'r' | b't', ..] => Some(1),
-        [b'u', b'0', b'0', hi @ (b'0' | b'1'), lo @ (b'0'..=b'9' | b'a'..=b'f'), ..] => {
-            let code = (hi - b'0') * 16 + char::from(*lo).to_digit(16)? as u8;
-            (!matches!(code, b'\t' | b'\n' | b'\r')).then_some(5)
+        Record::Spec(Cow::Owned(TenantSpec {
+            name: json::unescape(spec_name).into_owned(),
+            workload,
+            kind,
+            seed,
+            cores,
+            refs,
+            fault,
+        }))
+    } else {
+        let tick = r.key("tick")?.u64()?;
+        let name = r.key("tenant")?.raw_str()?;
+        let Some(tenant) = names.iter().position(|&n| n == name) else {
+            *unknown = Some(name);
+            return None;
+        };
+        if r.at_key("status") {
+            Record::Terminal(TerminalInfo {
+                tenant,
+                tick,
+                status: TenantStatus::parse(r.key("status")?.raw_str()?)?,
+                retired: r.key("retired")?.u64()?,
+                stalled: r.key("stalled")?.u64()?,
+                cycles: r.key("cycles")?.u64()?,
+                fired_at: r.key("fired_at")?.opt_u64()?,
+                l2_misses: r.key("l2_misses")?.u64()?,
+                vd_hits: r.key("vd_hits")?.u64()?,
+                detail: r.key("detail")?.str()?,
+            })
+        } else {
+            Record::Checkpoint(Checkpoint {
+                tenant,
+                tick,
+                retired: r.key("retired")?.u64()?,
+                stalled: r.key("stalled")?.u64()?,
+                cycles: r.key("cycles")?.u64()?,
+            })
         }
-        _ => None,
-    }
-}
-
-/// Decodes a string field [`Fields::raw_field`] accepted, borrowing it
-/// when it holds no escape.
-fn unescape(raw: &str) -> Cow<'_, str> {
-    if !raw.contains('\\') {
-        return Cow::Borrowed(raw);
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        out.push(match chars.next() {
-            Some('n') => '\n',
-            Some('r') => '\r',
-            Some('t') => '\t',
-            // `\u00xx`: the four hex digits are the code point.
-            Some('u') => chars
-                .by_ref()
-                .take(4)
-                .filter_map(|d| d.to_digit(16))
-                .fold(0, |v, d| v * 16 + d)
-                .try_into()
-                .unwrap_or('\0'),
-            Some(escaped) => escaped,
-            None => '\\',
-        });
-    }
-    Cow::Owned(out)
+    };
+    r.end_obj()?;
+    r.finish()?;
+    Some((rec, spec_name))
 }
 
 // --- the pull reader ------------------------------------------------
@@ -926,12 +724,8 @@ impl<'a> Reader<'a> {
         self.off += used;
         self.line = line;
         self.line_no += 1;
-        let mut f = Fields {
-            s: line,
-            pos: 0,
-            unknown: None,
-        };
-        match (f.record(&self.names), f.unknown) {
+        let mut unknown = None;
+        match (decode_line(line, &self.names, &mut unknown), unknown) {
             (Some(decoded), _) => Ok(Some(decoded)),
             (None, Some(name)) => Err(self.bad(&format!("record for unknown tenant `{name}`"))),
             (None, None) => Err(self.bad("malformed record before end of file")),
@@ -1211,15 +1005,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn push_u64_matches_display() {
-        for v in [0u64, 1, 9, 10, 12345, u64::MAX] {
-            let mut s = String::new();
-            push_u64(&mut s, v);
-            assert_eq!(s, v.to_string());
-        }
-    }
-
     /// Every record `text` (a JSONL journal) holds, or the first error.
     fn read_jsonl(text: &str) -> Result<Vec<Record<'_>>, ServeError> {
         let mut reader = Reader::new(text.as_bytes(), JournalFormat::Jsonl)?;
@@ -1228,77 +1013,6 @@ mod tests {
             out.push(rec);
         }
         Ok(out)
-    }
-
-    /// A one-tenant JSONL prologue (tenant `t"0`), so stream records
-    /// after it resolve.
-    fn prologue() -> String {
-        let spec = TenantSpec {
-            name: "t\"0".to_string(),
-            workload: "w".to_string(),
-            kind: DirectoryKind::SecDir,
-            seed: 1,
-            cores: 2,
-            refs: 3,
-            fault: None,
-        };
-        let mut cfg = ServeConfig::new(vec![spec.clone()]);
-        cfg.final_audit = false;
-        let mut out = String::new();
-        let mut line = String::new();
-        render(&mut line, &Record::Header(HeaderRec::of(&cfg)), &[]);
-        out.push_str(&line);
-        out.push('\n');
-        render(&mut line, &Record::Spec(Cow::Owned(spec)), &[]);
-        out.push_str(&line);
-        out.push('\n');
-        out
-    }
-
-    #[test]
-    fn jsonl_decodes_exactly_the_rendered_bytes() {
-        let info = TerminalInfo {
-            tenant: 0,
-            tick: 7,
-            status: TenantStatus::Panicked,
-            retired: 42,
-            stalled: 1,
-            cycles: 999,
-            fired_at: None,
-            l2_misses: 3,
-            vd_hits: 0,
-            detail: Cow::Borrowed("quote \" slash \\ newline \n ctl \u{1f} \u{7f} brace } é"),
-        };
-        let mut line = String::new();
-        render(&mut line, &Record::Terminal(info.clone()), &["t\"0"]);
-        assert!(!line.contains('\n'));
-        let text = format!("{}{line}\n", prologue());
-        let recs = read_jsonl(&text).expect("the rendering decodes");
-        assert_eq!(recs[2], Record::Terminal(info));
-
-        // The same content spelled any other way is not a record.
-        let checkpoint =
-            "{\"tick\":5,\"tenant\":\"t\\\"0\",\"retired\":4,\"stalled\":0,\"cycles\":10}";
-        assert!(read_jsonl(&format!("{}{checkpoint}\n", prologue())).is_ok());
-        for bad in [
-            checkpoint.replace("\"retired\":", "\"retired\": "),
-            checkpoint.replace("\"retired\":4,\"stalled\":0", "\"stalled\":0,\"retired\":4"),
-            checkpoint.replace(":4,", ":04,"),
-            checkpoint.replace(":10}", ":10} "),
-            checkpoint.replace(":10}", ":18446744073709551616}"),
-            line.replace("\\u001f", "\\u001F"),
-            line.replace("\\n", "\\u000a"),
-            line.replace("slash \\\\", "slash \\/"),
-            line.replace("quote", "\\u0071uote"),
-            line.replace("\\n", "\n"),
-            line.replace("null", "nul"),
-        ] {
-            let text = format!("{}{bad}\n", prologue());
-            match read_jsonl(&text) {
-                Err(ServeError::Corrupt(msg)) => assert!(msg.contains("line 3"), "{msg}"),
-                other => panic!("{bad:?} decoded: {other:?}"),
-            }
-        }
     }
 
     use proptest::prelude::*;

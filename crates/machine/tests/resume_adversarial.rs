@@ -4,10 +4,10 @@
 //! in the `msg` field of its `{"status":"panicked"}` checkpoint line. Panic
 //! messages routinely quote the very syntax the checkpoint is written in —
 //! assertion messages embed JSON snippets, file paths embed braces, debug
-//! output embeds `"seed":999`. The resume planner must parse such lines by
-//! JSON structure (top-level fields only), never by substring search: a
-//! checkpoint written by [`CellOutcome::to_json_line`] must always round-trip
-//! through [`plan_resume`] back to the cell that actually failed.
+//! output embeds `"seed":999`. The resume planner reads such lines with the
+//! writer's strict inverse, never by substring search: a checkpoint written
+//! by [`CellOutcome::to_json_line`] must always round-trip through
+//! [`plan_resume`] back to the cell that actually failed.
 //!
 //! These tests drive that contract end to end through the public API, both
 //! with hand-picked worst cases and with a property sweep over generated

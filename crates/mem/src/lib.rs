@@ -3,7 +3,9 @@
 //! This crate is the lowest-level substrate: it defines the physical/line
 //! address types used throughout the simulator, the LLC *slice-selection*
 //! hash (standing in for Intel's proprietary hash), and the Seznec–Bodin
-//! *skewing* hash family used by SecDir's cuckoo Victim Directories.
+//! *skewing* hash family used by SecDir's cuckoo Victim Directories. Its
+//! [`json`] module is the one JSON writer and strict reader every record
+//! the workspace writes goes through.
 //!
 //! # Examples
 //!
@@ -21,6 +23,7 @@
 mod addr;
 mod hash;
 mod inline_vec;
+pub mod json;
 mod rng;
 
 pub use addr::{CoreId, LineAddr, PhysAddr, SliceId, LINE_BYTES, LINE_OFFSET_BITS};

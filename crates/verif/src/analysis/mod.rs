@@ -24,6 +24,7 @@ pub mod waiver;
 pub use rules::FileClass;
 
 use rules::Finding;
+use secdir_mem::json::push_escaped;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -275,6 +276,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// (schema `secdir-lint/1`). Byte-identical across runs on the same
 /// tree: all arrays are sorted and no hash iteration is involved.
 pub fn render_json(report: &LintReport) -> String {
+    let esc = |s: &str| {
+        let mut out = String::with_capacity(s.len());
+        push_escaped(&mut out, s);
+        out
+    };
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"secdir-lint/1\",\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files.len()));
@@ -284,12 +290,12 @@ pub fn render_json(report: &LintReport) -> String {
         out.push_str(&format!(
             "    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
              \"severity\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&d.file.to_string_lossy().replace('\\', "/")),
+            esc(&d.file.to_string_lossy().replace('\\', "/")),
             d.line,
             d.col,
-            json_escape(d.rule),
+            esc(d.rule),
             d.severity,
-            json_escape(&d.message)
+            esc(&d.message)
         ));
     }
     if report.findings.is_empty() {
@@ -300,28 +306,12 @@ pub fn render_json(report: &LintReport) -> String {
     out.push_str("  \"files\": [");
     for (i, f) in report.files.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{}\"", json_escape(f)));
+        out.push_str(&format!("    \"{}\"", esc(f)));
     }
     if report.files.is_empty() {
         out.push_str("]\n}\n");
     } else {
         out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

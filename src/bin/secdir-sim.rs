@@ -44,7 +44,7 @@ use secdir_machine::{
     run_workload, run_workload_sliced, AccessStream, DirectoryKind, Machine, MachineConfig,
     ServedBy,
 };
-use secdir_mem::{CoreId, LineAddr};
+use secdir_mem::{json, CoreId, LineAddr};
 use secdir_workloads::aes::AesVictim;
 use secdir_workloads::parsec::ParsecApp;
 use secdir_workloads::registry;
@@ -1024,6 +1024,7 @@ fn write_serve_bench(
         .saturating_mul(1_000_000_000)
         .checked_div(nanos)
         .unwrap_or(0) as u64;
+    let mut line = String::new();
     for kind in DirectoryKind::ALL {
         let picked: Vec<_> = cfg
             .tenants
@@ -1041,30 +1042,26 @@ fn write_serve_bench(
             .iter()
             .filter(|(_, o)| o.status == TenantStatus::Done)
             .count();
+        let mut jw = json::Writer::new(&mut line);
+        jw.obj();
+        jw.key("schema").str("secdir-bench-serve/2");
+        jw.key("directory").str(kind.name());
+        jw.key("tenants").u64(picked.len() as u64);
+        jw.key("done").u64(done as u64);
+        jw.key("retired").u64(sum(&|o| o.retired));
+        jw.key("stalled").u64(sum(&|o| o.stalled));
+        jw.key("cycles").u64(sum(&|o| o.cycles));
+        jw.key("l2_misses").u64(sum(&|o| o.l2_misses));
+        jw.key("vd_hits").u64(sum(&|o| o.vd_hits));
+        jw.key("ticks").u64(report.ticks);
+        jw.key("workers").u64(cfg.workers as u64);
+        jw.key("format").str(cfg.format.name());
+        jw.key("nanos").u128(nanos);
+        jw.key("retired_per_sec").u64(retired_per_sec);
+        jw.key("journal_bytes").u64(report.journal_bytes);
+        jw.end_obj();
         use std::io::Write as _;
-        writeln!(
-            w,
-            "{{\"schema\":\"secdir-bench-serve/2\",\"directory\":\"{}\",\
-             \"tenants\":{},\"done\":{},\"retired\":{},\"stalled\":{},\
-             \"cycles\":{},\"l2_misses\":{},\"vd_hits\":{},\"ticks\":{},\
-             \"workers\":{},\"format\":\"{}\",\"nanos\":{},\
-             \"retired_per_sec\":{},\"journal_bytes\":{}}}",
-            kind.name(),
-            picked.len(),
-            done,
-            sum(&|o| o.retired),
-            sum(&|o| o.stalled),
-            sum(&|o| o.cycles),
-            sum(&|o| o.l2_misses),
-            sum(&|o| o.vd_hits),
-            report.ticks,
-            cfg.workers,
-            cfg.format.name(),
-            nanos,
-            retired_per_sec,
-            report.journal_bytes,
-        )
-        .map_err(|e| e.to_string())?;
+        writeln!(w, "{line}").map_err(|e| e.to_string())?;
         w.flush().map_err(|e| e.to_string())?;
     }
     Ok(())
