@@ -160,6 +160,10 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// Largest core count a machine supports (one bit per core in the
+    /// 64-bit sharer vectors).
+    pub const MAX_CORES: usize = 64;
+
     /// The paper's Table-4 machine: `cores` cores, 32 KB/8-way L1D,
     /// 1 MB/16-way L2, Skylake-X LLC/directory geometry.
     ///
@@ -167,7 +171,10 @@ impl MachineConfig {
     ///
     /// Panics if `cores` is zero or exceeds 64.
     pub fn skylake_x(cores: usize, directory: DirectoryKind) -> Self {
-        assert!(cores > 0 && cores <= 64, "cores must be in 1..=64");
+        assert!(
+            cores > 0 && cores <= Self::MAX_CORES,
+            "cores must be in 1..=64"
+        );
         MachineConfig {
             cores,
             l1: Geometry::new(64, 8),
@@ -183,7 +190,10 @@ impl MachineConfig {
     /// directory *ratios*) for fast tests. Conflict behaviour is identical
     /// in kind; only capacities shrink.
     pub fn small(cores: usize, directory: DirectoryKind) -> Self {
-        assert!(cores > 0 && cores <= 64, "cores must be in 1..=64");
+        assert!(
+            cores > 0 && cores <= Self::MAX_CORES,
+            "cores must be in 1..=64"
+        );
         MachineConfig {
             cores,
             l1: Geometry::new(8, 4),

@@ -229,7 +229,10 @@ impl Model {
             "lines out of range"
         );
         assert!(
-            cfg.l2_capacity >= 1 && cfg.ed_capacity >= 1 && cfg.td_capacity >= 1,
+            cfg.l2_capacity >= 1
+                && cfg.ed_capacity >= 1
+                && cfg.td_capacity >= 1
+                && cfg.vd_capacity >= 1,
             "capacities must be at least 1"
         );
         Model { cfg }
@@ -770,5 +773,19 @@ impl Model {
                 out.push(s.clone());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "capacities must be at least 1")]
+    fn zero_vd_capacity_is_rejected() {
+        Model::new(ModelConfig {
+            vd_capacity: 0,
+            ..ModelConfig::quick(DirKind::SecDir)
+        });
     }
 }

@@ -1,35 +1,15 @@
 //! `secdir-sim` — command-line driver for the SecDir reproduction.
 //!
-//! ```text
-//! secdir-sim attack  [--directory KIND] [--attack NAME] [--bits N] [--cores N]
-//! secdir-sim spec    --mix NAME   [--directory KIND] [--refs N] [--slice-threads N]
-//! secdir-sim parsec  --app NAME   [--directory KIND] [--refs N]
-//! secdir-sim aes     [--directory KIND] [--encryptions N]
-//! secdir-sim design  [--cores N]
-//! secdir-sim trace   --mix NAME --out FILE [--refs N]   (capture)
-//! secdir-sim trace   --replay FILE [--directory KIND]   (replay)
-//! secdir-sim sweep   [--workloads LIST] [--directories LIST] [--seeds LIST]
-//!                    [--threads N] [--out FILE] [--resume FILE]
-//!                    [--fail-fast] [--budget N]
-//! secdir-sim serve   [--tenants N] [--workloads LIST] [--directories LIST]
-//!                    [--journal FILE] [--resume] [--workers N]
-//!                    [--inject] [--out FILE] [--bench FILE] [...]
-//! secdir-sim perf    [--quick] [--directories LIST] [--workload NAME]
-//!                    [--threads N] [--slice-threads LIST]
-//!                    [--epoch-batch LIST] [--pipeline] [--out FILE]
-//! secdir-sim inject  [--directories LIST] [--faults LIST] [--trigger N]
-//!                    [--out FILE]
-//! secdir-sim verif   [--kinds LIST] [--cores N] [--lines N] [--l2 N]
-//!                    [--ed N] [--td N] [--vd N]
-//! secdir-sim lint    [--root PATH]
-//! ```
+//! `secdir-sim --help` lists the commands and `secdir-sim <command> --help`
+//! prints that command's flags. Both are rendered from [`COMMANDS`], the
+//! one table that also drives flag parsing and value checks, so a
+//! command's help cannot drift from what it accepts. A bad flag or value
+//! exits 1 with a message naming the flag; it never panics.
 //!
 //! Directory kinds: `baseline`, `baseline-fixed`, `secdir` (default),
 //! `secdir-plain-vd`, `way-partitioned`, `vd-only`, `vd-only-plain`.
 //! Attacks: `evict-reload` (default), `prime-probe`, `evict-time`.
-//! Every command accepts `--help`/`-h` for its flag list.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use secdir_attack::{evict_reload_attack, evict_time_attack, prime_probe_attack, AttackConfig};
@@ -85,108 +65,279 @@ macro_rules! println {
     };
 }
 
-/// Minimal `--key value` parser; rejects unknown keys. On `--help`/`-h`
-/// prints `usage` and returns `Ok(None)` so the command can exit cleanly.
-fn parse_flags(
-    args: &[String],
-    allowed: &[&str],
-    usage: &str,
-) -> Result<Option<HashMap<String, String>>, String> {
-    let mut out = HashMap::new();
+/// One subcommand: its flags, the prose closing its `--help`, and the
+/// function that runs it on parsed flags. An `Err` exits 1.
+struct Command {
+    name: &'static str,
+    flags: &'static [Flag],
+    about: &'static str,
+    run: fn(&Flags) -> Result<ExitCode, String>,
+}
+
+/// One `--flag` of a command.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
+}
+
+/// What a flag takes, checked by [`parse`] before any command runs.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// One value, interpreted by the command; the field names it in help.
+    Value(&'static str),
+    /// A decimal integer in `min..=max`.
+    Int { min: u64, max: u64 },
+    /// A comma-separated list with at least one item.
+    List,
+}
+
+/// Upper bounds of integer flags with no limit of their own, by the type
+/// the command reads them as.
+const U64: u64 = u64::MAX;
+const USIZE: u64 = usize::MAX as u64;
+
+/// Core and line bounds of the simulated machine and of the verifier's
+/// model, from the libraries that enforce them.
+const MACHINE_CORES: u64 = MachineConfig::MAX_CORES as u64;
+const MODEL_CORES: u64 = secdir_verif::model::MAX_CORES as u64;
+const MODEL_LINES: u64 = secdir_verif::model::MAX_LINES as u64;
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    let kind = Kind::Switch;
+    Flag { name, kind, help }
+}
+
+const fn value(name: &'static str, meta: &'static str, help: &'static str) -> Flag {
+    let kind = Kind::Value(meta);
+    Flag { name, kind, help }
+}
+
+const fn int(name: &'static str, min: u64, max: u64, help: &'static str) -> Flag {
+    let kind = Kind::Int { min, max };
+    Flag { name, kind, help }
+}
+
+const fn list(name: &'static str, help: &'static str) -> Flag {
+    let kind = Kind::List;
+    Flag { name, kind, help }
+}
+
+impl Flag {
+    /// The flag as the usage line shows it, e.g. `--refs N`.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Kind::Switch => format!("--{}", self.name),
+            Kind::Value(meta) => format!("--{} {meta}", self.name),
+            Kind::Int { .. } => format!("--{} N", self.name),
+            Kind::List => format!("--{} LIST", self.name),
+        }
+    }
+
+    /// Rejects a value this flag's kind does not admit.
+    fn check(&self, value: &str) -> Result<(), String> {
+        let name = self.name;
+        match self.kind {
+            Kind::Switch | Kind::Value(_) => Ok(()),
+            Kind::List if split_list(value).next().is_none() => {
+                Err(format!("--{name} needs at least one comma-separated item"))
+            }
+            Kind::List => Ok(()),
+            Kind::Int { min, max } => {
+                let n: u64 = value
+                    .parse()
+                    .map_err(|_| format!("invalid value for --{name}: `{value}`"))?;
+                if n < min {
+                    Err(format!("--{name} must be at least {min}, got {n}"))
+                } else if n > max {
+                    Err(format!("--{name} must be at most {max}, got {n}"))
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+}
+
+/// One command's flags as given, in table order (`None` = absent).
+struct Flags {
+    table: &'static [Flag],
+    values: Vec<Option<String>>,
+}
+
+impl Flags {
+    /// The flag's value; `""` for a given switch.
+    fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.table.iter().any(|f| f.name == name),
+            "--{name} is not in the command's flag table"
+        );
+        self.table
+            .iter()
+            .zip(&self.values)
+            .find(|(f, _)| f.name == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// An integer flag's value, or `default` when absent. [`parse`]
+    /// already checked it against the flag's range, which fits `T`.
+    fn int<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.get(name)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// A list flag's items, each converted by `item`; `None` when absent.
+    fn list<T>(
+        &self,
+        name: &str,
+        item: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, String> {
+        self.get(name)
+            .map(|v| split_list(v).map(&item).collect())
+            .transpose()
+    }
+
+    /// `--directories`: a comma list of directory kinds, else `default`.
+    fn directories(&self, default: &[DirectoryKind]) -> Result<Vec<DirectoryKind>, String> {
+        Ok(self
+            .list("directories", DirectoryKind::parse)?
+            .unwrap_or_else(|| default.to_vec()))
+    }
+
+    /// A comma list of counts, each at least 1; `None` when absent.
+    fn counts(&self, name: &str) -> Result<Option<Vec<usize>>, String> {
+        self.list(name, |s| match s.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("--{name} entries must be integers >= 1, got `{s}`")),
+        })
+    }
+}
+
+/// Parses `args` against `cmd`'s flag table. Returns `Ok(None)` when
+/// `--help`/`-h` is asked for. Unknown and repeated flags, missing values
+/// and values outside a flag's kind are errors naming the flag.
+fn parse(cmd: &Command, args: &[String]) -> Result<Option<Flags>, String> {
+    let mut values = vec![None; cmd.flags.len()];
     let mut it = args.iter();
-    while let Some(key) = it.next() {
-        if key == "--help" || key == "-h" {
-            println!("{usage}");
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
             return Ok(None);
         }
-        let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("expected a --flag, found `{key}`"));
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(format!("expected a --flag, found `{arg}`"));
         };
-        if !allowed.contains(&name) {
+        let Some((flag, slot)) = cmd
+            .flags
+            .iter()
+            .zip(&mut values)
+            .find(|(f, _)| f.name == name)
+        else {
+            let allowed: Vec<_> = cmd.flags.iter().map(|f| format!("--{}", f.name)).collect();
             return Err(format!(
                 "unknown flag `--{name}` (allowed: {})",
-                allowed
-                    .iter()
-                    .map(|a| format!("--{a}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                allowed.join(", ")
             ));
-        }
-        let Some(value) = it.next() else {
-            return Err(format!("flag --{name} needs a value"));
         };
-        out.insert(name.to_string(), value.clone());
+        if slot.is_some() {
+            return Err(format!("flag --{name} given more than once"));
+        }
+        let value = match flag.kind {
+            Kind::Switch => String::new(),
+            _ => it
+                .next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?
+                .clone(),
+        };
+        flag.check(&value)?;
+        *slot = Some(value);
     }
-    Ok(Some(out))
+    Ok(Some(Flags {
+        table: cmd.flags,
+        values,
+    }))
 }
 
-fn get_parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for --{key}: `{v}`")),
+/// Help text width that [`fill`] wraps to.
+const WIDTH: usize = 78;
+
+/// Appends `lead` and then `words` to `out`, one space apart, starting a
+/// new line indented as deep as `lead` before any word that would pass
+/// [`WIDTH`].
+fn fill<S: AsRef<str>>(out: &mut String, lead: &str, words: impl Iterator<Item = S>) {
+    out.push_str(lead);
+    let indent = lead.chars().count();
+    let mut col = indent;
+    for (i, word) in words.enumerate() {
+        let word = word.as_ref();
+        let len = word.chars().count();
+        if i > 0 && col + 1 + len > WIDTH {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent));
+            col = indent;
+        } else if i > 0 {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(word);
+        col += len;
+    }
+    out.push('\n');
+}
+
+/// A command's `--help`: the usage line, one entry per flag, then the
+/// command's closing prose.
+fn help(cmd: &Command) -> String {
+    let mut out = String::new();
+    let lead = format!("usage: secdir-sim {} ", cmd.name);
+    let synopses = cmd.flags.iter().map(|f| format!("[{}]", f.synopsis()));
+    fill(&mut out, &lead, synopses);
+    let width = cmd.flags.iter().map(|f| f.name.len()).max().unwrap_or(0);
+    for f in cmd.flags {
+        let lead = format!("  --{:<width$}  ", f.name);
+        fill(&mut out, &lead, f.help.split_whitespace());
+    }
+    out.push_str(cmd.about);
+    out
+}
+
+/// The top-level usage line, listing every command in the table.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    format!(
+        "usage: secdir-sim <{}> [--flags...]\n\
+         run `secdir-sim <command> --help` for that command's flags.",
+        names.join("|")
+    )
+}
+
+/// Splits a comma-separated flag value, dropping empty segments.
+fn split_list(s: &str) -> impl Iterator<Item = &str> {
+    s.split(',').filter(|p| !p.is_empty())
+}
+
+/// Accepts a workload name the sweep registry knows.
+fn known_workload(name: &str) -> Result<String, String> {
+    match registry::streams_by_name(name, 1, 0) {
+        Some(_) => Ok(name.to_string()),
+        None => Err(format!(
+            "unknown workload `{name}` (see `secdir-sim sweep --help`)"
+        )),
     }
 }
 
-/// Like [`get_parsed`], but rejects an explicit `0` with a usage error.
-///
-/// Thread, repetition, and cell counts have no meaningful zero value;
-/// silently clamping `--threads 0` to 1 would make the run claim a
-/// configuration the user never asked for, so the flag is refused instead.
-fn get_positive(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<usize, String> {
-    let v: usize = get_parsed(flags, key, default)?;
-    if v == 0 {
-        return Err(format!("--{key} must be at least 1, got 0"));
-    }
-    Ok(v)
-}
-
-/// [`get_positive`] for `u64`-valued flags (reference and budget counts).
-fn get_positive_u64(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: u64,
-) -> Result<u64, String> {
-    let v: u64 = get_parsed(flags, key, default)?;
-    if v == 0 {
-        return Err(format!("--{key} must be at least 1, got 0"));
-    }
-    Ok(v)
-}
-
-const ATTACK_USAGE: &str = "\
-usage: secdir-sim attack [--directory KIND] [--attack NAME] [--bits N]
-                         [--cores N] [--seed N]
-  --directory  baseline | baseline-fixed | secdir (default) | secdir-plain-vd
-               | way-partitioned | vd-only | vd-only-plain
-  --attack     evict-reload (default) | prime-probe | evict-time
-  --bits       secret bits to transmit (default 64)
-  --cores      core count (default 8)
-  --seed       attack RNG seed";
-
-fn cmd_attack(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(
-        args,
-        &["directory", "attack", "bits", "cores", "seed"],
-        ATTACK_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
-    let kind = DirectoryKind::parse(flags.get("directory").map_or("secdir", String::as_str))?;
-    let bits: usize = get_parsed(&flags, "bits", 64)?;
-    let cores: usize = get_parsed(&flags, "cores", 8)?;
-    let seed: u64 = get_parsed(&flags, "seed", 0xa77acu64)?;
-    let attack = flags.get("attack").map_or("evict-reload", String::as_str);
+fn attack_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("secdir"))?;
+    let bits: usize = flags.int("bits", 64);
+    let cores: usize = flags.int("cores", 8);
+    let seed: u64 = flags.int("seed", 0xa77ac);
+    let attack = flags.get("attack").unwrap_or("evict-reload");
 
     let mut machine = Machine::new(MachineConfig::skylake_x(cores, kind));
     let cfg = AttackConfig {
@@ -209,7 +360,7 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
         "victim inclusion victims: {}",
         outcome.victim_inclusion_victims
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Warms up with the first `refs / 2` references per core, then measures
@@ -230,7 +381,7 @@ fn run_streams_report(
     mut streams: Vec<Box<dyn AccessStream>>,
     refs: u64,
     slice_threads: Option<usize>,
-) -> Result<(), String> {
+) -> Result<ExitCode, String> {
     let mut machine = Machine::new(MachineConfig::skylake_x(streams.len(), kind));
     let run = |machine: &mut Machine, streams: &mut Vec<Box<dyn AccessStream>>, cap| {
         match slice_threads {
@@ -264,43 +415,21 @@ fn run_streams_report(
         "inclusion victims: {}",
         stats.total_inclusion_victims() - s0.total_inclusion_victims()
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const SPEC_USAGE: &str = "\
-usage: secdir-sim spec --mix NAME [--directory KIND] [--refs N] [--seed N]
-                       [--slice-threads N]
-  --mix            mix0..mix11 (Table 5)
-  --directory      directory kind (default secdir)
-  --refs           references per core, half warm-up half measured
-                   (default 200000)
-  --seed           workload seed (default 24301)
-  --slice-threads  run on the epoch-synchronized sliced engine with N
-                   worker threads (N >= 1; even N=1 selects the sliced
-                   engine). Output is bit-identical for every N; the
-                   default is the serial reference engine.";
-
-fn cmd_spec(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(
-        args,
-        &["mix", "directory", "refs", "seed", "slice-threads"],
-        SPEC_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
+fn spec_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let name = flags.get("mix").ok_or("--mix is required (mix0..mix11)")?;
     let mix = mixes()
         .into_iter()
         .find(|m| m.name == name)
         .ok_or_else(|| format!("unknown mix `{name}`"))?;
-    let kind = DirectoryKind::parse(flags.get("directory").map_or("secdir", String::as_str))?;
-    let refs: u64 = get_parsed(&flags, "refs", 200_000)?;
-    let seed: u64 = get_parsed(&flags, "seed", 0x5eedu64)?;
-    let slice_threads = match flags.get("slice-threads") {
-        None => None,
-        Some(_) => Some(get_positive(&flags, "slice-threads", 1)?),
-    };
+    let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("secdir"))?;
+    let refs: u64 = flags.int("refs", 200_000);
+    let seed: u64 = flags.int("seed", 0x5eed);
+    let slice_threads = flags
+        .has("slice-threads")
+        .then(|| flags.int("slice-threads", 1));
     println!(
         "mix         : {} ({} + {})",
         mix.name, mix.a.name, mix.b.name
@@ -308,43 +437,23 @@ fn cmd_spec(args: &[String]) -> Result<(), String> {
     run_streams_report(kind, mix.streams(8, seed), refs, slice_threads)
 }
 
-const PARSEC_USAGE: &str = "\
-usage: secdir-sim parsec --app NAME [--directory KIND] [--refs N] [--seed N]
-  --app        PARSEC app name (e.g. canneal, freqmine)
-  --directory  directory kind (default secdir)
-  --refs       references per core, half warm-up half measured (default 200000)
-  --seed       workload seed";
-
-fn cmd_parsec(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(args, &["app", "directory", "refs", "seed"], PARSEC_USAGE)?
-    else {
-        return Ok(());
-    };
+fn parsec_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let name = flags.get("app").ok_or("--app is required (e.g. canneal)")?;
     let app = ParsecApp::ALL
         .iter()
         .find(|a| a.name == name)
         .ok_or_else(|| format!("unknown PARSEC app `{name}`"))?;
-    let kind = DirectoryKind::parse(flags.get("directory").map_or("secdir", String::as_str))?;
-    let refs: u64 = get_parsed(&flags, "refs", 200_000)?;
-    let seed: u64 = get_parsed(&flags, "seed", 0x9a25ecu64)?;
+    let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("secdir"))?;
+    let refs: u64 = flags.int("refs", 200_000);
+    let seed: u64 = flags.int("seed", 0x9a25ec);
     println!("app         : {}", app.name);
     run_streams_report(kind, app.threads(8, seed), refs, None)
 }
 
-const AES_USAGE: &str = "\
-usage: secdir-sim aes [--directory KIND] [--encryptions N] [--seed N]
-  --directory    directory kind (default vd-only)
-  --encryptions  AES-128 encryptions to trace (default 200)
-  --seed         plaintext RNG seed";
-
-fn cmd_aes(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(args, &["directory", "encryptions", "seed"], AES_USAGE)? else {
-        return Ok(());
-    };
-    let kind = DirectoryKind::parse(flags.get("directory").map_or("vd-only", String::as_str))?;
-    let encryptions: u64 = get_parsed(&flags, "encryptions", 200)?;
-    let seed: u64 = get_parsed(&flags, "seed", 0xfe11u64)?;
+fn aes_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("vd-only"))?;
+    let encryptions: u64 = flags.int("encryptions", 200);
+    let seed: u64 = flags.int("seed", 0xfe11);
     let mut machine = Machine::new(MachineConfig::skylake_x(8, kind));
     let mut victim = AesVictim::new(*b"secdir-sim key!!", LineAddr::new(0xc8), seed);
     let (mut mem, mut private, mut dir) = (0u64, 0u64, 0u64);
@@ -364,30 +473,12 @@ fn cmd_aes(args: &[String]) -> Result<(), String> {
     println!("  memory     : {mem}  (Figure 6: first-touches only on VD-only)");
     println!("  private    : {private}");
     println!("  directory  : {dir}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const TRACE_USAGE: &str = "\
-usage: secdir-sim trace --mix NAME --out FILE [--refs N] [--seed N]   (capture)
-       secdir-sim trace --replay FILE [--directory KIND]              (replay)
-  --mix        mix0..mix11 to capture
-  --out        output trace file
-  --refs       references per core to capture (default 100000)
-  --replay     trace file to replay
-  --directory  directory kind for replay (default secdir)
-  --seed       workload seed for capture";
-
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(
-        args,
-        &["mix", "out", "refs", "replay", "directory", "seed"],
-        TRACE_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
+fn trace_cmd(flags: &Flags) -> Result<ExitCode, String> {
     if let Some(path) = flags.get("replay") {
-        let kind = DirectoryKind::parse(flags.get("directory").map_or("secdir", String::as_str))?;
+        let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("secdir"))?;
         let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
         let trace = secdir_workloads::trace::Trace::load(file).map_err(|e| e.to_string())?;
         println!(
@@ -405,7 +496,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             "inclusion victims: {}",
             machine.stats().total_inclusion_victims()
         );
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
     let name = flags
         .get("mix")
@@ -413,8 +504,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let out = flags
         .get("out")
         .ok_or("--out FILE is required for capture")?;
-    let refs: usize = get_parsed(&flags, "refs", 100_000)?;
-    let seed: u64 = get_parsed(&flags, "seed", 0x5eedu64)?;
+    let refs: usize = flags.int("refs", 100_000);
+    let seed: u64 = flags.int("seed", 0x5eed);
     let mix = mixes()
         .into_iter()
         .find(|m| m.name == name)
@@ -430,18 +521,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         refs,
         mix.name
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const DESIGN_USAGE: &str = "\
-usage: secdir-sim design [--cores N]
-  --cores  core count for the Table-7 storage/area comparison (default 8)";
-
-fn cmd_design(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(args, &["cores"], DESIGN_USAGE)? else {
-        return Ok(());
-    };
-    let cores: usize = get_parsed(&flags, "cores", 8)?;
+fn design_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let cores: usize = flags.int("cores", 8);
     let b = secdir_area::storage::baseline_slice(cores);
     let s = secdir_area::storage::secdir_slice(cores);
     let (ba, sa) = secdir_area::area::table7_area(cores);
@@ -457,129 +541,39 @@ fn cmd_design(args: &[String]) -> Result<(), String> {
     if let Some(p) = secdir_area::design_space::design_point(cores, 8) {
         println!("figure-5 ratio (W_ED=8): {:.3}", p.ratio_to_l2);
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const SWEEP_USAGE: &str = "\
-usage: secdir-sim sweep [--workloads LIST] [--directories LIST] [--seeds LIST]
-                        [--cores N] [--warmup N] [--measure N] [--threads N]
-                        [--out FILE] [--resume FILE] [--fail-fast] [--budget N]
-  --workloads    comma-separated workload names, or the groups
-                 spec (default; the 12 Table-5 mixes), parsec, all
-  --directories  comma-separated directory kinds (default baseline,secdir)
-  --seeds        comma-separated workload seeds (default 24301)
-  --cores        cores per cell (default 8, the Table-4 machine)
-  --warmup       warm-up references per core (default 350000)
-  --measure      measured references per core (default 200000)
-  --threads      worker threads, must be >= 1 (default: available
-                 parallelism)
-  --out          JSONL output file (default: the --resume file, else
-                 BENCH_sweep.json)
-  --resume       validate FILE as a checkpoint of this same matrix, keep
-                 its completed cells, and run only the missing/failed ones
-  --fail-fast    stop claiming new cells after the first failure (legacy
-                 all-or-nothing behaviour); unstarted cells are recorded
-                 as skipped
-  --budget       watchdog: max references per core per cell; over-budget
-                 cells are recorded as exhausted instead of spinning
-Runs the workload x directory x seed matrix in parallel and writes one
-JSON object per cell, in matrix order, bit-identical for any --threads
-(resumed runs included). A panicking cell becomes a {\"status\":
-\"panicked\"} record, the other cells still complete, and the exit code
-is nonzero.";
-
-/// Splits a comma-separated flag value, dropping empty segments.
-fn split_list(s: &str) -> Vec<String> {
-    s.split(',')
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let fail_fast = args.iter().any(|a| a == "--fail-fast");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--fail-fast")
-        .cloned()
-        .collect();
-    let Some(flags) = parse_flags(
-        &rest,
-        &[
-            "workloads",
-            "directories",
-            "seeds",
-            "cores",
-            "warmup",
-            "measure",
-            "threads",
-            "out",
-            "resume",
-            "budget",
-        ],
-        SWEEP_USAGE,
-    )?
-    else {
-        return Ok(());
+fn sweep_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let workloads = match flags.get("workloads") {
+        None | Some("spec") => registry::spec_mix_names(),
+        Some("parsec") => registry::parsec_names(),
+        Some("all") => registry::all_names(),
+        Some(_) => flags.list("workloads", known_workload)?.unwrap_or_default(),
     };
-    let workloads = match flags.get("workloads").map_or("spec", String::as_str) {
-        "spec" => registry::spec_mix_names(),
-        "parsec" => registry::parsec_names(),
-        "all" => registry::all_names(),
-        list => {
-            let names = split_list(list);
-            for n in &names {
-                if registry::streams_by_name(n, 1, 0).is_none() {
-                    return Err(format!(
-                        "unknown workload `{n}` (see `secdir-sim sweep --help`)"
-                    ));
-                }
-            }
-            names
-        }
-    };
-    let kinds = split_list(
-        flags
-            .get("directories")
-            .map_or("baseline,secdir", String::as_str),
-    )
-    .iter()
-    .map(|s| DirectoryKind::parse(s))
-    .collect::<Result<Vec<_>, _>>()?;
-    let seeds = match flags.get("seeds") {
-        None => vec![0x5eed],
-        Some(list) => split_list(list)
-            .iter()
-            .map(|s| s.parse().map_err(|_| format!("invalid seed `{s}`")))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let kinds = flags.directories(&[DirectoryKind::Baseline, DirectoryKind::SecDir])?;
+    let seeds = flags
+        .list("seeds", |s| {
+            s.parse().map_err(|_| format!("invalid seed `{s}`"))
+        })?
+        .unwrap_or_else(|| vec![0x5eed]);
     let matrix = SweepMatrix {
         workloads,
         kinds,
         seeds,
-        cores: get_parsed(&flags, "cores", 8)?,
-        warmup: get_parsed(&flags, "warmup", 350_000u64)?,
-        measure: get_parsed(&flags, "measure", 200_000u64)?,
+        cores: flags.int("cores", 8),
+        warmup: flags.int("warmup", 350_000),
+        measure: flags.int("measure", 200_000),
     };
     let cells = matrix.cells();
-    if cells.is_empty() {
-        return Err("empty matrix: need at least one workload, directory, and seed".into());
-    }
     let default_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = get_positive(&flags, "threads", default_threads)?.min(cells.len());
-    let resume_path = flags.get("resume").map(String::as_str);
+    let threads = flags.int("threads", default_threads).min(cells.len());
+    let resume_path = flags.get("resume");
     let out_path = flags
         .get("out")
-        .map(String::as_str)
         .or(resume_path)
         .unwrap_or("BENCH_sweep.json");
-    let budget: Option<u64> = flags
-        .get("budget")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value for --budget: `{v}`"))
-        })
-        .transpose()?;
+    let budget: Option<u64> = flags.has("budget").then(|| flags.int("budget", 0));
 
     // An absent checkpoint file is an empty checkpoint: everything runs.
     let checkpoint = match resume_path {
@@ -600,7 +594,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
     let opts = SweepOptions {
         threads: threads.clamp(1, to_run.len().max(1)),
-        fail_fast,
+        fail_fast: flags.has("fail-fast"),
         budget,
     };
     let (outcomes, elapsed) = perf::time(|| run_matrix(&to_run, &registry::factory, &opts));
@@ -669,79 +663,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             "{failed} cell(s) failed; re-run with `--resume {out_path}` to retry them"
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
-
-const SERVE_USAGE: &str = "\
-usage: secdir-sim serve [--tenants N] [--workloads LIST] [--directories LIST]
-                        [--cores N] [--refs N] [--seed N]
-                        [--pool N] [--queue-cap N] [--global-cap N]
-                        [--ingest N] [--drain N] [--idle-timeout N]
-                        [--checkpoint-interval N] [--max-waiting N]
-                        [--burst-on N] [--burst-off N] [--workers N]
-                        [--format jsonl|binary] [--journal FILE] [--resume]
-                        [--out FILE] [--bench FILE] [--inject] [--trigger N]
-  --tenants              tenant count (default 4); tenant i is named t<i>
-  --workloads            comma list of workload names cycled across
-                         tenants: uniform (default) or any sweep
-                         workload name
-  --directories          comma list of directory kinds cycled across
-                         tenants, or `all` for the seven kinds (default)
-  --cores                cores per tenant machine (default 2)
-  --refs                 references per tenant core (default 20000)
-  --seed                 base seed; tenant i streams from seed+i
-                         (default 24301)
-  --pool                 live machines served concurrently (default 4)
-  --queue-cap            per-tenant per-core queue bound (default 64)
-  --global-cap           total buffered references across all tenants
-                         (default 4096)
-  --ingest               max references pulled per core per tick
-                         (default 8)
-  --drain                max references retired per core per tick
-                         (default 4)
-  --idle-timeout         ticks without progress before a live tenant is
-                         evicted as idle (default 64)
-  --checkpoint-interval  retired references between journal checkpoints
-                         (default 1000)
-  --max-waiting          admission waiting room; arrivals past
-                         pool+max-waiting are shed at tick 0 (default 16)
-  --burst-on             max ticks a tenant's source streams per burst
-                         (default 8)
-  --burst-off            max idle-gap ticks between bursts; 0 disables
-                         gaps (default 3)
-  --workers              drain worker threads; the journal is
-                         byte-identical for every value (default 1)
-  --format               journal encoding: jsonl (one flushed JSON line
-                         per record, the default) or binary
-                         (secdir-journal/1 checksummed frames, one
-                         write+flush per tick; `secdir-sim decode`
-                         converts it back to the byte-identical JSONL)
-  --journal              checkpoint journal file (default
-                         serve_journal.jsonl, or serve_journal.sdj with
-                         --format binary)
-  --resume               validate the surviving journal and resume: the
-                         rewritten journal is byte-identical to an
-                         uninterrupted run
-  --out                  also write one terminal JSONL record per tenant,
-                         in tenant order
-  --bench                write per-directory aggregates plus wall-clock
-                         throughput (schema secdir-bench-serve/2) to FILE
-  --inject               replace the tenant list with the 17 applicable
-                         (directory, fault) pairs, one armed fault each;
-                         success means every fault fired and was
-                         quarantined
-  --trigger              access count at which each --inject fault arms
-                         (default 600)
-Multiplexes many tenant reference streams onto a bounded pool of machines
-under a deterministic virtual-time schedule: full queues exert
-backpressure, overflow arrivals are shed, panicking tenants are contained,
-and the online invariant audit quarantines a tenant whose machine state
-goes bad. All progress is journaled with a flush per record, so a run
-killed at any byte resumes to a byte-identical journal.
-Exit codes: 0 clean drain (with --inject: all faults quarantined);
-1 usage, configuration, or I/O error; 2 at least one tenant ended in an
-incident — quarantined, panicked, idle, or shed (with --inject: at least
-one fault was NOT contained); 3 the resume journal is corrupt.";
 
 /// Builds the tenant list for `serve --inject`: every applicable
 /// (directory kind, fault kind) pair, one armed tenant each.
@@ -781,86 +704,37 @@ fn serve_factory(spec: &TenantSpec) -> Vec<Box<dyn AccessStream + 'static>> {
     }
 }
 
-/// Everything `serve` does after flag parsing; the error string exits 1.
-fn run_serve_cli(args: &[String]) -> Result<ExitCode, String> {
-    let resume = args.iter().any(|a| a == "--resume");
-    let inject = args.iter().any(|a| a == "--inject");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--resume" && *a != "--inject")
-        .cloned()
-        .collect();
-    let Some(flags) = parse_flags(
-        &rest,
-        &[
-            "tenants",
-            "workloads",
-            "directories",
-            "cores",
-            "refs",
-            "seed",
-            "pool",
-            "queue-cap",
-            "global-cap",
-            "ingest",
-            "drain",
-            "idle-timeout",
-            "checkpoint-interval",
-            "max-waiting",
-            "burst-on",
-            "burst-off",
-            "workers",
-            "format",
-            "journal",
-            "out",
-            "bench",
-            "trigger",
-        ],
-        SERVE_USAGE,
-    )?
-    else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let seed: u64 = get_parsed(&flags, "seed", 24301u64)?;
+/// `serve` owns its exit codes (see its `--help`): 2 for an incident and
+/// 3 for a corrupt journal; flag and configuration errors exit 1.
+fn serve_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let inject = flags.has("inject");
+    let seed: u64 = flags.int("seed", 24301);
     let tenants = if inject {
         for key in ["tenants", "workloads", "directories", "cores"] {
-            if flags.contains_key(key) {
+            if flags.has(key) {
                 return Err(format!(
                     "--{key} conflicts with --inject (the fault matrix fixes the tenant set)"
                 ));
             }
         }
-        let refs = get_positive_u64(&flags, "refs", 6_000)?;
-        let trigger = get_positive_u64(&flags, "trigger", 600)?;
-        inject_tenants(refs, trigger, seed)
+        inject_tenants(flags.int("refs", 6_000), flags.int("trigger", 600), seed)
     } else {
-        if flags.contains_key("trigger") {
+        if flags.has("trigger") {
             return Err("--trigger only applies with --inject".to_string());
         }
-        let count = get_positive(&flags, "tenants", 4)?;
-        let cores = get_positive(&flags, "cores", 2)?;
-        let refs = get_positive_u64(&flags, "refs", 20_000)?;
-        let workloads = split_list(flags.get("workloads").map_or("uniform", String::as_str));
-        if workloads.is_empty() {
-            return Err("--workloads needs at least one name".to_string());
-        }
-        for name in &workloads {
-            if name != "uniform" && registry::streams_by_name(name, 1, 0).is_none() {
-                return Err(format!(
-                    "unknown workload `{name}` (uniform or any sweep workload)"
-                ));
-            }
-        }
-        let kinds = match flags.get("directories").map_or("all", String::as_str) {
-            "all" => DirectoryKind::ALL.to_vec(),
-            list => split_list(list)
-                .iter()
-                .map(|s| DirectoryKind::parse(s))
-                .collect::<Result<Vec<_>, _>>()?,
+        let count: usize = flags.int("tenants", 4);
+        let cores: usize = flags.int("cores", 2);
+        let refs: u64 = flags.int("refs", 20_000);
+        let workloads = flags
+            .list("workloads", |name| match name {
+                "uniform" => Ok(name.to_string()),
+                _ => known_workload(name),
+            })?
+            .unwrap_or_else(|| vec!["uniform".to_string()]);
+        let kinds = match flags.get("directories") {
+            Some("all") => DirectoryKind::ALL.to_vec(),
+            _ => flags.directories(&DirectoryKind::ALL)?,
         };
-        if kinds.is_empty() {
-            return Err("--directories needs at least one kind".to_string());
-        }
         (0..count)
             .map(|i| TenantSpec {
                 name: format!("t{i}"),
@@ -875,18 +749,17 @@ fn run_serve_cli(args: &[String]) -> Result<ExitCode, String> {
     };
 
     let mut cfg = ServeConfig::new(tenants);
-    cfg.pool = get_positive(&flags, "pool", cfg.pool)?;
-    cfg.queue_cap = get_positive(&flags, "queue-cap", cfg.queue_cap)?;
-    cfg.global_cap = get_positive_u64(&flags, "global-cap", cfg.global_cap)?;
-    cfg.ingest = get_positive_u64(&flags, "ingest", cfg.ingest)?;
-    cfg.drain = get_positive_u64(&flags, "drain", cfg.drain)?;
-    cfg.idle_timeout = get_positive_u64(&flags, "idle-timeout", cfg.idle_timeout)?;
-    cfg.checkpoint_interval =
-        get_positive_u64(&flags, "checkpoint-interval", cfg.checkpoint_interval)?;
-    cfg.max_waiting = get_parsed(&flags, "max-waiting", cfg.max_waiting)?;
-    cfg.burst_on_max = get_positive_u64(&flags, "burst-on", cfg.burst_on_max)?;
-    cfg.burst_off_max = get_parsed(&flags, "burst-off", cfg.burst_off_max)?;
-    cfg.workers = get_positive(&flags, "workers", cfg.workers)?;
+    cfg.pool = flags.int("pool", cfg.pool);
+    cfg.queue_cap = flags.int("queue-cap", cfg.queue_cap);
+    cfg.global_cap = flags.int("global-cap", cfg.global_cap);
+    cfg.ingest = flags.int("ingest", cfg.ingest);
+    cfg.drain = flags.int("drain", cfg.drain);
+    cfg.idle_timeout = flags.int("idle-timeout", cfg.idle_timeout);
+    cfg.checkpoint_interval = flags.int("checkpoint-interval", cfg.checkpoint_interval);
+    cfg.max_waiting = flags.int("max-waiting", cfg.max_waiting);
+    cfg.burst_on_max = flags.int("burst-on", cfg.burst_on_max);
+    cfg.burst_off_max = flags.int("burst-off", cfg.burst_off_max);
+    cfg.workers = flags.int("workers", cfg.workers);
     if let Some(name) = flags.get("format") {
         cfg.format = JournalFormat::parse(name)
             .ok_or_else(|| format!("unknown journal format `{name}` (jsonl or binary)"))?;
@@ -896,7 +769,8 @@ fn run_serve_cli(args: &[String]) -> Result<ExitCode, String> {
         JournalFormat::Jsonl => "serve_journal.jsonl",
         JournalFormat::Binary => "serve_journal.sdj",
     };
-    let journal_path = flags.get("journal").map_or(default_journal, String::as_str);
+    let journal_path = flags.get("journal").unwrap_or(default_journal);
+    let resume = flags.has("resume");
     // With --resume the surviving journal is read before the same path is
     // reopened for the rewrite; a missing file is an empty journal. A kill
     // during the rewrite leaves a shorter valid prefix, so resume remains
@@ -1067,37 +941,9 @@ fn write_serve_bench(
     Ok(())
 }
 
-/// `serve` owns its exit codes (see [`SERVE_USAGE`]); flag and
-/// configuration errors land on the common code-1 path.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    match run_serve_cli(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("secdir-sim: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-const DECODE_USAGE: &str = "\
-usage: secdir-sim decode [--journal FILE] [--out FILE]
-  --journal  binary (secdir-journal/1) serve journal to decode
-             (default serve_journal.sdj)
-  --out      JSONL output file (default: stdout)
-Converts a binary serve journal to JSONL, byte-identical to the journal
-a `serve --format jsonl` run over the same schedule writes. A torn final
-frame (interrupted write) is discarded with a note on stderr, exactly as
-`serve --resume` forgives it.
-Exit codes: 0 decoded; 1 usage or I/O error; 3 the journal is corrupt.";
-
-/// Everything `decode` does after flag parsing; the error string exits 1.
-fn run_decode_cli(args: &[String]) -> Result<ExitCode, String> {
-    let Some(flags) = parse_flags(args, &["journal", "out"], DECODE_USAGE)? else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let journal_path = flags
-        .get("journal")
-        .map_or("serve_journal.sdj", String::as_str);
+/// `decode` shares `serve`'s corrupt-journal exit code (3).
+fn decode_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let journal_path = flags.get("journal").unwrap_or("serve_journal.sdj");
     let bytes = std::fs::read(journal_path).map_err(|e| format!("read {journal_path}: {e}"))?;
     let decoded = match serve::decode_journal(&bytes) {
         Ok(d) => d,
@@ -1111,7 +957,7 @@ fn run_decode_cli(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("secdir-sim: discarded a torn final frame (interrupted write)");
     }
     use std::io::Write as _;
-    let to_stdout = !flags.contains_key("out");
+    let to_stdout = !flags.has("out");
     let mut out: Box<dyn std::io::Write> = match flags.get("out") {
         Some(path) => Box::new(std::io::BufWriter::new(
             std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?,
@@ -1131,54 +977,12 @@ fn run_decode_cli(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `decode` shares `serve`'s corrupt-journal exit code (3).
-fn cmd_decode(args: &[String]) -> ExitCode {
-    match run_decode_cli(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("secdir-sim: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-const INJECT_USAGE: &str = "\
-usage: secdir-sim inject [--directories LIST] [--faults LIST] [--trigger N]
-                         [--out FILE]
-  --directories  comma list of directory kinds (default: all seven)
-  --faults       comma list of drop-invalidation | skip-quirk-invalidation
-                 | leak-vd-on-consolidate | flip-sharer-bit (default: all)
-  --trigger      access count at which each fault arms (default 3000)
-  --out          JSONL report file (default: table on stdout only)
-Arms one deterministic hardware bug per applicable (directory, fault)
-pair on a small machine, drives a fixed random workload, and checks the
-runtime invariant oracle flags the corruption within one oracle interval
-(8192 accesses) of the fault firing; exits nonzero if any fault escapes.";
-
-fn cmd_inject(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(
-        args,
-        &["directories", "faults", "trigger", "out"],
-        INJECT_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
-    let kinds: Vec<DirectoryKind> = match flags.get("directories") {
-        None => DirectoryKind::ALL.to_vec(),
-        Some(list) => split_list(list)
-            .iter()
-            .map(|s| DirectoryKind::parse(s))
-            .collect::<Result<_, _>>()?,
-    };
-    let faults: Vec<FaultKind> = match flags.get("faults") {
-        None => FaultKind::ALL.to_vec(),
-        Some(list) => split_list(list)
-            .iter()
-            .map(|s| FaultKind::parse(s))
-            .collect::<Result<_, _>>()?,
-    };
-    let trigger: u64 = get_parsed(&flags, "trigger", inject::DEFAULT_TRIGGER)?;
+fn inject_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let kinds = flags.directories(&DirectoryKind::ALL)?;
+    let faults = flags
+        .list("faults", FaultKind::parse)?
+        .unwrap_or_else(|| FaultKind::ALL.to_vec());
+    let trigger: u64 = flags.int("trigger", inject::DEFAULT_TRIGGER);
 
     let mut outcomes = Vec::new();
     for &kind in &kinds {
@@ -1228,137 +1032,34 @@ fn cmd_inject(args: &[String]) -> Result<(), String> {
         "all {} injected faults detected within one oracle interval",
         outcomes.len()
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const PERF_USAGE: &str = "\
-usage: secdir-sim perf [--quick] [--directories LIST] [--workload NAME]
-                       [--cores N] [--warmup N] [--measure N] [--reps N]
-                       [--cells N] [--threads N] [--slice-threads LIST]
-                       [--epoch-batch LIST] [--pipeline]
-                       [--seed N] [--out FILE]
-  --quick          CI-sized smoke run (~10x fewer references)
-  --directories    comma list of kinds (default: all seven)
-  --workload       workload name (default mix0)
-  --cores          cores per machine (default 8)
-  --warmup         warm-up refs/core, untimed in serial and sliced modes
-                   (default 20000)
-  --measure        measured refs/core (default 200000)
-  --reps           timed serial/sliced windows; fastest reported; must be
-                   >= 1 (default 5)
-  --cells          sweep-phase cells, seeded seed..seed+N; must be >= 1
-                   (default 8)
-  --threads        sweep-phase worker threads, >= 1 (default: all CPUs)
-  --slice-threads  comma list of sliced-engine worker-thread counts, each
-                   >= 1 (default 1,2,4,8; quick: 4); one mode:\"sliced\"
-                   sample per (thread count, epoch batch) pair
-  --epoch-batch    comma list of sliced-engine epoch batch sizes, each
-                   >= 1 (default 64); tuning only — results are
-                   bit-identical for every value
-  --pipeline       overlap the next epoch's top-up with the current
-                   epoch's slice phase in the sliced samples (tuning
-                   only, bit-identical either way)
-  --seed           base workload seed (default 0x5eed as 24301)
-  --out            JSONL output file (default BENCH_throughput.json)
-Measures engine throughput (accesses/sec) per directory kind — serial,
-slice-parallel, and sweep-parallel — and writes one JSON object per
-sample (schema secdir-bench-throughput/4); errors if any sample measures
-zero accesses/sec.";
-
-fn cmd_perf(args: &[String]) -> Result<(), String> {
-    let quick = args.iter().any(|a| a == "--quick");
-    let pipeline = args.iter().any(|a| a == "--pipeline");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--quick" && *a != "--pipeline")
-        .cloned()
-        .collect();
-    let Some(flags) = parse_flags(
-        &rest,
-        &[
-            "directories",
-            "workload",
-            "cores",
-            "warmup",
-            "measure",
-            "reps",
-            "cells",
-            "threads",
-            "slice-threads",
-            "epoch-batch",
-            "seed",
-            "out",
-        ],
-        PERF_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
-    let mut spec = if quick {
+fn perf_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let mut spec = if flags.has("quick") {
         PerfSpec::quick()
     } else {
         PerfSpec::full()
     };
-    if let Some(list) = flags.get("directories") {
-        spec.kinds = split_list(list)
-            .iter()
-            .map(|s| DirectoryKind::parse(s))
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    if spec.kinds.is_empty() {
-        return Err("need at least one directory kind".into());
-    }
+    spec.kinds = flags.directories(&spec.kinds)?;
     if let Some(w) = flags.get("workload") {
-        if registry::streams_by_name(w, 1, 0).is_none() {
-            return Err(format!(
-                "unknown workload `{w}` (see `secdir-sim perf --help`)"
-            ));
-        }
-        spec.workload = w.clone();
+        spec.workload = known_workload(w)?;
     }
-    spec.cores = get_parsed(&flags, "cores", spec.cores)?;
-    spec.warmup = get_parsed(&flags, "warmup", spec.warmup)?;
-    spec.measure = get_parsed(&flags, "measure", spec.measure)?;
-    spec.serial_reps = get_positive(&flags, "reps", spec.serial_reps)?;
-    spec.sweep_cells = get_positive(&flags, "cells", spec.sweep_cells)?;
-    spec.threads = get_positive(&flags, "threads", spec.threads)?;
-    if let Some(list) = flags.get("slice-threads") {
-        let counts = split_list(list)
-            .iter()
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| format!("invalid value in --slice-threads: `{s}`"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        if counts.is_empty() {
-            return Err("--slice-threads needs at least one thread count".into());
-        }
-        if counts.contains(&0) {
-            return Err("--slice-threads entries must be at least 1, got 0".into());
-        }
+    spec.cores = flags.int("cores", spec.cores);
+    spec.warmup = flags.int("warmup", spec.warmup);
+    spec.measure = flags.int("measure", spec.measure);
+    spec.serial_reps = flags.int("reps", spec.serial_reps);
+    spec.sweep_cells = flags.int("cells", spec.sweep_cells);
+    spec.threads = flags.int("threads", spec.threads);
+    if let Some(counts) = flags.counts("slice-threads")? {
         spec.slice_threads = counts;
     }
-    if let Some(list) = flags.get("epoch-batch") {
-        let batches = split_list(list)
-            .iter()
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| format!("invalid value in --epoch-batch: `{s}`"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        if batches.is_empty() {
-            return Err("--epoch-batch needs at least one batch size".into());
-        }
-        if batches.contains(&0) {
-            return Err("--epoch-batch entries must be at least 1, got 0".into());
-        }
+    if let Some(batches) = flags.counts("epoch-batch")? {
         spec.epoch_batches = batches;
     }
-    spec.pipeline = pipeline;
-    spec.seed = get_parsed(&flags, "seed", spec.seed)?;
-    let out_path = flags
-        .get("out")
-        .map_or("BENCH_throughput.json", String::as_str);
+    spec.pipeline = flags.has("pipeline");
+    spec.seed = flags.int("seed", spec.seed);
+    let out_path = flags.get("out").unwrap_or("BENCH_throughput.json");
 
     let samples = perf::measure(&spec, &registry::factory);
     let file = std::fs::File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
@@ -1393,35 +1094,8 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
             bad.mode
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
-
-const VERIF_USAGE: &str = "\
-usage: secdir-sim verif [--full] [--raw] [--threads N] [--bench PATH]
-                        [--kinds LIST] [--cores N] [--lines N] [--l2 N]
-                        [--ed N] [--td N] [--vd N]
-  --full    explore the 4-core x 4-line maximum geometry (default 2x3);
-            explicit --cores/--lines still override
-  --raw     disable symmetry canonicalization (explore every raw state
-            with the serial checker instead of one orbit representative)
-  --threads worker threads for the canonical frontier BFS, must be >= 1
-            (default 1); results are bit-identical at every thread count
-  --bench   also run the checker benchmark (both geometries, raw leg
-            timed at quick / orbit-derived at full) and write JSONL
-            records (schema secdir-bench-checker/2) to PATH
-  --kinds   comma list of baseline | baseline-fixed | way-partitioned
-            | secdir | vd-only (default: all five)
-  --cores   model cores, 1..=4 (default 2)
-  --lines   distinct lines, 1..=4 (default 3)
-  --l2      per-core L2 capacity in lines (default 2)
-  --ed      ED entry capacity (per partition if way-partitioned; default 1)
-  --td      TD entry capacity (default 1)
-  --vd      per-core VD bank capacity (default 1)
-Exhaustively explores every reachable protocol state of the bounded model
-(built on the production step relation) per directory kind, checking SWMR,
-directory inclusion, sharer soundness, and ED/TD/VD exclusion; prints the
-reachable-state count per kind and exits nonzero with a shortest
-counterexample trace on the first violation.";
 
 fn parse_model_kind(name: &str) -> Result<secdir_verif::DirKind, String> {
     use secdir_coherence::AppendixA;
@@ -1439,50 +1113,30 @@ fn parse_model_kind(name: &str) -> Result<secdir_verif::DirKind, String> {
     }
 }
 
-fn cmd_verif(args: &[String]) -> Result<(), String> {
+fn verif_cmd(flags: &Flags) -> Result<ExitCode, String> {
     use secdir_verif::model::{DirKind, ModelConfig};
-    let full = args.iter().any(|a| a == "--full");
-    let raw = args.iter().any(|a| a == "--raw");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--full" && *a != "--raw")
-        .cloned()
-        .collect();
-    let Some(flags) = parse_flags(
-        &rest,
-        &[
-            "kinds", "threads", "bench", "cores", "lines", "l2", "ed", "td", "vd",
-        ],
-        VERIF_USAGE,
-    )?
-    else {
-        return Ok(());
-    };
-    let kinds: Vec<secdir_verif::DirKind> = match flags.get("kinds") {
-        None => DirKind::ALL.to_vec(),
-        Some(list) => split_list(list)
-            .iter()
-            .map(|name| parse_model_kind(name))
-            .collect::<Result<_, _>>()?,
-    };
-    let threads = get_positive(&flags, "threads", 1)?;
-    let base = if full {
+    let kinds = flags
+        .list("kinds", parse_model_kind)?
+        .unwrap_or_else(|| DirKind::ALL.to_vec());
+    let threads: usize = flags.int("threads", 1);
+    let raw = flags.has("raw");
+    let base = if flags.has("full") {
         ModelConfig::full(DirKind::SecDir)
     } else {
         ModelConfig::quick(DirKind::SecDir)
     };
+    let geometry = ModelConfig {
+        cores: flags.int("cores", base.cores),
+        lines: flags.int("lines", base.lines),
+        l2_capacity: flags.int("l2", base.l2_capacity),
+        ed_capacity: flags.int("ed", base.ed_capacity),
+        td_capacity: flags.int("td", base.td_capacity),
+        vd_capacity: flags.int("vd", base.vd_capacity),
+        ..base
+    };
     let mut violations = 0usize;
     for kind in kinds {
-        let cfg = ModelConfig {
-            kind,
-            cores: get_parsed(&flags, "cores", base.cores)?,
-            lines: get_parsed(&flags, "lines", base.lines)?,
-            l2_capacity: get_parsed(&flags, "l2", base.l2_capacity)?,
-            ed_capacity: get_parsed(&flags, "ed", base.ed_capacity)?,
-            td_capacity: get_parsed(&flags, "td", base.td_capacity)?,
-            vd_capacity: get_parsed(&flags, "vd", base.vd_capacity)?,
-            ..base
-        };
+        let cfg = ModelConfig { kind, ..geometry };
         let (report, elapsed) = secdir_verif::perf::time(|| {
             if raw {
                 secdir_verif::check(cfg)
@@ -1555,31 +1209,12 @@ fn cmd_verif(args: &[String]) -> Result<(), String> {
             "{violations} directory kind(s) violate the protocol invariants"
         ));
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-const LINT_USAGE: &str = "\
-usage: secdir-sim lint [--root PATH] [--format text|json]
-  --root     workspace root to scan (default: current directory)
-  --format   output format: `text` (default) prints file:line:col
-             diagnostics, `json` emits the deterministic secdir-lint/1
-             report (findings + scanned-file list) on stdout
-Runs the token-level static-analysis engine (DESIGN.md §11) over every
-production source file (crates/*/src, compat/*/src, src/): panicking
-calls, hot-path allocation, wall-clock reads, JSONL flush discipline,
-crate hygiene, hash-iteration determinism, barrier panic-safety, and
-atomic-ordering audits. Exits nonzero on any finding. One-off waivers:
-a `lint: allow(<rule>)` comment on (or just above) the offending line;
-hash-iter / barrier-panic / atomic-ordering waivers must carry a
-`: <justification>` clause. Unknown-rule and stale waivers are
-themselves hard errors.";
-
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let Some(flags) = parse_flags(args, &["root", "format"], LINT_USAGE)? else {
-        return Ok(());
-    };
-    let root = flags.get("root").map_or(".", String::as_str);
-    let format = flags.get("format").map_or("text", String::as_str);
+fn lint_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    let root = flags.get("root").unwrap_or(".");
+    let format = flags.get("format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
         return Err(format!(
             "unknown --format `{format}` (expected text or json)"
@@ -1598,56 +1233,296 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         }
     }
     if report.findings.is_empty() {
-        Ok(())
+        Ok(ExitCode::SUCCESS)
     } else {
         Err(format!("{} lint finding(s)", report.findings.len()))
     }
 }
 
-fn usage() -> &'static str {
-    "usage: secdir-sim <attack|spec|parsec|aes|design|trace|sweep|serve|decode|perf|inject|verif|lint> [--flags...]\n\
-     run `secdir-sim <command> --help` for that command's flags; see the\n\
-     module docs (`cargo doc`) or README.md for the full index."
-}
+/// Every command, its flags and their help, in `--help` order. Laid out
+/// by hand, one flag per entry, so the table reads as the help it renders.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "attack", run: attack_cmd, about: "", flags: &[
+        value("directory", "KIND", "baseline | baseline-fixed | secdir (default) \
+            | secdir-plain-vd | way-partitioned | vd-only | vd-only-plain"),
+        value("attack", "NAME", "evict-reload (default) | prime-probe | evict-time"),
+        int("bits", 0, USIZE, "secret bits to transmit (default 64)"),
+        int("cores", 2, MACHINE_CORES,
+            "core count: one victim plus at least one attacker (default 8)"),
+        int("seed", 0, U64, "attack RNG seed"),
+    ] },
+    Command { name: "spec", run: spec_cmd, about: "", flags: &[
+        value("mix", "NAME", "mix0..mix11 (Table 5); required"),
+        value("directory", "KIND", "directory kind (default secdir)"),
+        int("refs", 0, U64, "references per core, half warm-up half measured (default 200000)"),
+        int("seed", 0, U64, "workload seed (default 24301)"),
+        int("slice-threads", 1, USIZE, "run on the epoch-synchronized sliced engine with N \
+            worker threads (N >= 1; even N=1 selects the sliced engine). Output is \
+            bit-identical for every N; the default is the serial reference engine."),
+    ] },
+    Command { name: "parsec", run: parsec_cmd, about: "", flags: &[
+        value("app", "NAME", "PARSEC app name (e.g. canneal, freqmine); required"),
+        value("directory", "KIND", "directory kind (default secdir)"),
+        int("refs", 0, U64, "references per core, half warm-up half measured (default 200000)"),
+        int("seed", 0, U64, "workload seed"),
+    ] },
+    Command { name: "aes", run: aes_cmd, about: "", flags: &[
+        value("directory", "KIND", "directory kind (default vd-only)"),
+        int("encryptions", 0, U64, "AES-128 encryptions to trace (default 200)"),
+        int("seed", 0, U64, "plaintext RNG seed"),
+    ] },
+    Command { name: "trace", run: trace_cmd, flags: &[
+        value("mix", "NAME", "mix0..mix11 to capture"),
+        value("out", "FILE", "output trace file"),
+        int("refs", 0, USIZE, "references per core to capture (default 100000)"),
+        value("replay", "FILE", "trace file to replay"),
+        value("directory", "KIND", "directory kind for replay (default secdir)"),
+        int("seed", 0, U64, "workload seed for capture"),
+    ], about: "\
+Capture: --mix NAME --out FILE [--refs N] [--seed N].
+Replay:  --replay FILE [--directory KIND].
+" },
+    Command { name: "design", run: design_cmd, about: "", flags: &[
+        int("cores", 1, USIZE, "core count for the Table-7 storage/area comparison (default 8)"),
+    ] },
+    Command { name: "sweep", run: sweep_cmd, flags: &[
+        list("workloads", "comma-separated workload names, or the groups spec (default; the \
+            12 Table-5 mixes), parsec, all"),
+        list("directories", "comma-separated directory kinds (default baseline,secdir)"),
+        list("seeds", "comma-separated workload seeds (default 24301)"),
+        int("cores", 1, MACHINE_CORES, "cores per cell (default 8, the Table-4 machine)"),
+        int("warmup", 0, U64, "warm-up references per core (default 350000)"),
+        int("measure", 0, U64, "measured references per core (default 200000)"),
+        int("threads", 1, USIZE, "worker threads, must be >= 1 (default: available parallelism)"),
+        value("out", "FILE", "JSONL output file (default: the --resume file, else \
+            BENCH_sweep.json)"),
+        value("resume", "FILE", "validate FILE as a checkpoint of this same matrix, keep its \
+            completed cells, and run only the missing/failed ones"),
+        switch("fail-fast", "stop claiming new cells after the first failure (legacy \
+            all-or-nothing behaviour); unstarted cells are recorded as skipped"),
+        int("budget", 0, U64, "watchdog: max references per core per cell; over-budget cells \
+            are recorded as exhausted instead of spinning"),
+    ], about: "\
+Runs the workload x directory x seed matrix in parallel and writes one
+JSON object per cell, in matrix order, bit-identical for any --threads
+(resumed runs included). A panicking cell becomes a {\"status\":
+\"panicked\"} record, the other cells still complete, and the exit code
+is nonzero.
+" },
+    Command { name: "serve", run: serve_cmd, flags: &[
+        int("tenants", 1, USIZE, "tenant count (default 4); tenant i is named t<i>"),
+        list("workloads", "comma list of workload names cycled across tenants: uniform \
+            (default) or any sweep workload name"),
+        list("directories", "comma list of directory kinds cycled across tenants, or `all` \
+            for the seven kinds (default)"),
+        int("cores", 1, MACHINE_CORES, "cores per tenant machine (default 2)"),
+        int("refs", 1, U64, "references per tenant core (default 20000)"),
+        int("seed", 0, U64, "base seed; tenant i streams from seed+i (default 24301)"),
+        int("pool", 1, USIZE, "live machines served concurrently (default 4)"),
+        int("queue-cap", 1, USIZE, "per-tenant per-core queue bound (default 64)"),
+        int("global-cap", 1, U64, "total buffered references across all tenants (default 4096)"),
+        int("ingest", 1, U64, "max references pulled per core per tick (default 8)"),
+        int("drain", 1, U64, "max references retired per core per tick (default 4)"),
+        int("idle-timeout", 1, U64, "ticks without progress before a live tenant is evicted \
+            as idle (default 64)"),
+        int("checkpoint-interval", 1, U64, "retired references between journal checkpoints \
+            (default 1000)"),
+        int("max-waiting", 0, USIZE, "admission waiting room; arrivals past pool+max-waiting \
+            are shed at tick 0 (default 16)"),
+        int("burst-on", 1, U64, "max ticks a tenant's source streams per burst (default 8)"),
+        int("burst-off", 0, U64, "max idle-gap ticks between bursts; 0 disables gaps \
+            (default 3)"),
+        int("workers", 1, USIZE, "drain worker threads; the journal is byte-identical for \
+            every value (default 1)"),
+        value("format", "jsonl|binary", "journal encoding: jsonl (one flushed JSON line per \
+            record, the default) or binary (secdir-journal/1 checksummed frames, one \
+            write+flush per tick; `secdir-sim decode` converts it back to the byte-identical \
+            JSONL)"),
+        value("journal", "FILE", "checkpoint journal file (default serve_journal.jsonl, or \
+            serve_journal.sdj with --format binary)"),
+        switch("resume", "validate the surviving journal and resume: the rewritten journal \
+            is byte-identical to an uninterrupted run"),
+        value("out", "FILE", "also write one terminal JSONL record per tenant, in tenant order"),
+        value("bench", "FILE", "write per-directory aggregates plus wall-clock throughput \
+            (schema secdir-bench-serve/2) to FILE"),
+        switch("inject", "replace the tenant list with the 17 applicable (directory, fault) \
+            pairs, one armed fault each; success means every fault fired and was quarantined"),
+        int("trigger", 1, U64, "access count at which each --inject fault arms (default 600)"),
+    ], about: "\
+Multiplexes many tenant reference streams onto a bounded pool of machines
+under a deterministic virtual-time schedule: full queues exert
+backpressure, overflow arrivals are shed, panicking tenants are contained,
+and the online invariant audit quarantines a tenant whose machine state
+goes bad. All progress is journaled with a flush per record, so a run
+killed at any byte resumes to a byte-identical journal.
+Exit codes: 0 clean drain (with --inject: all faults quarantined);
+1 usage, configuration, or I/O error; 2 at least one tenant ended in an
+incident — quarantined, panicked, idle, or shed (with --inject: at least
+one fault was NOT contained); 3 the resume journal is corrupt.
+" },
+    Command { name: "decode", run: decode_cmd, flags: &[
+        value("journal", "FILE", "binary (secdir-journal/1) serve journal to decode (default \
+            serve_journal.sdj)"),
+        value("out", "FILE", "JSONL output file (default: stdout)"),
+    ], about: "\
+Converts a binary serve journal to JSONL, byte-identical to the journal
+a `serve --format jsonl` run over the same schedule writes. A torn final
+frame (interrupted write) is discarded with a note on stderr, exactly as
+`serve --resume` forgives it.
+Exit codes: 0 decoded; 1 usage or I/O error; 3 the journal is corrupt.
+" },
+    Command { name: "perf", run: perf_cmd, flags: &[
+        switch("quick", "CI-sized smoke run (~10x fewer references)"),
+        list("directories", "comma list of kinds (default: all seven)"),
+        value("workload", "NAME", "workload name (default mix0)"),
+        int("cores", 1, MACHINE_CORES, "cores per machine (default 8)"),
+        int("warmup", 0, U64, "warm-up refs/core, untimed in serial and sliced modes \
+            (default 20000)"),
+        int("measure", 0, U64, "measured refs/core (default 200000)"),
+        int("reps", 1, USIZE, "timed serial/sliced windows; fastest reported; must be >= 1 \
+            (default 5)"),
+        int("cells", 1, USIZE, "sweep-phase cells, seeded seed..seed+N; must be >= 1 \
+            (default 8)"),
+        int("threads", 1, USIZE, "sweep-phase worker threads, >= 1 (default: all CPUs)"),
+        list("slice-threads", "comma list of sliced-engine worker-thread counts, each >= 1 \
+            (default 1,2,4,8; quick: 4); one mode:\"sliced\" sample per (thread count, epoch \
+            batch) pair"),
+        list("epoch-batch", "comma list of sliced-engine epoch batch sizes, each >= 1 \
+            (default 64); tuning only — results are bit-identical for every value"),
+        switch("pipeline", "overlap the next epoch's top-up with the current epoch's slice \
+            phase in the sliced samples (tuning only, bit-identical either way)"),
+        int("seed", 0, U64, "base workload seed (default 0x5eed as 24301)"),
+        value("out", "FILE", "JSONL output file (default BENCH_throughput.json)"),
+    ], about: "\
+Measures engine throughput (accesses/sec) per directory kind — serial,
+slice-parallel, and sweep-parallel — and writes one JSON object per
+sample (schema secdir-bench-throughput/4); errors if any sample measures
+zero accesses/sec.
+" },
+    Command { name: "inject", run: inject_cmd, flags: &[
+        list("directories", "comma list of directory kinds (default: all seven)"),
+        list("faults", "comma list of drop-invalidation | skip-quirk-invalidation \
+            | leak-vd-on-consolidate | flip-sharer-bit (default: all)"),
+        int("trigger", 0, U64, "access count at which each fault arms (default 3000)"),
+        value("out", "FILE", "JSONL report file (default: table on stdout only)"),
+    ], about: "\
+Arms one deterministic hardware bug per applicable (directory, fault)
+pair on a small machine, drives a fixed random workload, and checks the
+runtime invariant oracle flags the corruption within one oracle interval
+(8192 accesses) of the fault firing; exits nonzero if any fault escapes.
+" },
+    Command { name: "verif", run: verif_cmd, flags: &[
+        switch("full", "explore the 4-core x 4-line maximum geometry (default 2x3); explicit \
+            --cores/--lines still override"),
+        switch("raw", "disable symmetry canonicalization (explore every raw state with the \
+            serial checker instead of one orbit representative)"),
+        int("threads", 1, USIZE, "worker threads for the canonical frontier BFS, must be >= 1 \
+            (default 1); results are bit-identical at every thread count"),
+        value("bench", "PATH", "also run the checker benchmark (both geometries, raw leg timed \
+            at quick / orbit-derived at full) and write JSONL records (schema \
+            secdir-bench-checker/2) to PATH"),
+        list("kinds", "comma list of baseline | baseline-fixed | way-partitioned | secdir \
+            | vd-only (default: all five)"),
+        int("cores", 1, MODEL_CORES, "model cores, 1..=4 (default 2)"),
+        int("lines", 1, MODEL_LINES, "distinct lines, 1..=4 (default 3)"),
+        int("l2", 1, USIZE, "per-core L2 capacity in lines (default 2)"),
+        int("ed", 1, USIZE, "ED entry capacity (per partition if way-partitioned; default 1)"),
+        int("td", 1, USIZE, "TD entry capacity (default 1)"),
+        int("vd", 1, USIZE, "per-core VD bank capacity (default 1)"),
+    ], about: "\
+Exhaustively explores every reachable protocol state of the bounded model
+(built on the production step relation) per directory kind, checking SWMR,
+directory inclusion, sharer soundness, and ED/TD/VD exclusion; prints the
+reachable-state count per kind and exits nonzero with a shortest
+counterexample trace on the first violation.
+" },
+    Command { name: "lint", run: lint_cmd, flags: &[
+        value("root", "PATH", "workspace root to scan (default: current directory)"),
+        value("format", "text|json", "output format: `text` (default) prints file:line:col \
+            diagnostics, `json` emits the deterministic secdir-lint/1 report (findings + \
+            scanned-file list) on stdout"),
+    ], about: "\
+Runs the token-level static-analysis engine (DESIGN.md §11) over every
+production source file (crates/*/src, compat/*/src, src/): panicking
+calls, hot-path allocation, wall-clock reads, JSONL flush discipline,
+crate hygiene, hash-iteration determinism, barrier panic-safety, and
+atomic-ordering audits. Exits nonzero on any finding. One-off waivers:
+a `lint: allow(<rule>)` comment on (or just above) the offending line;
+hash-iter / barrier-panic / atomic-ordering waivers must carry a
+`: <justification>` clause. Unknown-rule and stale waivers are
+themselves hard errors.
+" },
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let Some((name, rest)) = args.split_first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    // `serve` and `decode` return their own exit codes (0 clean / 1 usage
-    // / 2 incident / 3 corrupt journal) rather than the shared Ok-or-1
-    // mapping below.
-    if cmd == "serve" {
-        return cmd_serve(rest);
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-    if cmd == "decode" {
-        return cmd_decode(rest);
-    }
-    let result = match cmd.as_str() {
-        "attack" => cmd_attack(rest),
-        "spec" => cmd_spec(rest),
-        "parsec" => cmd_parsec(rest),
-        "aes" => cmd_aes(rest),
-        "design" => cmd_design(rest),
-        "trace" => cmd_trace(rest),
-        "sweep" => cmd_sweep(rest),
-        "perf" => cmd_perf(rest),
-        "inject" => cmd_inject(rest),
-        "verif" => cmd_verif(rest),
-        "lint" => cmd_lint(rest),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        None => Err(format!("unknown command `{name}`\n{}", usage())),
+        Some(cmd) => parse(cmd, rest).and_then(|flags| match flags {
+            Some(flags) => (cmd.run)(&flags),
+            None => {
+                print!("{}", help(cmd));
+                Ok(ExitCode::SUCCESS)
+            }
+        }),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("secdir-sim: {e}");
-            ExitCode::FAILURE
+    result.unwrap_or_else(|e| {
+        eprintln!("secdir-sim: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_command_and_flag_is_declared_once() {
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            assert!(
+                COMMANDS[..i].iter().all(|c| c.name != cmd.name),
+                "command {} declared twice",
+                cmd.name
+            );
+            for (j, flag) in cmd.flags.iter().enumerate() {
+                assert!(
+                    cmd.flags[..j].iter().all(|f| f.name != flag.name),
+                    "{} --{} declared twice",
+                    cmd.name,
+                    flag.name
+                );
+                assert!(!matches!(flag.name, "help" | "h"), "--help is reserved");
+                if let Kind::Int { min, max } = flag.kind {
+                    assert!(
+                        min <= max,
+                        "{} --{} has an empty range",
+                        cmd.name,
+                        flag.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_lines_fit_the_width() {
+        for cmd in COMMANDS {
+            for line in help(cmd).lines() {
+                assert!(
+                    line.chars().count() <= WIDTH,
+                    "{} --help line too long: {line:?}",
+                    cmd.name
+                );
+            }
         }
     }
 }
