@@ -1,8 +1,24 @@
-//! Golden-stats regression suite: a fixed SplitMix64-seeded workload runs
-//! on every [`DirectoryKind`], and the **full** serialized
-//! [`MachineStats`] (per-core counters, merged [`DirSliceStats`],
-//! invalidation causes, memory write-backs) must match the committed
-//! snapshots under `tests/golden/` byte for byte.
+//! Golden-stats regression suite: two fixed SplitMix64-seeded workloads
+//! run on every [`DirectoryKind`], serially and on the sliced engine, and
+//! the **full** serialized [`MachineStats`] (per-core counters, merged
+//! [`DirSliceStats`], invalidation causes, memory write-backs) must match
+//! the committed snapshots under `tests/golden/` byte for byte.
+//!
+//! The two workloads cover different paths:
+//!
+//! * **fits** (`<kind>.json`, `sliced-<kind>.json`): 1,024 shared lines.
+//!   They fit every L2 and every directory array, so this workload pins
+//!   the hit paths (ED/TD/VD hits, upgrades, coherence invalidations,
+//!   write-backs of dirty copies) but never a directory conflict. Its
+//!   serial snapshots leave the `directory` block zeroed.
+//! * **conflict** (`conflict-<kind>.json`, `sliced-conflict-<kind>.json`):
+//!   half the accesses go to 2,048 shared lines, half to a 16,384-line
+//!   private region per core. This overflows the L2s and both directory
+//!   arrays, so it pins the conflict paths: TD discards (Figure 3 ②), the
+//!   Appendix-A quirk, TD→VD and VD→TD migrations (③, ④) and VD
+//!   self-conflicts (⑤). Both of its snapshots fold in the merged
+//!   directory counters, and [`conflict_snapshots_tell_the_kinds_apart`]
+//!   checks that they differ where the designs differ.
 //!
 //! This is the safety net for storage-layout and probe-path refactors: any
 //! change that alters a single counter — an extra replacement touch, a
@@ -31,19 +47,61 @@ const ACCESSES: usize = 12_000;
 const CORES: usize = 4;
 const LINES: u64 = 1024;
 const WRITE_FRACTION: f64 = 0.3;
+/// The conflict workload's shared set and per-core private region.
+const SHARED_LINES: u64 = 2048;
+const PRIVATE_LINES: u64 = 16_384;
 
-/// Drives the fixed workload on a fresh small machine of the given kind.
-fn run(kind: DirectoryKind) -> MachineStats {
+/// Which fixed workload a snapshot records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Workload {
+    /// Uniform over [`LINES`] shared lines: no directory conflicts.
+    Fits,
+    /// Half shared, half private per core: overflows L2s, ED and TD.
+    Conflict,
+}
+
+impl Workload {
+    /// The line `core`'s next access touches.
+    fn line(self, rng: &mut SplitMix64, core: usize) -> LineAddr {
+        match self {
+            Workload::Fits => LineAddr::new(rng.next_below(LINES)),
+            Workload::Conflict => {
+                if rng.chance(0.5) {
+                    LineAddr::new(rng.next_below(SHARED_LINES))
+                } else {
+                    LineAddr::new(1 << 20 | (core as u64) << 16 | rng.next_below(PRIVATE_LINES))
+                }
+            }
+        }
+    }
+
+    /// The snapshot file name prefix.
+    fn prefix(self) -> &'static str {
+        match self {
+            Workload::Fits => "",
+            Workload::Conflict => "conflict-",
+        }
+    }
+}
+
+/// Drives `workload` on a fresh small machine of the given kind.
+fn run(kind: DirectoryKind, workload: Workload) -> MachineStats {
     let mut machine = Machine::new(MachineConfig::small(CORES, kind));
     let mut rng = SplitMix64::new(SEED);
     for _ in 0..ACCESSES {
-        let core = CoreId(rng.next_below(CORES as u64) as usize);
-        let line = LineAddr::new(rng.next_below(LINES));
+        let core = rng.next_below(CORES as u64) as usize;
+        let line = workload.line(&mut rng, core);
         let write = rng.chance(WRITE_FRACTION);
-        machine.access(core, line, write);
+        machine.access(CoreId(core), line, write);
     }
     machine.check_invariants().unwrap();
-    machine.stats().clone()
+    let mut stats = machine.stats().clone();
+    // The fits snapshots were recorded with the directory block zeroed and
+    // keep it so; the conflict snapshots pin the merged counters.
+    if workload == Workload::Conflict {
+        stats.directory = machine.directory_stats();
+    }
+    stats
 }
 
 /// Serializes the full stats with a fixed field order (the `compat/serde`
@@ -118,19 +176,23 @@ fn to_json(stats: &MachineStats) -> String {
     out
 }
 
-/// Drives a fixed per-core streamed workload on the epoch-synchronized
+/// Drives `workload` as fixed per-core streams on the epoch-synchronized
 /// sliced engine and returns the full stats, with the merged directory
-/// counters folded in (the serial snapshots leave `stats.directory`
-/// zeroed; the sliced ones pin it too, so a slice-thread refactor that
-/// perturbs any directory counter shows up as a snapshot diff).
-fn run_sliced(kind: DirectoryKind, slice_threads: usize, options: SlicedOptions) -> MachineStats {
+/// counters folded in, so a slice-thread refactor that perturbs any
+/// directory counter shows up as a snapshot diff.
+fn run_sliced(
+    kind: DirectoryKind,
+    workload: Workload,
+    slice_threads: usize,
+    options: SlicedOptions,
+) -> MachineStats {
     let mut machine = Machine::new(MachineConfig::small(CORES, kind));
     let mut streams: Vec<Box<dyn AccessStream>> = (0..CORES)
         .map(|core| {
             let mut rng = SplitMix64::new(SEED ^ ((core as u64) << 32));
             let accesses: Vec<Access> = (0..ACCESSES / CORES)
                 .map(|_| {
-                    let line = LineAddr::new(rng.next_below(LINES));
+                    let line = workload.line(&mut rng, core);
                     if rng.chance(WRITE_FRACTION) {
                         Access::write(line)
                     } else {
@@ -154,106 +216,129 @@ fn run_sliced(kind: DirectoryKind, slice_threads: usize, options: SlicedOptions)
     stats
 }
 
-fn snapshot_path(kind: DirectoryKind) -> PathBuf {
+fn snapshot_path(name: String) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{}.json", kind.name()))
+        .join(format!("{name}.json"))
 }
 
-fn sliced_snapshot_path(kind: DirectoryKind) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("sliced-{}.json", kind.name()))
+/// Compares `actual` with the committed snapshot `name`, or rewrites it
+/// under `UPDATE_GOLDEN`. Returns a failure report on a mismatch.
+fn check_snapshot(name: String, actual: &str) -> Option<String> {
+    let path = snapshot_path(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return None;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing snapshot {} ({e}); run with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    (actual != expected).then(|| {
+        format!(
+            "stats diverged from {}\n--- expected\n{expected}\n--- actual\n{actual}",
+            path.display()
+        )
+    })
 }
 
 #[test]
 fn every_directory_kind_matches_its_snapshot() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut failures = Vec::new();
-    for &kind in &DirectoryKind::ALL {
-        let actual = to_json(&run(kind));
-        let path = snapshot_path(kind);
-        if update {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &actual).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing snapshot {} ({e}); run with UPDATE_GOLDEN=1",
-                path.display()
-            )
-        });
-        if actual != expected {
-            failures.push(format!(
-                "{}: stats diverged from {}\n--- expected\n{expected}\n--- actual\n{actual}",
-                kind.name(),
-                path.display()
-            ));
+    for workload in [Workload::Fits, Workload::Conflict] {
+        for &kind in &DirectoryKind::ALL {
+            let actual = to_json(&run(kind, workload));
+            let name = format!("{}{}", workload.prefix(), kind.name());
+            failures.extend(check_snapshot(name, &actual));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
 
-/// The sliced engine pinned by snapshot: the fixed streamed workload runs
+/// The sliced engine pinned by snapshot: each fixed streamed workload runs
 /// at 1 and 4 slice threads, both must serialize to the committed
-/// `sliced-<kind>.json` byte for byte, and a tuned run (non-default
-/// epoch batch, pipelining on) must reproduce the *same* snapshot — the
-/// tuning knobs are throughput-only. One test covers the engine's counter
-/// stability, its cross-thread-count bit-identity, and its
-/// options-invariance.
+/// `sliced-<workload><kind>.json` byte for byte, and a tuned run
+/// (non-default epoch batch, pipelining on) must reproduce the *same*
+/// snapshot — the tuning knobs are throughput-only. One test covers the
+/// engine's counter stability, its cross-thread-count bit-identity, and
+/// its options-invariance.
 #[test]
 fn every_directory_kind_matches_its_sliced_snapshot() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut failures = Vec::new();
-    for &kind in &DirectoryKind::ALL {
-        let actual = to_json(&run_sliced(kind, 1, SlicedOptions::default()));
-        let at4 = to_json(&run_sliced(kind, 4, SlicedOptions::default()));
-        assert_eq!(
-            actual,
-            at4,
-            "{}: sliced stats differ between 1 and 4 threads",
-            kind.name()
-        );
-        let tuned = SlicedOptions {
-            epoch_batch: 256,
-            pipeline: true,
-        };
-        let tuned_run = to_json(&run_sliced(kind, 2, tuned));
-        assert_eq!(
-            actual,
-            tuned_run,
-            "{}: sliced stats differ under epoch_batch=256 + pipelining",
-            kind.name()
-        );
-        let path = sliced_snapshot_path(kind);
-        if update {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &actual).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing snapshot {} ({e}); run with UPDATE_GOLDEN=1",
-                path.display()
-            )
-        });
-        if actual != expected {
-            failures.push(format!(
-                "{}: sliced stats diverged from {}\n--- expected\n{expected}\n--- actual\n{actual}",
-                kind.name(),
-                path.display()
-            ));
+    for workload in [Workload::Fits, Workload::Conflict] {
+        for &kind in &DirectoryKind::ALL {
+            let actual = to_json(&run_sliced(kind, workload, 1, SlicedOptions::default()));
+            let at4 = to_json(&run_sliced(kind, workload, 4, SlicedOptions::default()));
+            assert_eq!(
+                actual,
+                at4,
+                "{} {workload:?}: sliced stats differ between 1 and 4 threads",
+                kind.name()
+            );
+            let tuned = SlicedOptions {
+                epoch_batch: 256,
+                pipeline: true,
+            };
+            let tuned_run = to_json(&run_sliced(kind, workload, 2, tuned));
+            assert_eq!(
+                actual,
+                tuned_run,
+                "{} {workload:?}: sliced stats differ under epoch_batch=256 + pipelining",
+                kind.name()
+            );
+            let name = format!("sliced-{}{}", workload.prefix(), kind.name());
+            failures.extend(check_snapshot(name, &actual));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
 
-/// The snapshot workload itself must be deterministic, or the golden files
-/// would be regeneration-order dependent.
+/// The conflict workload reaches the transitions that tell the designs
+/// apart (paper Figure 3), so its snapshots must differ between any two
+/// designs. `secdir` and `secdir-plain-vd` may agree: the VD hashing only
+/// matters once a bank self-conflicts.
+#[test]
+fn conflict_snapshots_tell_the_kinds_apart() {
+    let stats = |kind| run(kind, Workload::Conflict);
+    let baseline = stats(DirectoryKind::Baseline);
+    let fixed = stats(DirectoryKind::BaselineFixed);
+    let secdir = stats(DirectoryKind::SecDir);
+    let partitioned = stats(DirectoryKind::WayPartitioned);
+    let vd_only = stats(DirectoryKind::SecDirVdOnly);
+
+    assert!(baseline.directory.td_conflict_discards > 0);
+    assert!(baseline.directory.quirk_invalidations > 0);
+    assert_eq!(fixed.directory.quirk_invalidations, 0);
+    assert!(secdir.directory.td_to_vd_migrations > 0);
+    assert!(secdir.directory.vd_to_td_migrations > 0);
+    assert!(secdir.directory.llc_writebacks > 0);
+    assert!(partitioned.directory.td_conflict_discards > 0);
+    assert!(vd_only.directory.vd_self_conflicts > 0);
+
+    let all = [
+        ("baseline", &baseline),
+        ("baseline-fixed", &fixed),
+        ("secdir", &secdir),
+        ("way-partitioned", &partitioned),
+        ("vd-only", &vd_only),
+    ];
+    for (i, (a, sa)) in all.iter().enumerate() {
+        for (b, sb) in &all[i + 1..] {
+            assert_ne!(to_json(sa), to_json(sb), "{a} and {b} snapshots agree");
+        }
+    }
+}
+
+/// The snapshot workloads themselves must be deterministic, or the golden
+/// files would be regeneration-order dependent.
 #[test]
 fn snapshot_workload_is_deterministic() {
-    for &kind in &[DirectoryKind::Baseline, DirectoryKind::SecDir] {
-        assert_eq!(run(kind), run(kind), "{}", kind.name());
+    for workload in [Workload::Fits, Workload::Conflict] {
+        for &kind in &[DirectoryKind::Baseline, DirectoryKind::SecDir] {
+            assert_eq!(run(kind, workload), run(kind, workload), "{}", kind.name());
+        }
     }
 }
