@@ -107,9 +107,11 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/coherence/src/step.rs",
     "crates/coherence/src/sharers.rs",
     "crates/coherence/src/baseline.rs",
+    "crates/coherence/src/ed_td.rs",
     "crates/coherence/src/way_partitioned.rs",
     "crates/core/src/slice.rs",
     "crates/core/src/vd.rs",
+    "crates/core/src/vd_banks.rs",
     "crates/core/src/vd_only.rs",
     "crates/machine/src/machine.rs",
     "crates/machine/src/caches.rs",
