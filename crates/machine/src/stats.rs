@@ -44,7 +44,9 @@ pub struct CoreStats {
 pub struct MachineStats {
     /// One entry per core.
     pub cores: Vec<CoreStats>,
-    /// Sum of all slices' directory stats.
+    /// Sum of all slices' directory stats. The slices own the live
+    /// counters, so `Machine::stats` leaves this zeroed; whoever needs it
+    /// fills it from `Machine::directory_stats` (sweep records do).
     pub directory: DirSliceStats,
     /// Lines invalidated from private caches, by cause:
     /// `[Coherence, TdConflict, EdToTdQuirk, VdConflict]`.
