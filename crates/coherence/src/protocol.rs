@@ -258,7 +258,11 @@ impl DirSliceStats {
 /// machine.
 ///
 /// Implementations: [`BaselineSlice`](crate::BaselineSlice) (conventional
-/// Skylake-X TD+ED), `SecDirSlice` and `VdOnlySlice` in the `secdir` crate.
+/// Skylake-X TD+ED), [`WayPartitionedSlice`](crate::WayPartitionedSlice)
+/// (per-core way partitions of the same), and `SecDirSlice` and
+/// `VdOnlySlice` in the `secdir` crate. The ED/TD slices share one
+/// [`EdTd`](crate::EdTd) core and differ in their
+/// [`TdVictimPolicy`](crate::TdVictimPolicy).
 pub trait DirSlice {
     /// Handles a private-cache miss (or write upgrade) by `core` for `line`.
     ///
