@@ -84,12 +84,6 @@ impl PrivateCaches {
         self.l1.access(line).is_some()
     }
 
-    /// An L2 access (touches L2 replacement state). Returns the state if
-    /// the line is resident.
-    pub fn l2_access(&mut self, line: LineAddr) -> Option<Moesi> {
-        self.l2.access(line).copied()
-    }
-
     /// An L2 access returning the state by mutable reference: one probe
     /// serves both the hit check and an in-place state change.
     pub fn l2_access_mut(&mut self, line: LineAddr) -> Option<&mut Moesi> {

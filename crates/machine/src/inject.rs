@@ -238,7 +238,7 @@ impl Machine {
         let held: Vec<LineAddr> = self.cores[core.0].l2_iter().map(|(l, _)| l).collect();
         for line in held {
             let slice = self.slice_of(line);
-            if self.slices[slice.0].as_dir().fault_leak_vd(line, core) {
+            if self.slices[slice.0].fault_leak_vd(line, core) {
                 return true;
             }
         }
@@ -253,20 +253,20 @@ impl Machine {
         let held: Vec<LineAddr> = self.cores[core.0].l2_iter().map(|(l, _)| l).collect();
         for line in held {
             let slice = self.slice_of(line);
-            if self.slices[slice.0].as_dir().fault_flip_sharer(line, core) {
+            if self.slices[slice.0].fault_flip_sharer(line, core) {
                 return true;
             }
         }
         let mut candidates: Vec<(usize, LineAddr)> = Vec::new();
         for (s, slice) in self.slices.iter().enumerate() {
-            slice.as_dir_ref().for_each_entry(&mut |line, sharers| {
+            slice.for_each_entry(&mut |line, sharers| {
                 if !sharers.contains(core) {
                     candidates.push((s, line));
                 }
             });
         }
         for (s, line) in candidates {
-            if self.slices[s].as_dir().fault_flip_sharer(line, core) {
+            if self.slices[s].fault_flip_sharer(line, core) {
                 return true;
             }
         }

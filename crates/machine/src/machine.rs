@@ -9,7 +9,7 @@ use secdir_mem::{CoreId, LineAddr, SliceHash, SliceId};
 use serde::{Deserialize, Serialize};
 
 use crate::caches::PrivateCaches;
-use crate::config::{DirectoryKind, MachineConfig, TimingMitigation};
+use crate::config::{DirectoryKind, Latencies, MachineConfig, TimingMitigation};
 use crate::stats::{count_invalidation_in, CoreStats, MachineStats};
 
 /// Which level of the hierarchy served an access — the categories of the
@@ -45,33 +45,6 @@ pub struct AccessOutcome {
     pub served: ServedBy,
 }
 
-pub(crate) enum SliceImpl {
-    Baseline(BaselineSlice),
-    SecDir(SecDirSlice),
-    VdOnly(VdOnlySlice),
-    WayPartitioned(Box<WayPartitionedSlice>),
-}
-
-impl SliceImpl {
-    pub(crate) fn as_dir(&mut self) -> &mut dyn DirSlice {
-        match self {
-            SliceImpl::Baseline(s) => s,
-            SliceImpl::SecDir(s) => s,
-            SliceImpl::VdOnly(s) => s,
-            SliceImpl::WayPartitioned(s) => s.as_mut(),
-        }
-    }
-
-    pub(crate) fn as_dir_ref(&self) -> &dyn DirSlice {
-        match self {
-            SliceImpl::Baseline(s) => s,
-            SliceImpl::SecDir(s) => s,
-            SliceImpl::VdOnly(s) => s,
-            SliceImpl::WayPartitioned(s) => s.as_ref(),
-        }
-    }
-}
-
 /// Mutable access to the machine parts the response-application path
 /// touches: private caches, per-core stats, and directory slices. The
 /// serial engine implements it over the machine's own vectors
@@ -82,7 +55,7 @@ impl SliceImpl {
 pub(crate) trait CoherentParts {
     fn caches(&mut self, core: usize) -> &mut PrivateCaches;
     fn core_stats(&mut self, core: usize) -> &mut CoreStats;
-    fn slice(&mut self, slice: usize) -> &mut SliceImpl;
+    fn slice(&mut self, slice: usize) -> &mut dyn DirSlice;
 }
 
 /// The non-parts half of the machine that response application needs:
@@ -99,10 +72,10 @@ pub(crate) struct ApplyCtx<'a> {
 }
 
 /// The machine's own parts viewed as [`CoherentParts`].
-struct FlatParts<'a> {
+pub(crate) struct FlatParts<'a> {
     cores: &'a mut [PrivateCaches],
     core_stats: &'a mut [CoreStats],
-    slices: &'a mut [SliceImpl],
+    slices: &'a mut [Box<dyn DirSlice + Send>],
 }
 
 impl CoherentParts for FlatParts<'_> {
@@ -114,8 +87,88 @@ impl CoherentParts for FlatParts<'_> {
         &mut self.core_stats[core]
     }
 
-    fn slice(&mut self, slice: usize) -> &mut SliceImpl {
-        &mut self.slices[slice]
+    fn slice(&mut self, slice: usize) -> &mut dyn DirSlice {
+        self.slices[slice].as_mut()
+    }
+}
+
+/// What the private-cache probe of one access found.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Probe {
+    /// Served by the L1 or L2 in the given cycles.
+    Hit(ServedBy, u64),
+    /// A store hit on a line it may not write silently: the directory
+    /// must invalidate the other copies, on top of the given hit cycles.
+    Upgrade(ServedBy, u64),
+    /// An L2 miss: the directory must supply the line.
+    Miss(AccessKind),
+}
+
+impl Probe {
+    /// The request the directory sees: a miss asks for its own kind, an
+    /// upgrade is a write. Meaningless for a hit, which sends none.
+    pub(crate) fn request_kind(self) -> AccessKind {
+        match self {
+            Probe::Miss(kind) => kind,
+            Probe::Hit(..) | Probe::Upgrade(..) => AccessKind::Write,
+        }
+    }
+}
+
+/// The private-cache half of an access by one core: the L1 probe, the
+/// silent store, the L2 probe with its in-place upgrade, the L1 fill
+/// after an L2 hit, and the core's access counters. Both engines call
+/// it — [`Machine::access`] directly and the sliced engine in phase A —
+/// so the probe sequence is written once.
+#[inline]
+pub(crate) fn probe(
+    caches: &mut PrivateCaches,
+    stats: &mut CoreStats,
+    lat: Latencies,
+    line: LineAddr,
+    write: bool,
+) -> Probe {
+    stats.accesses += 1;
+    if write {
+        stats.writes += 1;
+    } else {
+        stats.reads += 1;
+    }
+    // L1. Reads need no L2 state probe at all; writes resolve the
+    // silent-upgrade check and the state change in one probe.
+    let (served, cycles, upgrade) = if caches.l1_access(line) {
+        stats.l1_hits += 1;
+        debug_assert!(
+            caches.state(line).is_valid(),
+            "L1 hit with invalid L2 state"
+        );
+        (
+            ServedBy::L1,
+            lat.l1_hit,
+            write && !caches.silent_write(line),
+        )
+    } else if let Some(state) = caches.l2_access_mut(line) {
+        // L2: one probe serves the hit check, the read of the state, and
+        // the silent-upgrade store.
+        let upgrade = write && !state.can_write_silently();
+        if write && !upgrade {
+            *state = Moesi::Modified;
+        }
+        stats.l2_hits += 1;
+        caches.fill_l1(line);
+        (ServedBy::L2, lat.l2_hit, upgrade)
+    } else {
+        stats.l2_misses += 1;
+        return Probe::Miss(if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        });
+    };
+    if upgrade {
+        Probe::Upgrade(served, cycles)
+    } else {
+        Probe::Hit(served, cycles)
     }
 }
 
@@ -216,21 +269,41 @@ fn fill_and_evict_in<P: CoherentParts>(
         let vslice = ctx.hash.slice_of(vline);
         let invs = parts
             .slice(vslice.0)
-            .as_dir()
             .l2_evict(vline, core, vstate.is_dirty());
         apply_invalidations_in(ctx, parts, &invs);
     }
 }
 
+/// Applies the directory's response to the probe that asked for it and
+/// returns the access's outcome. Shared by [`Machine::access`] and the
+/// epoch engine's merge phase (`crate::sliced`), so both engines run one
+/// response path.
+pub(crate) fn apply_response_in<P: CoherentParts>(
+    ctx: &mut ApplyCtx<'_>,
+    parts: &mut P,
+    core: CoreId,
+    line: LineAddr,
+    slice: SliceId,
+    probe: Probe,
+    resp: &DirResponse,
+) -> AccessOutcome {
+    match probe {
+        Probe::Upgrade(served, cycles) => AccessOutcome {
+            latency: cycles + apply_upgrade_response_in(ctx, parts, core, line, slice, resp),
+            served,
+        },
+        Probe::Miss(kind) => apply_miss_response_in(ctx, parts, core, line, kind, slice, resp),
+        Probe::Hit(..) => unreachable!("a private-cache hit has no directory response"),
+    }
+}
+
 /// Applies an already-computed directory response for a store upgrade of
 /// a resident line: invalidation fan-out, state change, stats. Returns the
-/// extra cycles beyond the private-cache hit. Shared by the serial path
-/// ([`Machine::upgrade`]) and the epoch engine's merge phase
-/// (`crate::sliced`). Under the epoch model a concurrent remote write can
-/// invalidate the upgrader's copy within the same epoch; the directory
-/// then answers with a data source and the line is refilled in Modified
-/// state instead (still counted as an upgrade).
-pub(crate) fn apply_upgrade_response_in<P: CoherentParts>(
+/// extra cycles beyond the private-cache hit. Under the epoch model a
+/// concurrent remote write can invalidate the upgrader's copy within the
+/// same epoch; the directory then answers with a data source and the line
+/// is refilled in Modified state instead (still counted as an upgrade).
+fn apply_upgrade_response_in<P: CoherentParts>(
     ctx: &mut ApplyCtx<'_>,
     parts: &mut P,
     core: CoreId,
@@ -266,9 +339,8 @@ pub(crate) fn apply_upgrade_response_in<P: CoherentParts>(
 
 /// Applies an already-computed directory response for an L2 miss: Table-4
 /// latency, serve classification, invalidation fan-out, owner downgrade,
-/// and the fill with victim eviction. Shared by [`Machine::access`] and
-/// the epoch engine's merge phase (`crate::sliced`).
-pub(crate) fn apply_miss_response_in<P: CoherentParts>(
+/// and the fill with victim eviction.
+fn apply_miss_response_in<P: CoherentParts>(
     ctx: &mut ApplyCtx<'_>,
     parts: &mut P,
     core: CoreId,
@@ -346,7 +418,7 @@ pub struct Machine {
     config: MachineConfig,
     slice_hash: SliceHash,
     pub(crate) cores: Vec<PrivateCaches>,
-    pub(crate) slices: Vec<SliceImpl>,
+    pub(crate) slices: Vec<Box<dyn DirSlice + Send>>,
     pub(crate) stats: MachineStats,
     /// Armed fault-injection plan, if any (`secdir-sim inject`). Always
     /// compiled: the disarmed cost on the hot path is one `is_some()`
@@ -369,20 +441,22 @@ impl Machine {
             .map(|i| PrivateCaches::new(config.l1, config.l2, config.seed ^ (0x10 + i as u64)))
             .collect();
         let slices = (0..config.cores)
-            .map(|i| {
+            .map(|i| -> Box<dyn DirSlice + Send> {
                 let seed = config.seed ^ (0x100 + i as u64);
                 match config.directory {
                     DirectoryKind::Baseline | DirectoryKind::BaselineFixed => {
-                        SliceImpl::Baseline(BaselineSlice::new(config.baseline_dir(), seed))
+                        Box::new(BaselineSlice::new(config.baseline_dir(), seed))
                     }
                     DirectoryKind::SecDir | DirectoryKind::SecDirPlainVd => {
-                        SliceImpl::SecDir(SecDirSlice::new(config.secdir_dir(), seed))
+                        Box::new(SecDirSlice::new(config.secdir_dir(), seed))
                     }
                     DirectoryKind::SecDirVdOnly | DirectoryKind::SecDirVdOnlyPlain => {
-                        SliceImpl::VdOnly(VdOnlySlice::new(config.secdir_dir(), seed))
+                        Box::new(VdOnlySlice::new(config.secdir_dir(), seed))
                     }
-                    DirectoryKind::WayPartitioned => SliceImpl::WayPartitioned(Box::new(
-                        WayPartitionedSlice::new(config.baseline_dir(), config.cores, seed),
+                    DirectoryKind::WayPartitioned => Box::new(WayPartitionedSlice::new(
+                        config.baseline_dir(),
+                        config.cores,
+                        seed,
                     )),
                 }
             })
@@ -423,7 +497,7 @@ impl Machine {
 
     /// Read-only view of a directory slice.
     pub fn slice(&self, slice: SliceId) -> &dyn DirSlice {
-        self.slices[slice.0].as_dir_ref()
+        self.slices[slice.0].as_ref()
     }
 
     /// Read-only view of a core's private caches.
@@ -440,15 +514,18 @@ impl Machine {
     pub fn directory_stats(&self) -> DirSliceStats {
         let mut merged = DirSliceStats::default();
         for s in &self.slices {
-            merged.merge(s.as_dir_ref().stats());
+            merged.merge(s.stats());
         }
         merged
     }
 
     /// Splits the machine into the [`ApplyCtx`] and a [`FlatParts`] view
     /// over its own vectors — the serial engine's way of running the
-    /// shared response-application code.
-    fn split_apply(&mut self) -> (ApplyCtx<'_>, FlatParts<'_>) {
+    /// shared response-application code. The sliced engine's merge takes
+    /// the [`ApplyCtx`] alone and brings its own [`CoherentParts`] view:
+    /// the machine's part vectors are empty while they are checked out,
+    /// so the borrow conflicts with nothing.
+    pub(crate) fn split_apply(&mut self) -> (ApplyCtx<'_>, FlatParts<'_>) {
         let MachineStats {
             cores: core_stats,
             invalidations_by_cause,
@@ -472,32 +549,18 @@ impl Machine {
         )
     }
 
-    /// The [`ApplyCtx`] alone, for callers (the sliced engine's merge)
-    /// that bring their own [`CoherentParts`] view. The machine's own
-    /// part vectors are empty while they are checked out, so this borrow
-    /// conflicts with nothing.
-    pub(crate) fn apply_ctx(&mut self) -> ApplyCtx<'_> {
-        let MachineStats {
-            invalidations_by_cause,
-            memory_writebacks,
-            ..
-        } = &mut self.stats;
-        ApplyCtx {
-            config: &self.config,
-            hash: &self.slice_hash,
-            fault: &mut self.fault,
-            lenient: self.lenient,
-            invalidations_by_cause,
-            memory_writebacks,
-        }
-    }
-
     /// Moves the per-core caches, per-core stats and directory slices out
     /// of the machine — the sliced engine's once-per-run ownership
     /// transfer. The machine keeps its config, slice hash, global stat
     /// cells and fault plan; hand the parts back with
     /// [`Machine::restore_parts`] before using it again.
-    pub(crate) fn take_parts(&mut self) -> (Vec<PrivateCaches>, Vec<CoreStats>, Vec<SliceImpl>) {
+    pub(crate) fn take_parts(
+        &mut self,
+    ) -> (
+        Vec<PrivateCaches>,
+        Vec<CoreStats>,
+        Vec<Box<dyn DirSlice + Send>>,
+    ) {
         (
             std::mem::take(&mut self.cores),
             std::mem::take(&mut self.stats.cores),
@@ -511,7 +574,7 @@ impl Machine {
         &mut self,
         cores: Vec<PrivateCaches>,
         core_stats: Vec<CoreStats>,
-        slices: Vec<SliceImpl>,
+        slices: Vec<Box<dyn DirSlice + Send>>,
     ) {
         debug_assert!(self.cores.is_empty(), "restoring parts twice");
         self.cores = cores;
@@ -519,52 +582,14 @@ impl Machine {
         self.slices = slices;
     }
 
-    /// Store upgrade for a resident Shared/Owned line: a directory
-    /// round-trip that invalidates the other copies.
-    fn upgrade(&mut self, core: CoreId, line: LineAddr) -> u64 {
-        let slice = self.slice_of(line);
-        let resp = self.slices[slice.0]
-            .as_dir()
-            .request(line, core, AccessKind::Write);
-        self.apply_upgrade_response(core, line, slice, &resp)
-    }
-
-    /// [`apply_upgrade_response_in`] over the machine's own parts.
-    pub(crate) fn apply_upgrade_response(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        slice: SliceId,
-        resp: &DirResponse,
-    ) -> u64 {
-        let (mut ctx, mut parts) = self.split_apply();
-        apply_upgrade_response_in(&mut ctx, &mut parts, core, line, slice, resp)
-    }
-
-    /// [`apply_miss_response_in`] over the machine's own parts.
-    pub(crate) fn apply_miss_response(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        kind: AccessKind,
-        slice: SliceId,
-        resp: &DirResponse,
-    ) -> AccessOutcome {
-        let (mut ctx, mut parts) = self.split_apply();
-        apply_miss_response_in(&mut ctx, &mut parts, core, line, kind, slice, resp)
-    }
-
     /// Hints the host CPU to pull the arrays a future
     /// [`Machine::access`] by `core` to `line` will probe into its cache.
     /// Purely a performance hint with no simulated effect; the engine
     /// calls it as soon as a core's next reference is known.
     ///
-    /// The L1 tag arrays are small enough to probe directly here: on a
-    /// present line the access will be an L1 hit touching nothing bigger,
-    /// so no hints are issued; otherwise the L2 rows and — since a miss
-    /// may fall through to the directory — the home slice's ED/TD rows
-    /// are hinted. (The probe reads one-access-ahead L1 state, which is
-    /// fine for a hint.)
+    /// Only the core's L2 rows are hinted ([`PrivateCaches::prefetch`]):
+    /// the L1 arrays are small enough to stay host-resident, and the
+    /// home slice's directory and LLC rows are not hinted.
     #[inline]
     pub fn prefetch(&self, core: CoreId, line: LineAddr) {
         self.cores[core.0].prefetch(line);
@@ -582,70 +607,23 @@ impl Machine {
         if self.fault.is_some() {
             self.fault_tick();
         }
-        let lat = self.config.latencies;
-        let cs = &mut self.stats.cores[core.0];
-        cs.accesses += 1;
-        if write {
-            cs.writes += 1;
-        } else {
-            cs.reads += 1;
+        let probe = probe(
+            &mut self.cores[core.0],
+            &mut self.stats.cores[core.0],
+            self.config.latencies,
+            line,
+            write,
+        );
+        if let Probe::Hit(served, latency) = probe {
+            return AccessOutcome { latency, served };
         }
-
-        // L1. Reads need no L2 state probe at all; writes resolve the
-        // silent-upgrade check and the state change in one probe.
-        if self.cores[core.0].l1_access(line) {
-            self.stats.cores[core.0].l1_hits += 1;
-            debug_assert!(
-                self.cores[core.0].state(line).is_valid(),
-                "L1 hit with invalid L2 state"
-            );
-            let mut latency = lat.l1_hit;
-            if write && !self.cores[core.0].silent_write(line) {
-                latency += self.upgrade(core, line);
-            }
-            return AccessOutcome {
-                latency,
-                served: ServedBy::L1,
-            };
-        }
-
-        // L2: one probe serves the hit check, the read of the state, and
-        // the silent-upgrade store.
-        let mut l2_hit = false;
-        let mut needs_upgrade = false;
-        if let Some(state) = self.cores[core.0].l2_access_mut(line) {
-            l2_hit = true;
-            if write {
-                if state.can_write_silently() {
-                    *state = Moesi::Modified;
-                } else {
-                    needs_upgrade = true;
-                }
-            }
-        }
-        if l2_hit {
-            self.stats.cores[core.0].l2_hits += 1;
-            self.cores[core.0].fill_l1(line);
-            let mut latency = lat.l2_hit;
-            if needs_upgrade {
-                latency += self.upgrade(core, line);
-            }
-            return AccessOutcome {
-                latency,
-                served: ServedBy::L2,
-            };
-        }
-
-        // L2 miss: directory transaction at the home slice.
+        // An upgrade or an L2 miss: directory transaction at the home slice.
         let slice = self.slice_of(line);
-        let kind = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let resp = self.slices[slice.0].as_dir().request(line, core, kind);
-        self.stats.cores[core.0].l2_misses += 1;
-        self.apply_miss_response(core, line, kind, slice, &resp)
+        let (mut ctx, mut parts) = self.split_apply();
+        let resp = parts
+            .slice(slice.0)
+            .request(line, core, probe.request_kind());
+        apply_response_in(&mut ctx, &mut parts, core, line, slice, probe, &resp)
     }
 }
 

@@ -141,7 +141,7 @@ impl Machine {
     pub fn check_sharer_soundness(&self) -> Result<(), String> {
         let mut err: Option<String> = None;
         for (s, slice) in self.slices.iter().enumerate() {
-            slice.as_dir_ref().for_each_entry(&mut |line, sharers| {
+            slice.for_each_entry(&mut |line, sharers| {
                 if err.is_some() {
                     return;
                 }
@@ -184,10 +184,7 @@ impl Machine {
         }
         self.check_coherence()?;
         for (s, slice) in self.slices.iter().enumerate() {
-            slice
-                .as_dir_ref()
-                .validate()
-                .map_err(|e| format!("slice {s}: {e}"))?;
+            slice.validate().map_err(|e| format!("slice {s}: {e}"))?;
         }
         self.check_invariants()?;
         self.check_sharer_soundness()

@@ -6,7 +6,8 @@
 //! bank) and each core's private caches can be driven by a separate worker
 //! thread, synchronized only at **epoch barriers**. With `slice_threads =
 //! N` the calling thread is worker 0 and `N − 1` threads are spawned, so
-//! N threads share N CPUs without oversubscription.
+//! N threads share N CPUs without oversubscription. `slice_threads = 1`
+//! runs the same epoch loop with one participant and spawns nothing.
 //!
 //! # The epoch protocol
 //!
@@ -19,11 +20,11 @@
 //!    consumption is exactly what the serial engine would consume, so
 //!    warm-up/measure phases can share streams across engines.
 //! 2. **Phase A — core phase** (parallel over cores): each core retires
-//!    private-cache hits from its buffer, mirroring the L1/L2 probe path
-//!    of [`Machine::access`], until it needs the directory. The first
-//!    access that does (an L2 miss, or a non-silent write hit needing an
-//!    upgrade) is parked as the core's single *pending transaction* for
-//!    this epoch.
+//!    private-cache hits from its buffer by calling the machine's own
+//!    L1/L2 probe (the one [`Machine::access`] calls), until it needs the
+//!    directory. The first access that does (an L2 miss, or a non-silent
+//!    write hit needing an upgrade) is parked, with the probe's outcome,
+//!    as the core's single *pending transaction* for this epoch.
 //! 3. **Routing** (main): pending transactions are routed by the
 //!    machine's `SliceHash` into per-slice inboxes.
 //! 4. **Phase B — slice phase** (parallel over slices): each slice drains
@@ -31,10 +32,10 @@
 //!    key the serial engine's `BinaryHeap` scheduler uses — performing the
 //!    directory transaction and recording the response.
 //! 5. **Merge** (main): responses are applied in the same global canonical
-//!    order through the shared response-application path
-//!    (`apply_miss_response_in`/`apply_upgrade_response_in`), so
-//!    invalidation fan-out, owner downgrades, fills and victim evictions
-//!    are processed by exactly one thread against a coherent whole.
+//!    order through the machine's own response path (`apply_response_in`,
+//!    the one [`Machine::access`] calls), so invalidation fan-out, owner
+//!    downgrades, fills and victim evictions are processed by exactly one
+//!    thread against a coherent whole.
 //!
 //! # Ownership transfer
 //!
@@ -47,9 +48,10 @@
 //! surgery. The main thread's own partition (the first chunk of cores and
 //! slices) never leaves its home vectors.
 //! The merge runs against the cells directly through the
-//! `CoherentParts` view; the machine is reassembled only at
-//! fault-injection/oracle epochs (where those hooks need to walk a whole
-//! coherent machine) and at run end.
+//! `CoherentParts` view. Parts return to the machine only around the hook
+//! calls — the fault-injection step when a fault is armed and the
+//! `check`-feature oracle, which need to walk a whole coherent machine —
+//! and at run end.
 //!
 //! # The epoch barrier
 //!
@@ -122,15 +124,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::Thread;
 
-use secdir_coherence::{AccessKind, DirResponse, Moesi};
+use secdir_coherence::{AccessKind, DirResponse, DirSlice};
 use secdir_mem::{CoreId, LineAddr, SliceId};
 
 use crate::caches::PrivateCaches;
 use crate::config::Latencies;
 use crate::engine::{Access, AccessStream, CoreRun, RunSummary};
-use crate::machine::{
-    apply_miss_response_in, apply_upgrade_response_in, CoherentParts, Machine, SliceImpl,
-};
+use crate::machine::{apply_response_in, probe, CoherentParts, Machine, Probe};
 use crate::stats::CoreStats;
 
 /// Default for [`SlicedOptions::epoch_batch`]. Large enough to amortize
@@ -152,8 +152,7 @@ pub struct SlicedOptions {
     pub epoch_batch: usize,
     /// Software pipelining: overlap the next epoch's stream top-up with
     /// the current epoch's slice phase. Bit-identical to the unpipelined
-    /// schedule (see the module docs for the argument); ignored on the
-    /// inline single-threaded path, where there is nothing to overlap.
+    /// schedule (see the module docs for the argument).
     pub pipeline: bool,
 }
 
@@ -202,8 +201,10 @@ const YIELD_LIMIT: u32 = 16;
 
 impl EpochBarrier {
     fn new(participants: usize) -> Self {
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let spin_limit = if cpus >= participants { 4096 } else { 0 };
+        // A lone participant never waits, so it skips the CPU-count query.
+        let spin = participants == 1
+            || std::thread::available_parallelism().map_or(1, usize::from) >= participants;
+        let spin_limit = if spin { 4096 } else { 0 };
         EpochBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
@@ -269,21 +270,15 @@ impl EpochBarrier {
 struct PendingTxn {
     /// The access that needs the directory.
     access: Access,
-    /// Read or Write, as the directory sees it.
-    kind: AccessKind,
-    /// `true` for a store upgrade of a resident line, `false` for an L2
-    /// miss.
-    upgrade: bool,
-    /// Latency already accumulated before the directory round-trip (the
-    /// L1/L2 hit that discovered the upgrade).
-    base: u64,
+    /// What the probe found: [`Probe::Upgrade`] or [`Probe::Miss`].
+    probe: Probe,
     /// Home slice, filled in by the routing step.
     slice: SliceId,
 }
 
 /// Per-core cell: the core's checked-out shard of the machine plus its
 /// engine bookkeeping. The `Option`s are `Some` for the whole run except
-/// while a fault/oracle hook epoch has the parts back in the machine.
+/// while a fault/oracle hook call has the parts back in the machine.
 struct CoreCell {
     caches: Option<PrivateCaches>,
     stats: Option<CoreStats>,
@@ -312,19 +307,19 @@ struct InboxEntry {
 /// Per-slice cell: the checked-out directory slice plus its epoch
 /// mailboxes.
 struct SliceCell {
-    slice: Option<SliceImpl>,
+    slice: Option<Box<dyn DirSlice + Send>>,
     inbox: Vec<InboxEntry>,
     outbox: Vec<(usize, DirResponse)>,
 }
 
-/// Scratch vectors that carry parts between the cells and the machine on
-/// fault/oracle hook epochs. Capacity is allocated once; the vectors
+/// Scratch vectors that carry parts between the cells and the machine
+/// around the fault/oracle hook calls. Capacity is allocated once; the vectors
 /// round-trip through [`Machine::restore_parts`]/[`Machine::take_parts`]
 /// without reallocating.
 struct Shuttle {
     caches: Vec<PrivateCaches>,
     stats: Vec<CoreStats>,
-    slices: Vec<SliceImpl>,
+    slices: Vec<Box<dyn DirSlice + Send>>,
 }
 
 /// All run-local state: the checked-out cells plus every buffer the epoch
@@ -469,9 +464,9 @@ fn top_up(
 }
 
 /// Phase A: retires private-cache hits for one core until its buffer runs
-/// dry, the access cap is reached, or an access needs the directory — the
-/// exact L1/L2 probe sequence of [`Machine::access`], against the core's
-/// own shard.
+/// dry, the access cap is reached, or an access needs the directory. Each
+/// access runs the machine's own probe (`crate::machine::probe`, the one
+/// [`Machine::access`] calls) against the core's own shard.
 fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
     if cell.finished.is_some() {
         return;
@@ -499,85 +494,21 @@ fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
             }
             return;
         };
-        stats.accesses += 1;
-        if acc.write {
-            stats.writes += 1;
-        } else {
-            stats.reads += 1;
-        }
-        let line = acc.line;
-
-        // L1 — same one-probe discipline as the serial path.
-        if caches.l1_access(line) {
-            stats.l1_hits += 1;
-            debug_assert!(
-                caches.state(line).is_valid(),
-                "L1 hit with invalid L2 state"
-            );
-            if acc.write && !caches.silent_write(line) {
+        match probe(caches, stats, lat, acc.line, acc.write) {
+            Probe::Hit(_, latency) => {
+                cell.instructions += u64::from(acc.gap) + 1;
+                cell.accesses += 1;
+                cell.ready += u64::from(acc.gap) + latency;
+            }
+            probe => {
                 cell.pending = Some(PendingTxn {
                     access: acc,
-                    kind: AccessKind::Write,
-                    upgrade: true,
-                    base: lat.l1_hit,
+                    probe,
                     slice: SliceId(0),
                 });
                 return;
             }
-            cell.instructions += u64::from(acc.gap) + 1;
-            cell.accesses += 1;
-            cell.ready += u64::from(acc.gap) + lat.l1_hit;
-            continue;
         }
-
-        // L2: one probe serves the hit check, the state read, and the
-        // silent-upgrade store.
-        let mut l2_hit = false;
-        let mut needs_upgrade = false;
-        if let Some(state) = caches.l2_access_mut(line) {
-            l2_hit = true;
-            if acc.write {
-                if state.can_write_silently() {
-                    *state = Moesi::Modified;
-                } else {
-                    needs_upgrade = true;
-                }
-            }
-        }
-        if l2_hit {
-            stats.l2_hits += 1;
-            caches.fill_l1(line);
-            if needs_upgrade {
-                cell.pending = Some(PendingTxn {
-                    access: acc,
-                    kind: AccessKind::Write,
-                    upgrade: true,
-                    base: lat.l2_hit,
-                    slice: SliceId(0),
-                });
-                return;
-            }
-            cell.instructions += u64::from(acc.gap) + 1;
-            cell.accesses += 1;
-            cell.ready += u64::from(acc.gap) + lat.l2_hit;
-            continue;
-        }
-
-        // L2 miss: park the directory transaction for phase B.
-        stats.l2_misses += 1;
-        let kind = if acc.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        cell.pending = Some(PendingTxn {
-            access: acc,
-            kind,
-            upgrade: false,
-            base: 0,
-            slice: SliceId(0),
-        });
-        return;
     }
 }
 
@@ -596,7 +527,7 @@ fn route(machine: &Machine, cells: &mut [CoreCell], scells: &mut [SliceCell]) {
                 ready,
                 core: i,
                 line: txn.access.line,
-                kind: txn.kind,
+                kind: txn.probe.request_kind(),
             });
         }
     }
@@ -612,7 +543,7 @@ fn drain_slice(scell: &mut SliceCell) {
         None => unreachable!("slice part checked out"),
     };
     for e in scell.inbox.drain(..) {
-        let resp = slice.as_dir().request(e.line, CoreId(e.core), e.kind);
+        let resp = slice.request(e.line, CoreId(e.core), e.kind);
         scell.outbox.push((e.core, resp));
     }
 }
@@ -657,17 +588,17 @@ impl CoherentParts for PartView<'_> {
         }
     }
 
-    fn slice(&mut self, slice: usize) -> &mut SliceImpl {
+    fn slice(&mut self, slice: usize) -> &mut dyn DirSlice {
         match self.scells[slice].slice.as_mut() {
-            Some(s) => s,
+            Some(s) => s.as_mut(),
             None => unreachable!("slice part checked out"),
         }
     }
 }
 
-/// Moves every checked-out part back into the machine (hook epochs and
-/// run end). The shuttle vectors are handed to the machine whole and come
-/// back through [`take_parts_from_machine`] with their capacity intact.
+/// Moves every checked-out part back into the machine (hook calls and run
+/// end). The shuttle vectors are handed to the machine whole and come back
+/// through [`with_whole_machine`] with their capacity intact.
 fn give_parts_to_machine(
     machine: &mut Machine,
     cells: &mut [CoreCell],
@@ -697,14 +628,18 @@ fn give_parts_to_machine(
     );
 }
 
-/// Checks the parts back out of the machine into the cells (end of a hook
-/// epoch).
-fn take_parts_from_machine(
+/// Runs `hook` against the whole machine: moves every part back in, then
+/// checks them out again. The fault-injection and `check`-feature oracle
+/// hooks need to walk one coherent machine.
+fn with_whole_machine(
     machine: &mut Machine,
     cells: &mut [CoreCell],
     scells: &mut [SliceCell],
     shuttle: &mut Shuttle,
+    hook: impl FnOnce(&mut Machine),
 ) {
+    give_parts_to_machine(machine, cells, scells, shuttle);
+    hook(machine);
     let (caches, stats, slices) = machine.take_parts();
     shuttle.caches = caches;
     shuttle.stats = stats;
@@ -723,10 +658,13 @@ fn take_parts_from_machine(
 /// The merge step: applies every parked transaction's response in global
 /// `(ready, core)` order — the same order each slice used in phase B, so
 /// the directory's assumptions (who holds what) hold again when the
-/// response lands. `hooks` selects the slow path that reassembles the
-/// machine around the fault-injection and invariant-oracle hooks, which
-/// need to walk a whole coherent machine.
-fn merge(machine: &mut Machine, state: &mut RunState, total_retired: &mut u64, hooks: bool) {
+/// response lands. The responses go through the machine's own response
+/// path (`apply_response_in`) against the cells, viewed as
+/// [`PartView`]: no part moves, no locks, no allocation. Parts return to
+/// the machine only around the hooks — the fault-injection step before
+/// the responses when a fault is armed, the `check`-feature oracle after
+/// them.
+fn merge(machine: &mut Machine, state: &mut RunState, total_retired: &mut u64) {
     let RunState {
         cells,
         scells,
@@ -746,41 +684,13 @@ fn merge(machine: &mut Machine, state: &mut RunState, total_retired: &mut u64, h
     order.sort_unstable();
     let epoch_retired = retired_now - *total_retired;
     *total_retired = retired_now;
-    if hooks {
-        merge_hooked(
-            machine,
-            cells,
-            scells,
-            responses,
-            order,
-            shuttle,
-            epoch_retired,
-        );
-    } else {
-        merge_fast(machine, cells, scells, responses, order);
+    if machine.fault.is_some() {
+        with_whole_machine(machine, cells, scells, shuttle, |m| {
+            m.fault_epoch(epoch_retired);
+        });
     }
-}
-
-/// Applies one core's parked transaction and advances its clock. Shared
-/// by both merge paths; `latency` is the full directory round-trip cost.
-fn retire_txn(cell: &mut CoreCell, txn: &PendingTxn, latency: u64) {
-    cell.instructions += u64::from(txn.access.gap) + 1;
-    cell.accesses += 1;
-    cell.ready += u64::from(txn.access.gap) + latency;
-}
-
-/// The steady-state merge: runs the shared response-application code
-/// directly against the cells through [`PartView`]. No part moves, no
-/// locks, no allocation.
-fn merge_fast(
-    machine: &mut Machine,
-    cells: &mut [CoreCell],
-    scells: &mut [SliceCell],
-    responses: &mut [Option<DirResponse>],
-    order: &[(u64, usize)],
-) {
-    let mut ctx = machine.apply_ctx();
-    for &(_, i) in order {
+    let (mut ctx, _) = machine.split_apply();
+    for &(_, i) in order.iter() {
         let txn = match cells[i].pending.take() {
             Some(t) => t,
             None => unreachable!("merge order lists a core without a transaction"),
@@ -789,76 +699,29 @@ fn merge_fast(
             Some(r) => r,
             None => unreachable!("pending transaction without a directory response"),
         };
-        let core = CoreId(i);
-        let latency = {
-            let mut view = PartView {
-                cells: &mut *cells,
-                scells: &mut *scells,
-            };
-            if txn.upgrade {
-                txn.base
-                    + apply_upgrade_response_in(
-                        &mut ctx,
-                        &mut view,
-                        core,
-                        txn.access.line,
-                        txn.slice,
-                        &resp,
-                    )
-            } else {
-                apply_miss_response_in(
-                    &mut ctx,
-                    &mut view,
-                    core,
-                    txn.access.line,
-                    txn.kind,
-                    txn.slice,
-                    &resp,
-                )
-                .latency
-            }
+        let mut view = PartView {
+            cells: &mut *cells,
+            scells: &mut *scells,
         };
-        retire_txn(&mut cells[i], &txn, latency);
-    }
-}
-
-/// The hook-epoch merge: reassembles the machine so the epoch-granular
-/// fault-injection and `check`-feature oracle hooks see one coherent
-/// whole, applies the responses through the machine's own methods (the
-/// same generic code the fast path runs), and checks the parts back out.
-fn merge_hooked(
-    machine: &mut Machine,
-    cells: &mut [CoreCell],
-    scells: &mut [SliceCell],
-    responses: &mut [Option<DirResponse>],
-    order: &[(u64, usize)],
-    shuttle: &mut Shuttle,
-    epoch_retired: u64,
-) {
-    give_parts_to_machine(machine, cells, scells, shuttle);
-    machine.fault_epoch(epoch_retired);
-    for &(_, i) in order {
-        let txn = match cells[i].pending.take() {
-            Some(t) => t,
-            None => unreachable!("merge order lists a core without a transaction"),
-        };
-        let resp = match responses[i].take() {
-            Some(r) => r,
-            None => unreachable!("pending transaction without a directory response"),
-        };
-        let core = CoreId(i);
-        let latency = if txn.upgrade {
-            txn.base + machine.apply_upgrade_response(core, txn.access.line, txn.slice, &resp)
-        } else {
-            machine
-                .apply_miss_response(core, txn.access.line, txn.kind, txn.slice, &resp)
-                .latency
-        };
-        retire_txn(&mut cells[i], &txn, latency);
+        let latency = apply_response_in(
+            &mut ctx,
+            &mut view,
+            CoreId(i),
+            txn.access.line,
+            txn.slice,
+            txn.probe,
+            &resp,
+        )
+        .latency;
+        let cell = &mut cells[i];
+        cell.instructions += u64::from(txn.access.gap) + 1;
+        cell.accesses += 1;
+        cell.ready += u64::from(txn.access.gap) + latency;
     }
     #[cfg(feature = "check")]
-    machine.oracle_epoch(epoch_retired);
-    take_parts_from_machine(machine, cells, scells, shuttle);
+    with_whole_machine(machine, cells, scells, shuttle, |m| {
+        m.oracle_epoch(epoch_retired);
+    });
 }
 
 // lint: region(barrier-worker)
@@ -901,39 +764,6 @@ fn guarded(failure: &Mutex<Option<Box<dyn Any + Send>>>, step: impl FnOnce()) ->
             false
         }
     }
-}
-
-/// The epoch loop without threads: same steps, same order, no barriers,
-/// no hand-off slots, and a single `catch_unwind` for the whole run.
-/// Structurally identical to one worker draining every partition, which
-/// is why `slice_threads = 1` is bit-identical to every other thread
-/// count.
-fn run_inline(
-    machine: &mut Machine,
-    streams: &mut [Box<dyn AccessStream + '_>],
-    cap: u64,
-    state: &mut RunState,
-    opts: SlicedOptions,
-    lat: Latencies,
-    hooks: bool,
-) -> Option<Box<dyn Any + Send>> {
-    let mut total_retired = 0u64;
-    catch_unwind(AssertUnwindSafe(|| loop {
-        top_up(&mut state.cells, streams, cap, opts.epoch_batch);
-        if all_finished(&state.cells) {
-            return;
-        }
-        for cell in state.cells.iter_mut() {
-            run_core_epoch(cell, lat, cap);
-        }
-        route(machine, &mut state.cells, &mut state.scells);
-        for scell in state.scells.iter_mut() {
-            drain_slice(scell);
-        }
-        collect_responses(&mut state.scells, &mut state.responses);
-        merge(machine, state, &mut total_retired, hooks);
-    }))
-    .err()
 }
 
 // lint: region(barrier-worker)
@@ -1000,7 +830,6 @@ fn run_threaded(
     state: &mut RunState,
     opts: SlicedOptions,
     lat: Latencies,
-    hooks: bool,
 ) -> Option<Box<dyn Any + Send>> {
     let (own, slots) = new_slots(state.cells.len(), workers);
     let barrier = EpochBarrier::new(workers);
@@ -1083,16 +912,14 @@ fn run_threaded(
                 continue; // skip merging half-built state; exit at loop top
             }
             collect_responses(&mut state.scells, &mut state.responses);
-            guarded(&failure, || {
-                merge(machine, state, &mut total_retired, hooks)
-            });
+            guarded(&failure, || merge(machine, state, &mut total_retired));
         }
     });
     let first = lock(&failure).take();
     first
 }
 
-/// Returns the machine's parts at run end. If a hook-epoch panic left
+/// Returns the machine's parts at run end. If a panicking hook call left
 /// them already restored (the hooks run with a reassembled machine), the
 /// machine is whole and there is nothing to do.
 fn restore_at_end(machine: &mut Machine, state: &mut RunState) {
@@ -1115,9 +942,9 @@ fn restore_at_end(machine: &mut Machine, state: &mut RunState) {
 /// Results are **bit-identical for every `slice_threads` value** — see
 /// the module docs for why — so the thread count is purely a throughput
 /// knob. The calling thread is one of the workers: `slice_threads = k`
-/// spawns `k − 1` threads, and `slice_threads = 1` runs the epoch loop
-/// inline without spawning. Thread counts above the core count are
-/// clamped (extra workers would own empty partitions).
+/// spawns `k − 1` threads, so `slice_threads = 1` spawns none. Thread
+/// counts above the core count are clamped (extra workers would own empty
+/// partitions).
 ///
 /// Stream consumption matches [`run_workload`](crate::run_workload)
 /// exactly, so the warm-up-then-measure pattern works unchanged. The
@@ -1165,32 +992,18 @@ pub fn run_workload_sliced_with(
     );
     let workers = slice_threads.min(machine.num_cores()).max(1);
     let lat = machine.config().latencies;
-    let hooks = machine.fault.is_some() || cfg!(feature = "check");
     let mut state = new_run_state(machine, options.epoch_batch);
 
     machine.lenient = true;
-    let failure = if workers == 1 {
-        run_inline(
-            machine,
-            streams,
-            max_accesses_per_core,
-            &mut state,
-            options,
-            lat,
-            hooks,
-        )
-    } else {
-        run_threaded(
-            machine,
-            streams,
-            max_accesses_per_core,
-            workers,
-            &mut state,
-            options,
-            lat,
-            hooks,
-        )
-    };
+    let failure = run_threaded(
+        machine,
+        streams,
+        max_accesses_per_core,
+        workers,
+        &mut state,
+        options,
+        lat,
+    );
     machine.lenient = false;
     restore_at_end(machine, &mut state);
     if let Some(p) = failure {
@@ -1388,9 +1201,10 @@ mod tests {
     /// no deadlocked barrier, no poisoned worker left behind. (The test
     /// completing at all is the deadlock check.) Runs with and without
     /// pipelining — the pipelined top-up panics between barrier crossings
-    /// (3) and (4), the unpipelined one outside the epoch — at 2 and 4
+    /// (3) and (4), the unpipelined one outside the epoch — at 1, 2 and 4
     /// slice threads, with the bomb in the calling thread's own partition
-    /// (core 0) and in the last spawned worker's (core 3).
+    /// (core 0) and in the last worker's (core 3; the calling thread's own
+    /// at 1 thread).
     #[test]
     fn stream_panic_unwinds_without_deadlock() {
         struct Bomb(u32);
@@ -1401,7 +1215,7 @@ mod tests {
                 Some(Access::read(LineAddr::new(u64::from(self.0))))
             }
         }
-        for threads in [2, 4] {
+        for threads in [1, 2, 4] {
             for bomb in [0, 3] {
                 for pipeline in [false, true] {
                     let options = SlicedOptions {

@@ -204,8 +204,12 @@ impl Flags {
             .transpose()
     }
 
-    /// `--directories`: a comma list of directory kinds, else `default`.
+    /// `--directories`: a comma list of directory kinds, or `all` for the
+    /// seven kinds, else `default`.
     fn directories(&self, default: &[DirectoryKind]) -> Result<Vec<DirectoryKind>, String> {
+        if self.get("directories") == Some("all") {
+            return Ok(DirectoryKind::ALL.to_vec());
+        }
         Ok(self
             .list("directories", DirectoryKind::parse)?
             .unwrap_or_else(|| default.to_vec()))
@@ -731,10 +735,7 @@ fn serve_cmd(flags: &Flags) -> Result<ExitCode, String> {
                 _ => known_workload(name),
             })?
             .unwrap_or_else(|| vec!["uniform".to_string()]);
-        let kinds = match flags.get("directories") {
-            Some("all") => DirectoryKind::ALL.to_vec(),
-            _ => flags.directories(&DirectoryKind::ALL)?,
-        };
+        let kinds = flags.directories(&DirectoryKind::ALL)?;
         (0..count)
             .map(|i| TenantSpec {
                 name: format!("t{i}"),
@@ -1289,7 +1290,8 @@ Replay:  --replay FILE [--directory KIND].
     Command { name: "sweep", run: sweep_cmd, flags: &[
         list("workloads", "comma-separated workload names, or the groups spec (default; the \
             12 Table-5 mixes), parsec, all"),
-        list("directories", "comma-separated directory kinds (default baseline,secdir)"),
+        list("directories", "comma-separated directory kinds, or `all` for the seven kinds \
+            (default baseline,secdir)"),
         list("seeds", "comma-separated workload seeds (default 24301)"),
         int("cores", 1, MACHINE_CORES, "cores per cell (default 8, the Table-4 machine)"),
         int("warmup", 0, U64, "warm-up references per core (default 350000)"),
@@ -1374,7 +1376,8 @@ Exit codes: 0 decoded; 1 usage or I/O error; 3 the journal is corrupt.
 " },
     Command { name: "perf", run: perf_cmd, flags: &[
         switch("quick", "CI-sized smoke run (~10x fewer references)"),
-        list("directories", "comma list of kinds (default: all seven)"),
+        list("directories", "comma list of kinds, or `all` for the seven kinds (default: \
+            all seven)"),
         value("workload", "NAME", "workload name (default mix0)"),
         int("cores", 1, MACHINE_CORES, "cores per machine (default 8)"),
         int("warmup", 0, U64, "warm-up refs/core, untimed in serial and sliced modes \
@@ -1401,7 +1404,8 @@ sample (schema secdir-bench-throughput/4); errors if any sample measures
 zero accesses/sec.
 " },
     Command { name: "inject", run: inject_cmd, flags: &[
-        list("directories", "comma list of directory kinds (default: all seven)"),
+        list("directories", "comma list of directory kinds, or `all` for the seven kinds \
+            (default: all seven)"),
         list("faults", "comma list of drop-invalidation | skip-quirk-invalidation \
             | leak-vd-on-consolidate | flip-sharer-bit (default: all)"),
         int("trigger", 0, U64, "access count at which each fault arms (default 3000)"),

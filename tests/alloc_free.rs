@@ -129,24 +129,27 @@ fn steady_state_accesses_do_not_allocate() {
         assert_eq!(
             short,
             long,
-            "{}: inline sliced epochs allocate ({short} vs {long} for 3x the epochs)",
+            "{}: one-thread sliced epochs allocate ({short} vs {long} for 3x the epochs)",
             kind.name()
         );
     }
-    // Threaded and pipelined variants: worker spawns and hand-off slots
-    // are per-run setup; the barrier and the slot shuttling must stay
-    // alloc-free per epoch.
-    for pipeline in [false, true] {
-        let options = SlicedOptions {
-            pipeline,
-            ..SlicedOptions::default()
-        };
-        let short = sliced_run_allocations(DirectoryKind::SecDir, 2_000, 2, options);
-        let long = sliced_run_allocations(DirectoryKind::SecDir, 6_000, 2, options);
-        assert_eq!(
-            short, long,
-            "threaded sliced epochs allocate (pipeline {pipeline}: {short} vs {long})"
-        );
+    // Pipelined and multi-thread variants: worker spawns and hand-off
+    // slots are per-run setup; the barrier and the slot shuttling must
+    // stay alloc-free per epoch.
+    for threads in [1, 2] {
+        for pipeline in [false, true] {
+            let options = SlicedOptions {
+                pipeline,
+                ..SlicedOptions::default()
+            };
+            let short = sliced_run_allocations(DirectoryKind::SecDir, 2_000, threads, options);
+            let long = sliced_run_allocations(DirectoryKind::SecDir, 6_000, threads, options);
+            assert_eq!(
+                short, long,
+                "sliced epochs allocate ({threads} threads, pipeline {pipeline}: \
+                 {short} vs {long})"
+            );
+        }
     }
 
     // The serve loop: memory is O(tenants + journal records), never

@@ -117,3 +117,69 @@ fn every_command_prints_its_help() {
         }
     }
 }
+
+/// `--directories all` selects the seven kinds on every command that
+/// takes the flag: one record per kind (per mode, for perf).
+#[test]
+fn directories_all_selects_the_seven_kinds() {
+    let dir = std::env::temp_dir().join(format!("secdir-cli-all-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = dir.join("out.jsonl");
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    // (invocation before --out, records expected in the output file)
+    let cases = [
+        (
+            "sweep --directories all --workloads mix0 --cores 1 --warmup 10 --measure 10 \
+             --threads 1",
+            7,
+        ),
+        (
+            "inject --directories all --faults drop-invalidation --trigger 10",
+            7,
+        ),
+        (
+            "perf --quick --directories all --cores 1 --warmup 10 --measure 100 --reps 1 \
+             --cells 1 --threads 1 --slice-threads 1",
+            21,
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (args, records) in cases {
+        let _ = std::fs::remove_file(&out);
+        let result = Command::new(BIN)
+            .args(args.split_whitespace())
+            .args(["--out", out_arg])
+            .output()
+            .expect("run secdir-sim");
+        let written = std::fs::read_to_string(&out).unwrap_or_default();
+        if !result.status.success() || written.lines().count() != records {
+            failures.push(format!(
+                "{args}: {} wrote {} records, stderr {:?}",
+                result.status,
+                written.lines().count(),
+                String::from_utf8_lossy(&result.stderr)
+            ));
+        }
+    }
+    let journal = dir.join("serve.jsonl");
+    let serve = run(&[
+        "serve",
+        "--tenants",
+        "7",
+        "--refs",
+        "10",
+        "--directories",
+        "all",
+        "--journal",
+        journal.to_str().expect("utf-8 temp path"),
+    ]);
+    if !serve.status.success() {
+        failures.push(format!(
+            "serve --directories all: {} stderr {:?}",
+            serve.status,
+            String::from_utf8_lossy(&serve.stderr)
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
