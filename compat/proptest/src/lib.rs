@@ -247,7 +247,7 @@ pub mod prop {
         use crate::test_runner::TestRng;
         use std::ops::Range;
 
-        /// The strategy returned by [`vec`].
+        /// The strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: Range<usize>,

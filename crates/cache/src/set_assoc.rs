@@ -245,8 +245,8 @@ impl<T> SetAssoc<T> {
     ///
     /// * every `valid` bit lies within the geometry's way mask,
     /// * bit `way` of `valid[set]` is set **iff** the tag slot holds a real
-    ///   line address (unoccupied ways keep the [`TAG_INVALID`] sentinel —
-    ///   the agreement that lets [`SetAssoc::find`] skip the mask),
+    ///   line address (unoccupied ways keep the `TAG_INVALID` sentinel —
+    ///   the agreement that lets `SetAssoc::find` skip the mask),
     /// * tags are unique within each set, and
     /// * `len` equals the total occupancy popcount.
     ///

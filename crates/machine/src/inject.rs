@@ -292,7 +292,7 @@ pub struct InjectOutcome {
 
 impl InjectOutcome {
     /// Whether the oracle caught the fault within one
-    /// [`ORACLE_INTERVAL`](crate::ORACLE_INTERVAL) of it firing — the
+    /// [`ORACLE_INTERVAL`] of it firing — the
     /// detection guarantee the `check` feature's periodic sweep provides.
     pub fn detected_in_time(&self) -> bool {
         match (self.fired_at, self.detected_at) {
@@ -329,7 +329,7 @@ pub const DEFAULT_TRIGGER: u64 = 3000;
 /// it.
 ///
 /// The run also works under `--features check`: the periodic oracle can
-/// only trip at an [`ORACLE_INTERVAL`](crate::ORACLE_INTERVAL) boundary,
+/// only trip at an [`ORACLE_INTERVAL`] boundary,
 /// and the explicit per-access [`Machine::verify`] below detects the
 /// violation strictly earlier, so the armed sweep never fires first. A
 /// panic out of [`Machine::access`] is nonetheless treated as detection,

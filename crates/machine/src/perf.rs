@@ -10,11 +10,11 @@
 //!   reference engine itself.
 //! * **sliced**: the same single-machine window driven by the
 //!   slice-parallel epoch engine
-//!   ([`run_workload_sliced_with`](crate::run_workload_sliced_with)), one
+//!   ([`run_workload_sliced_with`]), one
 //!   row per ([`PerfSpec::slice_threads`], [`PerfSpec::epoch_batches`])
 //!   combination, each row carrying its `epoch_batch`/`pipeline` tuning.
 //! * **sweep**: a seed-replicated cell matrix fanned out through
-//!   [`sweep`](crate::sweep::sweep) — the harness-level speed, warm-up
+//!   [`sweep`] — the harness-level speed, warm-up
 //!   included in both the clock and the count, recorded as
 //!   `warmup_timed:true` so the two modes are never mistaken for
 //!   comparable rates.
@@ -75,7 +75,7 @@ pub struct PerfSpec {
     pub serial_reps: usize,
     /// Slice-thread counts for the epoch-engine samples: one extra
     /// single-machine row per (thread count, epoch batch) pair, driven by
-    /// [`run_workload_sliced_with`](crate::run_workload_sliced_with).
+    /// [`run_workload_sliced_with`].
     /// Empty skips the sliced samples entirely.
     pub slice_threads: Vec<usize>,
     /// Epoch-batch values swept for the sliced samples (`--epoch-batch`).

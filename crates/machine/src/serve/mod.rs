@@ -12,22 +12,22 @@
 //!    counted as `stalled` and retried, never dropped.
 //! 2. **drain** (parallel across tenants): up to `drain` references per
 //!    core are retired into the tenant's machine, followed by the
-//!    online oracle audit ([`quarantine`]). Every per-tenant step runs
+//!    online oracle audit (`quarantine`). Every per-tenant step runs
 //!    under `catch_unwind`: a panicking stream or machine becomes a
 //!    structured `panicked` terminal record, not a server crash.
 //! 3. **emit** (serial, tenant-index order): checkpoint and terminal
 //!    records go to the journal — flushed per record (JSONL) or
 //!    group-committed as one checksummed frame per tick (binary, see
-//!    [`codec`]).
+//!    `codec`).
 //!
 //! How much work happens each tick depends only on the configuration,
 //! tenant seeds, and queue occupancy — never on simulated latencies,
 //! worker count, or host time — so the journal is byte-identical at any
 //! `workers` setting, and restarting after SIGKILL with the surviving
-//! journal replays to a byte-identical file (see [`journal`]).
+//! journal replays to a byte-identical file (see `journal`).
 //!
 //! Admission is FIFO over a bounded pool with a bounded waiting room;
-//! overflow tenants are shed at tick 0 ([`admission`]). Tenants that
+//! overflow tenants are shed at tick 0 (`admission`). Tenants that
 //! stop making progress for `idle_timeout` ticks are evicted with an
 //! `idle` record, which also guarantees the server itself terminates.
 
@@ -286,7 +286,7 @@ where
 }
 
 /// The built-in seeded uniform workload (the `inject` recipe's traffic
-/// shape): uniform lines over [`UNIFORM_LINES`] addresses, 30% writes.
+/// shape): uniform lines over `UNIFORM_LINES` addresses, 30% writes.
 pub fn uniform_streams(spec: &TenantSpec) -> Vec<Box<dyn AccessStream + 'static>> {
     let mut streams: Vec<Box<dyn AccessStream + 'static>> = Vec::with_capacity(spec.cores);
     for core in 0..spec.cores {

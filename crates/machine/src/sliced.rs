@@ -147,7 +147,7 @@ const EPOCH_BATCH: usize = 64;
 pub struct SlicedOptions {
     /// References buffered per core per epoch. Affects the epoch schedule
     /// (and can therefore affect when cross-core effects land) but never
-    /// determinism; the default is [`EPOCH_BATCH`] = 64, the value the
+    /// determinism; the default is `EPOCH_BATCH` = 64, the value the
     /// sliced golden snapshots pin.
     pub epoch_batch: usize,
     /// Software pipelining: overlap the next epoch's stream top-up with

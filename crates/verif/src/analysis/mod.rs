@@ -138,12 +138,7 @@ pub fn analyze_source(file: &Path, src: &str, class: FileClass) -> Vec<Diagnosti
     }
 
     let mut meta: Vec<Finding> = Vec::new();
-    for mut w in waiver::parse_waivers(src, &tokens) {
-        // `journal-flush` generalized the old `jsonl-flush` rule; the
-        // legacy waiver spelling keeps resolving to it.
-        if w.rule == "jsonl-flush" {
-            w.rule = "journal-flush".to_string();
-        }
+    for w in waiver::parse_waivers(src, &tokens) {
         let Some(m) = rules::rule_meta(&w.rule) else {
             let known: Vec<&str> = rules::registry().iter().map(|r| r.meta.id).collect();
             meta.push(Finding {
@@ -219,21 +214,35 @@ pub fn classify(rel: &str) -> FileClass {
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/*/src`, `compat/*/src`, and `src/`. Test and bench trees are
 /// exempt by construction (panicking and allocating there is fine).
+///
+/// A root with none of those source directories is an error, not a clean
+/// scan of zero files: a mistyped `--root` must not pass the gate.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut src_dirs: Vec<PathBuf> = Vec::new();
     for tree in ["crates", "compat"] {
-        let tree_dir = root.join(tree);
-        if let Ok(entries) = fs::read_dir(&tree_dir) {
-            for entry in entries {
-                let dir = entry?.path().join("src");
-                if dir.is_dir() {
-                    src_dirs.push(dir);
-                }
+        let entries = match fs::read_dir(root.join(tree)) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        for entry in entries {
+            let dir = entry?.path().join("src");
+            if dir.is_dir() {
+                src_dirs.push(dir);
             }
         }
     }
     if root.join("src").is_dir() {
         src_dirs.push(root.join("src"));
+    }
+    if src_dirs.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "no crates/*/src, compat/*/src or src directory under {}",
+                root.display()
+            ),
+        ));
     }
     src_dirs.sort();
 

@@ -9,11 +9,10 @@
 //!
 //! Rule modules:
 //!
-//! * [`ported`] — the five original scanner rules (`no-unwrap`,
-//!   `hot-alloc`, `wall-clock`, `journal-flush` — née `jsonl-flush`,
-//!   now also covering binary frame writes — and `crate-hygiene`),
-//!   re-implemented on the token stream with line-compatible semantics
-//!   (verified by the differential corpus test).
+//! * [`ported`] — the five core rules: `no-unwrap`, `hot-alloc`,
+//!   `wall-clock`, `journal-flush` (JSONL record writes and binary frame
+//!   writes) and `crate-hygiene`. Their findings on `tests/corpus/` are
+//!   pinned line by line.
 //! * [`determinism`] — `hash-iter`: no iteration over hash-ordered
 //!   collections in production code.
 //! * [`panic_safety`] — `barrier-panic`: no panic paths inside

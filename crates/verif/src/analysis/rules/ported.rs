@@ -1,17 +1,17 @@
-//! The five original scanner rules, ported onto the token stream.
+//! The five core rules: `no-unwrap`, `hot-alloc`, `wall-clock`,
+//! `journal-flush` and `crate-hygiene`.
 //!
-//! Semantics are line-compatible with the old character-level scanner in
-//! [`crate::lint`] (the differential corpus test pins this): the same
-//! `(file, line, rule)` triples fire on well-formed single-line
-//! constructs. The token engine is strictly more precise elsewhere —
+//! Each matches token sequences and reports at line granularity, so
 //! tokens inside strings, comments, and doc examples can never match.
+//! The findings on `tests/corpus/` are pinned line by line in
+//! `tests/lint_workspace.rs`.
 
 use super::super::Severity;
 use super::{Ctx, Emitter};
 use std::collections::BTreeMap;
 
 /// Allocating token sequences forbidden on the hot path, as
-/// `(display name, token texts)` in the old scanner's priority order.
+/// `(display name, token texts)`; the first match at a token wins.
 const ALLOC_PATTERNS: &[(&str, &[&str])] = &[
     ("Box::new", &["Box", ":", ":", "new", "("]),
     ("Rc::new", &["Rc", ":", ":", "new", "("]),
@@ -95,8 +95,8 @@ pub fn hot_alloc(ctx: &Ctx<'_>, em: &mut Emitter) {
 }
 
 /// `wall-clock`: no host-time reads outside `perf.rs`. Deliberately NOT
-/// test-exempt (matching the old scanner): even tests must not leak wall
-/// time into simulated results.
+/// test-exempt: even tests must not leak wall time into simulated
+/// results.
 pub fn wall_clock(ctx: &Ctx<'_>, em: &mut Emitter) {
     if ctx.class.perf {
         return;
@@ -121,8 +121,7 @@ pub fn wall_clock(ctx: &Ctx<'_>, em: &mut Emitter) {
 /// two after it). Two record-write shapes are recognized:
 ///
 /// * **JSONL** — a `to_json_line()` call sharing a line with a
-///   `write!`/`writeln!` macro (per-line semantics match the old
-///   scanner, which knew this rule as `jsonl-flush`);
+///   `write!`/`writeln!` macro;
 /// * **binary frames** — a `.write_all(` call whose line names a
 ///   frame-ish buffer (any identifier containing `frame`), the shape
 ///   the `secdir-journal/1` group-commit writer uses. An unflushed

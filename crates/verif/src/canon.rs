@@ -19,7 +19,7 @@
 //! [`PermPair::apply_state`] selects the action.
 //!
 //! **Canonical form.** For each permutation of the *used* cores, relabel
-//! the cores in the four 32-bit line words ([`pack::line_word`]) and sort
+//! the cores in the four 32-bit line words ([`crate::pack::line_word`]) and sort
 //! the words descending with a stable tie-break on the original line
 //! index; the candidate is the sorted words assembled high-to-low. The
 //! canonical form is the numerically greatest candidate over all core

@@ -18,8 +18,6 @@
 //!    a pluggable rule registry gating panics, hot-path allocation,
 //!    wall-clock reads, JSONL flush discipline, crate hygiene, hash-iter
 //!    determinism, barrier panic-safety, and atomic orderings in CI.
-//!    The old line-stripping scanner ([`lint`]) is retained frozen as
-//!    the differential-test baseline for the ported rules.
 //!
 //! The `secdir-sim verif` and `secdir-sim lint` subcommands front-end the
 //! first and third; the second is armed by building with
@@ -31,7 +29,6 @@
 pub mod analysis;
 pub mod canon;
 pub mod checker;
-pub mod lint;
 pub mod model;
 pub mod pack;
 pub mod perf;

@@ -136,16 +136,6 @@ pub fn line_word(s: &ModelState, line: usize) -> u32 {
     w
 }
 
-/// Applies a core relabeling to a 4-bit presence mask.
-#[inline]
-pub fn permute_mask(mask: u32, cp: &[u8; MAX_CORES]) -> u32 {
-    let mut out = 0u32;
-    for (c, &image) in cp.iter().enumerate() {
-        out |= ((mask >> c) & 1) << image;
-    }
-    out
-}
-
 /// Assembles a packed state from its four line words (index 0 most
 /// significant).
 #[inline]

@@ -5,7 +5,7 @@
 //! wall-clock second and bytes held per visited state. This module pits
 //! the scalable core ([`check_opt`](crate::check_opt) — packed states,
 //! symmetry canonicalization, parallel frontier BFS) against the
-//! uncanonicalized serial baseline ([`check`](crate::check)), per
+//! uncanonicalized serial baseline ([`check`]), per
 //! directory kind, at two geometries:
 //!
 //! * **quick** (2 cores × 3 lines): both legs are explored and timed, so

@@ -1,7 +1,7 @@
-//! Differential corpus: a crate root missing both hygiene attributes.
-//! The old scanner emits one diagnostic per missing attribute and the
-//! token engine one combined finding, so the comparison happens on the
-//! deduplicated `(line, rule)` level, where both agree the root is
-//! deficient at line 1. This file is test data — it is never compiled.
+//! Lint corpus: a crate root missing both hygiene attributes. The
+//! engine reports one combined crate-hygiene finding at line 1; the
+//! pinned table in `tests/lint_workspace.rs` expects exactly that and
+//! nothing else.
+//! This file is test data — it is never compiled.
 
 pub fn visible() {}

@@ -1,7 +1,7 @@
-//! Differential corpus: a hot-path file. Exercises no-unwrap, hot-alloc,
-//! wall-clock, and jsonl-flush, plus the exemptions (test scope, exempt
-//! constructors) and same-line / next-line waivers, using only
-//! single-line constructs both scanners resolve identically.
+//! Lint corpus: a hot-path file. Exercises no-unwrap, hot-alloc,
+//! wall-clock, and journal-flush, plus the exemptions (test scope, exempt
+//! constructors) and same-line / next-line waivers. Its findings are
+//! pinned line by line in `tests/lint_workspace.rs`.
 //! This file is test data — it is never compiled.
 
 pub struct Sim {

@@ -1,8 +1,8 @@
-//! Differential corpus: an ordinary production file (not hot, not
-//! perf.rs). Allocation is allowed here; no-unwrap, wall-clock, and
-//! jsonl-flush still apply — wall-clock even inside test scope. Mixes in
-//! the lexical forms the old scanner resolves character-by-character:
-//! raw strings, char literals, lifetimes, and block comments.
+//! Lint corpus: an ordinary production file (not hot, not perf.rs).
+//! Allocation is allowed here; no-unwrap, wall-clock, and journal-flush
+//! still apply — wall-clock even inside test scope. Mixes in lexical
+//! forms a line-by-line scanner gets wrong: raw strings, char literals,
+//! lifetimes, and block comments. Findings are pinned line by line.
 //! This file is test data — it is never compiled.
 
 pub fn alloc_freely() -> Vec<String> {

@@ -1,12 +1,14 @@
 //! The lint gate, end to end: the workspace itself must scan clean under
-//! the token-level analysis engine (including its three new rule
-//! families), an introduced violation must surface as a
-//! `file:line:col` diagnostic, the engine must lint its own sources, and
-//! the JSON report must be byte-deterministic.
+//! the token-level analysis engine, an introduced violation must surface
+//! as a `file:line:col` diagnostic, the engine must lint its own sources,
+//! the JSON report must be byte-deterministic, the checked-in corpus must
+//! produce exactly its pinned findings, and a root with no sources must
+//! be an error rather than a clean scan.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use secdir_verif::analysis::{analyze_source, FileClass, HOT_PATH_FILES};
 use secdir_verif::{lint_workspace, render_json};
 
 fn workspace_root() -> PathBuf {
@@ -115,5 +117,94 @@ fn an_introduced_violation_fails_with_file_and_line() {
     assert!(rendered.contains("lib.rs:6:"), "{rendered}");
     assert!(rendered.contains("error[no-unwrap]"), "{rendered}");
 
+    fs::remove_dir_all(&scratch).ok();
+}
+
+/// Every `(line, rule)` pair the engine reports on a `tests/corpus/`
+/// file, sorted and deduplicated, with no rule filtered out.
+fn corpus_findings(name: &str, class: FileClass) -> Vec<(u32, &'static str)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("corpus")
+        .join(name);
+    let src = fs::read_to_string(&path).expect("read corpus file");
+    let mut found: Vec<_> = analyze_source(Path::new(name), &src, class)
+        .into_iter()
+        .map(|d| (d.line, d.rule))
+        .collect();
+    found.sort();
+    found.dedup();
+    found
+}
+
+/// The complete findings on each corpus file: a change to any rule's
+/// reach on these fixtures shows up here as a diff.
+#[test]
+fn corpus_findings_are_pinned() {
+    let hot = FileClass {
+        hot: true,
+        perf: false,
+        crate_root: false,
+    };
+    assert_eq!(
+        corpus_findings("hot_path.rs", hot),
+        [
+            (20, "no-unwrap"),
+            (21, "hot-alloc"),
+            (22, "hot-alloc"),
+            (23, "wall-clock"),
+            (24, "hot-alloc"),
+            (49, "journal-flush"),
+        ]
+    );
+    assert_eq!(
+        corpus_findings("production.rs", FileClass::default()),
+        [
+            (15, "no-unwrap"),
+            (19, "no-unwrap"),
+            (40, "wall-clock"),
+            (41, "wall-clock"),
+            (48, "wall-clock"),
+        ]
+    );
+    let crate_root = FileClass {
+        hot: false,
+        perf: false,
+        crate_root: true,
+    };
+    assert_eq!(
+        corpus_findings("crate_root.rs", crate_root),
+        [(1, "crate-hygiene")]
+    );
+}
+
+#[test]
+fn every_hot_path_entry_is_a_scanned_file() {
+    let root = workspace_root();
+    let report = lint_workspace(&root).expect("scan succeeds");
+    for entry in HOT_PATH_FILES {
+        assert!(
+            root.join(entry).is_file(),
+            "HOT_PATH_FILES names {entry}, which is not a file"
+        );
+        assert!(
+            report.files.iter().any(|f| f == entry),
+            "HOT_PATH_FILES entry {entry} is not in the scan"
+        );
+    }
+}
+
+#[test]
+fn a_root_without_sources_is_an_error() {
+    let scratch = workspace_root()
+        .join("target")
+        .join("lint-scratch")
+        .join(format!("empty-{}", std::process::id()));
+    fs::create_dir_all(&scratch).expect("create scratch root");
+    let err = lint_workspace(&scratch).expect_err("an empty root must not scan clean");
+    assert!(
+        err.to_string().contains(&scratch.display().to_string()),
+        "the error names the root: {err}"
+    );
     fs::remove_dir_all(&scratch).ok();
 }

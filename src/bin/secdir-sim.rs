@@ -1214,6 +1214,7 @@ fn verif_cmd(flags: &Flags) -> Result<ExitCode, String> {
 }
 
 fn lint_cmd(flags: &Flags) -> Result<ExitCode, String> {
+    use secdir_verif::{lint_workspace, render_json};
     let root = flags.get("root").unwrap_or(".");
     let format = flags.get("format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
@@ -1221,10 +1222,10 @@ fn lint_cmd(flags: &Flags) -> Result<ExitCode, String> {
             "unknown --format `{format}` (expected text or json)"
         ));
     }
-    let report = secdir_verif::lint_workspace(std::path::Path::new(root))
+    let report = lint_workspace(std::path::Path::new(root))
         .map_err(|e| format!("lint scan of `{root}`: {e}"))?;
     if format == "json" {
-        print!("{}", secdir_verif::render_json(&report));
+        print!("{}", render_json(&report));
     } else {
         for d in &report.findings {
             println!("{d}");
