@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ed_td::DiscardVictims;
 use crate::{
-    AccessKind, AppendixA, DataSource, DirHitKind, DirResponse, DirSlice, DirSliceStats, DirWhere,
+    AccessKind, AppendixA, DataSource, DirHitKind, DirParts, DirResponse, DirSlice, DirSliceStats,
     EdTd, Invalidations, SharerSet,
 };
 
@@ -106,12 +106,8 @@ impl DirSlice for BaselineSlice {
         out
     }
 
-    fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        self.dir.locate(line)
-    }
-
-    fn llc_has_data(&self, line: LineAddr) -> bool {
-        matches!(self.locate(line), Some(DirWhere::Td { has_data: true, .. }))
+    fn parts(&self, line: LineAddr) -> DirParts {
+        self.dir.parts(line)
     }
 
     fn stats(&self) -> &DirSliceStats {
@@ -127,13 +123,14 @@ impl DirSlice for BaselineSlice {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.dir.validate(|_, _| Ok(()))
+        self.dir.check_storage()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirWhere;
     use crate::InvalidationCause;
 
     fn tiny(appendix_a: AppendixA) -> BaselineSlice {
@@ -298,7 +295,7 @@ mod tests {
                 has_data: true
             })
         );
-        assert!(s.llc_has_data(LineAddr::new(1)));
+        assert!(s.parts(LineAddr::new(1)).td.is_some_and(|t| t.has_data));
         assert_eq!(s.stats().llc_data_fills, 1);
     }
 
@@ -321,7 +318,7 @@ mod tests {
         assert_eq!(r.hit, DirHitKind::Td);
         assert_eq!(r.source, DataSource::Llc);
         assert!(matches!(s.locate(LineAddr::new(1)), Some(DirWhere::Ed(_))));
-        assert!(!s.llc_has_data(LineAddr::new(1)));
+        assert!(!s.parts(LineAddr::new(1)).td.is_some_and(|t| t.has_data));
         assert_eq!(s.stats().td_to_ed_migrations, 1);
     }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::step::{self, TdConflict};
 use crate::{
-    AccessKind, DirHitKind, DirResponse, DirSliceStats, DirWhere, Invalidation, InvalidationCause,
+    AccessKind, DirHitKind, DirParts, DirResponse, DirSliceStats, Invalidation, InvalidationCause,
     Invalidations, SharerSet,
 };
 
@@ -281,15 +281,18 @@ impl EdTd {
         self.ed.remove(line)
     }
 
-    /// Where `line`'s entry lives in this pair, if anywhere.
-    pub fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        if let Some(e) = self.ed.get(line) {
-            return Some(DirWhere::Ed(e.sharers));
+    /// `line`'s ED and TD entries.
+    pub fn parts(&self, line: LineAddr) -> DirParts {
+        DirParts {
+            ed: self.ed.get(line).copied(),
+            td: self.td.get(line).copied(),
+            ..DirParts::default()
         }
-        self.td.get(line).map(|e| DirWhere::Td {
-            sharers: e.sharers,
-            has_data: e.has_data,
-        })
+    }
+
+    /// Whether either array tracks `line`.
+    pub fn tracks(&self, line: LineAddr) -> bool {
+        self.ed.contains(line) || self.td.contains(line)
     }
 
     /// Hints the host CPU to pull the rows a request for `line` probes.
@@ -317,44 +320,17 @@ impl EdTd {
         true
     }
 
-    /// Checks both arrays' storage and every entry: an ED entry tracks a
-    /// sharer and has no TD twin; a TD entry holds data or sharers (always
-    /// data under the quirk). `elsewhere(line, "ED" | "TD")` then checks
-    /// the caller's structures outside this pair.
+    /// Checks both arrays' storage.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
-    pub fn validate(
-        &self,
-        mut elsewhere: impl FnMut(LineAddr, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
+    pub fn check_storage(&self) -> Result<(), String> {
         self.ed
             .check_storage()
             .map_err(|e| format!("ED storage: {e}"))?;
         self.td
             .check_storage()
-            .map_err(|e| format!("TD storage: {e}"))?;
-        for (line, entry) in self.ed.iter() {
-            if entry.sharers.is_empty() {
-                return Err(format!("ED entry {line} tracks no sharers"));
-            }
-            if self.td.contains(line) {
-                return Err(format!("line {line} resident in both ED and TD"));
-            }
-            elsewhere(line, "ED")?;
-        }
-        for (line, entry) in self.td.iter() {
-            if self.appendix_a == AppendixA::SkylakeQuirk && !entry.has_data {
-                return Err(format!(
-                    "TD entry {line} is data-less under the Skylake quirk"
-                ));
-            }
-            if !entry.has_data && entry.sharers.is_empty() {
-                return Err(format!("TD entry {line} has neither LLC data nor sharers"));
-            }
-            elsewhere(line, "TD")?;
-        }
-        Ok(())
+            .map_err(|e| format!("TD storage: {e}"))
     }
 }

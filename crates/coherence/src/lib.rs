@@ -33,6 +33,7 @@
 
 mod baseline;
 mod ed_td;
+mod invariant;
 mod protocol;
 mod sharers;
 mod state;
@@ -41,6 +42,7 @@ mod way_partitioned;
 
 pub use baseline::{BaselineDirConfig, BaselineSlice};
 pub use ed_td::{AppendixA, EdEntry, EdTd, TdEntry, TdVictimPolicy};
+pub use invariant::{check_line, DirParts, Home, LineView, Violation};
 pub use protocol::{
     AccessKind, DataSource, DirHitKind, DirResponse, DirSlice, DirSliceStats, DirWhere,
     Invalidation, InvalidationCause, Invalidations,

@@ -4,7 +4,7 @@
 use secdir_mem::{CoreId, InlineVec, LineAddr};
 use serde::{Deserialize, Serialize};
 
-use crate::SharerSet;
+use crate::{DirParts, SharerSet};
 
 /// The kind of private-cache event that reaches the directory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,7 +131,7 @@ impl DirResponse {
 }
 
 /// Where a line's directory entry currently lives — used by tests and the
-/// machine's invariant checks, not by the protocol itself.
+/// invariant checks, not by the protocol itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DirWhere {
     /// In the Extended Directory with these sharers.
@@ -276,12 +276,14 @@ pub trait DirSlice {
     /// dirtiness.
     fn l2_evict(&mut self, line: LineAddr, core: CoreId, dirty: bool) -> Invalidations;
 
-    /// Where `line`'s entry currently lives, if anywhere (for invariant
-    /// checks and tests).
-    fn locate(&self, line: LineAddr) -> Option<DirWhere>;
+    /// `line`'s directory state, one part per structure (cold: the
+    /// invariant oracle builds its [`LineView`](crate::LineView) from it).
+    fn parts(&self, line: LineAddr) -> DirParts;
 
-    /// Whether the LLC data array of this slice holds `line`.
-    fn llc_has_data(&self, line: LineAddr) -> bool;
+    /// Where `line`'s entry currently lives, if anywhere (for tests).
+    fn locate(&self, line: LineAddr) -> Option<DirWhere> {
+        self.parts(line).locate()
+    }
 
     /// This slice's event counters.
     fn stats(&self) -> &DirSliceStats;
@@ -293,31 +295,23 @@ pub trait DirSlice {
         let _ = line;
     }
 
-    /// Deep-validates the slice's internal invariants: storage-layer
-    /// consistency of every backing structure, per-entry protocol
-    /// invariants (e.g. no tracked entry with an empty sharer set where one
-    /// is required), and cross-structure mutual exclusion (a line lives in
-    /// at most one of TD/ED/VD).
-    ///
-    /// Cold diagnostic path — the `secdir-machine` `check`-feature oracle
-    /// walks it periodically; allocation is fine on failure, forbidden on
-    /// the simulation path (this is never called from there). The default
-    /// checks nothing so trivial slices need no boilerplate.
+    /// Checks the storage of every backing structure (occupancy and tag
+    /// bookkeeping); the oracle checks the protocol rules per line with
+    /// [`check_line`](crate::check_line) over [`DirSlice::parts`]. Cold
+    /// diagnostic path: allocation is fine on failure.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
-    fn validate(&self) -> Result<(), String> {
-        Ok(())
-    }
+    fn validate(&self) -> Result<(), String>;
 
     /// Visits every live directory entry of this slice as
     /// `(line, tracked cores)` — one call per ED/TD entry, and one call per
     /// VD bank residency (a singleton set naming the bank owner).
     ///
-    /// Cold diagnostic path: the runtime oracle walks it to prove sharer
-    /// soundness (every tracked core actually holds the line); never called
-    /// from the simulation path.
+    /// Cold diagnostic path: the runtime oracle checks the line of every
+    /// entry (so an entry no cache holds is seen too), and fault injection
+    /// picks its targets here.
     fn for_each_entry(&self, f: &mut dyn FnMut(LineAddr, SharerSet));
 
     /// Fault injection: corrupt the directory by toggling `core`'s presence

@@ -17,8 +17,8 @@ use secdir_mem::{CoreId, LineAddr};
 
 use crate::ed_td::DiscardVictims;
 use crate::{
-    AccessKind, AppendixA, BaselineDirConfig, DataSource, DirHitKind, DirResponse, DirSlice,
-    DirSliceStats, DirWhere, EdTd, Invalidations, SharerSet, TdEntry, TdVictimPolicy,
+    AccessKind, AppendixA, BaselineDirConfig, DataSource, DirHitKind, DirParts, DirResponse,
+    DirSlice, DirSliceStats, EdTd, Invalidations, SharerSet, TdEntry, TdVictimPolicy,
 };
 
 /// One slice of a statically way-partitioned directory: one [`EdTd`] per
@@ -130,12 +130,15 @@ impl DirSlice for WayPartitionedSlice {
         out
     }
 
-    fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        self.parts.iter().find_map(|p| p.locate(line))
-    }
-
-    fn llc_has_data(&self, line: LineAddr) -> bool {
-        matches!(self.locate(line), Some(DirWhere::Td { has_data: true, .. }))
+    fn parts(&self, line: LineAddr) -> DirParts {
+        let mut parts = self.parts.iter().enumerate();
+        match parts.find(|(_, p)| p.tracks(line)) {
+            Some((i, p)) => DirParts {
+                partition: Some(i),
+                ..p.parts(line)
+            },
+            None => DirParts::default(),
+        }
     }
 
     fn stats(&self) -> &DirSliceStats {
@@ -154,20 +157,18 @@ impl DirSlice for WayPartitionedSlice {
     }
 
     fn validate(&self) -> Result<(), String> {
-        // A line must have exactly one entry across every partition:
-        // partitions are private slices of one shared address space, not
-        // independent directories.
+        // A line has one entry across all partitions (they split one
+        // address space). The model keeps one entry per line and cannot
+        // break this, so it is checked here, not in `check_line`.
         for (part, p) in self.parts.iter().enumerate() {
-            p.validate(|line, _| {
-                let mut others = self.parts.iter().enumerate();
-                match others.find(|&(o, q)| o != part && q.locate(line).is_some()) {
-                    Some((o, _)) => {
-                        Err(format!("line {line} resident in partitions {part} and {o}"))
-                    }
-                    None => Ok(()),
+            let mut found = p.check_storage();
+            p.for_each_entry(&mut |line, _| {
+                let twin = (0..self.parts.len()).find(|&o| o != part && self.parts[o].tracks(line));
+                if let (Ok(()), Some(o)) = (&found, twin) {
+                    found = Err(format!("line {line} resident in partitions {part} and {o}"));
                 }
-            })
-            .map_err(|e| format!("partition {part}: {e}"))?;
+            });
+            found.map_err(|e| format!("partition {part}: {e}"))?;
         }
         Ok(())
     }
@@ -262,7 +263,7 @@ mod tests {
         read(&mut s, 0, 0);
         let out = s.l2_evict(LineAddr::new(0), CoreId(0), true);
         assert!(out.is_empty());
-        assert!(s.llc_has_data(LineAddr::new(0)));
+        assert!(s.parts(LineAddr::new(0)).td.is_some_and(|t| t.has_data));
     }
 
     #[test]

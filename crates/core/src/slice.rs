@@ -2,7 +2,7 @@
 
 use secdir_coherence::step::{self, TdConflict};
 use secdir_coherence::{
-    AccessKind, AppendixA, DataSource, DirHitKind, DirResponse, DirSlice, DirSliceStats, DirWhere,
+    AccessKind, AppendixA, DataSource, DirHitKind, DirParts, DirResponse, DirSlice, DirSliceStats,
     EdEntry, EdTd, Invalidations, SharerSet, TdEntry, TdVictimPolicy,
 };
 use secdir_mem::{CoreId, LineAddr};
@@ -124,10 +124,11 @@ impl DirSlice for SecDirSlice {
         // Transition ④: the line's state lives in VD banks. Consolidate
         // every matching entry into a single TD entry and write the data
         // back into the LLC.
-        let Some(DirWhere::Vd(matched)) = vds.locate(line) else {
+        let matched = vds.holders(line);
+        if matched.is_empty() {
             debug_assert!(false, "L2 evicted a line with no directory entry: {line}");
             return out;
-        };
+        }
         stats.vd_to_td_migrations += 1;
         vds.remove(line, matched);
         // The consolidated entry transitions exactly like an ED entry whose
@@ -137,12 +138,11 @@ impl DirSlice for SecDirSlice {
         out
     }
 
-    fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        self.dir.locate(line).or_else(|| self.vds.locate(line))
-    }
-
-    fn llc_has_data(&self, line: LineAddr) -> bool {
-        matches!(self.locate(line), Some(DirWhere::Td { has_data: true, .. }))
+    fn parts(&self, line: LineAddr) -> DirParts {
+        DirParts {
+            vd: self.vds.holders(line),
+            ..self.dir.parts(line)
+        }
     }
 
     fn stats(&self) -> &DirSliceStats {
@@ -161,9 +161,9 @@ impl DirSlice for SecDirSlice {
     fn fault_leak_vd(&mut self, line: LineAddr, core: CoreId) -> bool {
         // Replay the LeakVdOnConsolidate protocol bug on the production
         // structures: a raw bank insert that leaves the line's live ED/TD
-        // entry in place, creating the VD-aliasing state `validate` must
+        // entry in place, creating the VD-aliasing state the oracle must
         // flag. Only meaningful when such an entry exists.
-        if self.dir.locate(line).is_none() {
+        if !self.dir.tracks(line) {
             return false;
         }
         self.vds.bank_mut(core).insert(line);
@@ -171,17 +171,8 @@ impl DirSlice for SecDirSlice {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.vds.validate()?;
-        // A VD entry records "core holds the line privately"; if the ED or
-        // TD already tracks the line the VD copy is stale — reads would
-        // stop at the ED/TD and never see (or clean up) the alias.
-        self.dir.validate(|line, dir| match self.vds.locate(line) {
-            Some(vd) => Err(format!(
-                "line {line} has a live {dir} entry but also VD entries (cores {:?})",
-                vd.sharers()
-            )),
-            None => Ok(()),
-        })
+        self.vds.check_storage()?;
+        self.dir.check_storage()
     }
 }
 
@@ -190,7 +181,7 @@ mod tests {
     use super::*;
     use crate::VdHashing;
     use secdir_cache::Geometry;
-    use secdir_coherence::{DataSource, InvalidationCause};
+    use secdir_coherence::{DataSource, DirWhere, InvalidationCause};
 
     /// A slice small enough to force every transition: 1-set ED/TD with 2
     /// ways each, 4 cores, 4-set × 2-way cuckoo VD banks.

@@ -3,7 +3,7 @@
 //! [`VdOnlySlice`](crate::VdOnlySlice).
 
 use secdir_coherence::{
-    AccessKind, DataSource, DirHitKind, DirResponse, DirSliceStats, DirWhere, Invalidation,
+    AccessKind, DataSource, DirHitKind, DirResponse, DirSliceStats, Invalidation,
     InvalidationCause, Invalidations, SharerSet,
 };
 use secdir_mem::{CoreId, LineAddr};
@@ -44,14 +44,12 @@ impl VdBanks {
         &mut self.banks[core.0]
     }
 
-    /// Which cores' banks hold `line`, if any (does not touch probe
-    /// counters).
-    pub fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        let matched: SharerSet = (0..self.banks.len())
+    /// The cores whose banks hold `line` (does not touch probe counters).
+    pub fn holders(&self, line: LineAddr) -> SharerSet {
+        (0..self.banks.len())
             .filter(|&i| self.banks[i].contains(line))
             .map(CoreId)
-            .collect();
-        (!matched.is_empty()).then_some(DirWhere::Vd(matched))
+            .collect()
     }
 
     /// Serves a request from the VD banks (§5.1) into `resp`, a memory miss
@@ -174,7 +172,7 @@ impl VdBanks {
     /// # Errors
     ///
     /// Returns a description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn check_storage(&self) -> Result<(), String> {
         for (core, bank) in self.banks.iter().enumerate() {
             bank.check_storage()
                 .map_err(|e| format!("VD bank {core} storage: {e}"))?;

@@ -6,7 +6,7 @@
 //! the CKVD/NoCKVD columns of Table 6 run in this mode.
 
 use secdir_coherence::{
-    AccessKind, DataSource, DirHitKind, DirResponse, DirSlice, DirSliceStats, DirWhere,
+    AccessKind, DataSource, DirHitKind, DirParts, DirResponse, DirSlice, DirSliceStats,
     Invalidations, SharerSet,
 };
 use secdir_mem::{CoreId, LineAddr};
@@ -77,12 +77,11 @@ impl DirSlice for VdOnlySlice {
         Invalidations::new()
     }
 
-    fn locate(&self, line: LineAddr) -> Option<DirWhere> {
-        self.vds.locate(line)
-    }
-
-    fn llc_has_data(&self, _line: LineAddr) -> bool {
-        false
+    fn parts(&self, line: LineAddr) -> DirParts {
+        DirParts {
+            vd: self.vds.holders(line),
+            ..DirParts::default()
+        }
     }
 
     fn stats(&self) -> &DirSliceStats {
@@ -105,7 +104,7 @@ impl DirSlice for VdOnlySlice {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.vds.validate()
+        self.vds.check_storage()
     }
 }
 
@@ -114,7 +113,7 @@ mod tests {
     use super::*;
     use crate::VdHashing;
     use secdir_cache::Geometry;
-    use secdir_coherence::{DataSource, InvalidationCause};
+    use secdir_coherence::{DataSource, DirWhere, InvalidationCause};
 
     fn tiny() -> VdOnlySlice {
         VdOnlySlice::new(

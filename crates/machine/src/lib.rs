@@ -49,6 +49,6 @@ pub use engine::{
 };
 pub use inject::{FaultKind, FaultPlan, InjectOutcome};
 pub use machine::{AccessOutcome, Machine, ServedBy};
-pub use oracle::ORACLE_INTERVAL;
+pub use oracle::{OracleError, ORACLE_INTERVAL};
 pub use sliced::{run_workload_sliced, run_workload_sliced_with, SlicedOptions};
 pub use stats::{CoreStats, MachineStats};

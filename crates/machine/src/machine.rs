@@ -603,7 +603,7 @@ impl Machine {
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: CoreId, line: LineAddr, write: bool) -> AccessOutcome {
         #[cfg(feature = "check")]
-        self.oracle_tick();
+        self.oracle_step(1);
         if self.fault.is_some() {
             self.fault_tick();
         }
@@ -733,14 +733,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_under_random_traffic() {
-        for kind in [
-            DirectoryKind::Baseline,
-            DirectoryKind::BaselineFixed,
-            DirectoryKind::SecDir,
-            DirectoryKind::SecDirPlainVd,
-            DirectoryKind::SecDirVdOnly,
-            DirectoryKind::WayPartitioned,
-        ] {
+        for kind in DirectoryKind::ALL {
             let mut m = machine(kind);
             let mut rng = secdir_mem::SplitMix64::new(99);
             for _ in 0..4000 {
@@ -749,8 +742,7 @@ mod tests {
                 let write = rng.chance(0.3);
                 m.access(core, line, write);
             }
-            m.check_invariants()
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            m.verify().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         }
     }
 
@@ -765,7 +757,7 @@ mod tests {
         // The first line was LRU-evicted into the LLC; re-access hits TD.
         let o = m.access(CoreId(0), lines[0], false);
         assert_eq!(o.served, ServedBy::EdTd);
-        m.check_invariants().unwrap();
+        m.verify().unwrap();
     }
 
     #[test]

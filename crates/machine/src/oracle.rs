@@ -1,40 +1,28 @@
-//! The runtime invariant oracle: deep cross-structure checks over a live
-//! [`Machine`].
+//! The runtime invariant oracle, [`Machine::verify`]: the storage checks
+//! of every private cache and directory slice ([`SetAssoc::check_storage`]
+//! and friends, through [`DirSlice::validate`]), then the protocol
+//! invariants over every line a private L2 holds and every line a
+//! directory entry names. The invariants are written once, in
+//! [`check_line`], which the model checker (`secdir_verif`) runs too. The
+//! first failure is a typed [`OracleError`]; its `Display` is the text
+//! `serve` journals. A cold path, allocation-free on success, so the
+//! `tests/alloc_free.rs` steady-state proof holds with the oracle armed.
 //!
-//! The simulation hot path proves local facts with `debug_assert!`s; this
-//! module walks the whole machine and cross-validates the *global* facts
-//! those local checks cannot see:
-//!
-//! * storage-layer consistency of every flat array (occupancy bitmask ⟺
-//!   sentinel-tag agreement, `len` bookkeeping — [`SetAssoc::check_storage`]
-//!   and friends),
-//! * MOESI single-writer / no-M+S-coexistence across private caches,
-//! * directory inclusion: every valid private L2 line is covered by a
-//!   directory entry that lists its core,
-//! * sharer soundness (the converse of inclusion): every core a directory
-//!   entry lists actually holds the line in its private L2,
-//! * per-slice protocol invariants (TD/ED/VD mutual exclusion, no
-//!   sharer-less ED entries) via [`DirSlice::validate`].
-//!
-//! All of it is a cold diagnostic path — the success path allocates
-//! nothing, so the `tests/alloc_free.rs` steady-state proof holds even
-//! with the oracle compiled in.
-//!
-//! # The `check` feature
-//!
-//! [`Machine::verify`] is always compiled (tests and tools call it
-//! directly). The `check` cargo feature additionally arms a periodic
-//! sweep: every [`ORACLE_INTERVAL`] calls to [`Machine::access`] the whole
-//! walk runs and panics on the first violation. It is off by default —
-//! golden-stats and determinism runs in CI turn it on
-//! (`cargo test --features check`).
+//! The `check` cargo feature arms a periodic sweep: every
+//! [`ORACLE_INTERVAL`] accesses the whole walk runs and panics on the
+//! first violation (`cargo test --features check` in CI).
 //!
 //! [`SetAssoc::check_storage`]: secdir_cache::SetAssoc::check_storage
 //! [`DirSlice::validate`]: secdir_coherence::DirSlice::validate
+//! [`check_line`]: secdir_coherence::check_line
 
-use secdir_mem::CoreId;
+use std::fmt;
+
+use secdir_coherence::{check_line, LineView, Moesi, Violation};
+use secdir_mem::{CoreId, LineAddr};
 
 use crate::machine::Machine;
+use crate::{DirectoryKind, MachineConfig};
 
 /// Accesses between two periodic oracle sweeps under the `check` feature.
 ///
@@ -53,174 +41,103 @@ pub(crate) struct OracleState {
     accesses: u64,
 }
 
+/// The first failure [`Machine::verify`] finds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OracleError {
+    /// A private cache or directory slice failed its storage check.
+    Storage(String),
+    /// A line broke a protocol invariant.
+    Invariant(Violation),
+}
+
+impl fmt::Display for OracleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OracleError::Storage(e) => f.write_str(e),
+            OracleError::Invariant(v) => v.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for OracleError {}
+
 impl Machine {
-    /// Checks the directory-inclusion invariant: every valid L2 line of
-    /// every core is covered by a directory entry listing that core.
+    /// Runs the full invariant oracle (see the module docs).
+    /// Allocation-free when all invariants hold.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violation found.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, caches) in self.cores.iter().enumerate() {
-            let core = CoreId(i);
-            for (line, state) in caches.l2_iter() {
-                debug_assert!(state.is_valid());
-                let slice = self.slice_of(line);
-                match self.slice(slice).locate(line) {
-                    None => {
-                        return Err(format!(
-                            "{core} holds {line} ({state}) but {slice} has no directory entry"
-                        ))
-                    }
-                    Some(w) => {
-                        if !w.sharers().contains(core) {
-                            return Err(format!(
-                                "{core} holds {line} ({state}) but directory entry {w:?} \
-                                 does not list it"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// MOESI coexistence rules across private caches: a line in Modified
-    /// or Exclusive anywhere must be the only valid copy, and a line in
-    /// Owned tolerates only Shared copies elsewhere (so M+S can never
-    /// coexist). O(resident lines × cores), allocation-free on success.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violation found.
-    pub fn check_coherence(&self) -> Result<(), String> {
-        for (i, caches) in self.cores.iter().enumerate() {
-            for (line, state) in caches.l2_iter() {
-                if !(state.can_write_silently() || state.is_dirty()) {
-                    continue; // Shared: anything goes.
-                }
-                for (j, other) in self.cores.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let peer = other.state(line);
-                    if !peer.is_valid() {
-                        continue;
-                    }
-                    if state.can_write_silently() {
-                        return Err(format!(
-                            "SWMR violation: core {i} holds {line} in {state} \
-                             while core {j} holds it in {peer}"
-                        ));
-                    }
-                    // state is Owned: peers may only be Shared.
-                    if peer.can_write_silently() || peer.is_dirty() {
-                        return Err(format!(
-                            "coexistence violation: core {i} holds {line} in {state} \
-                             while core {j} holds it in {peer}"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks sharer soundness, the converse of directory inclusion: every
-    /// core a directory entry lists (or, for a VD, the bank's owning core)
-    /// must hold the line in its private L2. This is the check that
-    /// catches a *stale sharer* — a presence bit left set after the copy
-    /// is gone — which inclusion alone cannot see. The model checker
-    /// proves the same invariant on the abstract protocol
-    /// (`secdir_verif`); this is its runtime counterpart.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violation found.
-    pub fn check_sharer_soundness(&self) -> Result<(), String> {
-        let mut err: Option<String> = None;
-        for (s, slice) in self.slices.iter().enumerate() {
-            slice.for_each_entry(&mut |line, sharers| {
-                if err.is_some() {
-                    return;
-                }
-                for core in sharers.iter() {
-                    if core.0 >= self.cores.len() || !self.cores[core.0].l2_contains(line) {
-                        err = Some(format!(
-                            "stale sharer: slice {s} lists {core} for {line} \
-                             but its L2 holds no copy"
-                        ));
-                        return;
-                    }
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the full invariant oracle: per-core cache storage checks
-    /// ([`crate::PrivateCaches::check_storage`]), MOESI coexistence
-    /// ([`Machine::check_coherence`]), per-slice protocol/storage
-    /// invariants (`DirSlice::validate`), directory inclusion
-    /// ([`Machine::check_invariants`]), and sharer soundness
-    /// ([`Machine::check_sharer_soundness`]).
-    ///
-    /// Always compiled; the `check` feature merely calls this
-    /// periodically from [`Machine::access`]. Allocation-free when all
-    /// invariants hold.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violation found.
-    pub fn verify(&self) -> Result<(), String> {
+    /// Returns the first failure found.
+    pub fn verify(&self) -> Result<(), OracleError> {
         for (i, caches) in self.cores.iter().enumerate() {
             caches
                 .check_storage()
-                .map_err(|e| format!("core {i}: {e}"))?;
+                .map_err(|e| OracleError::Storage(format!("core {i}: {e}")))?;
         }
-        self.check_coherence()?;
         for (s, slice) in self.slices.iter().enumerate() {
-            slice.validate().map_err(|e| format!("slice {s}: {e}"))?;
+            slice
+                .validate()
+                .map_err(|e| OracleError::Storage(format!("slice {s}: {e}")))?;
         }
-        self.check_invariants()?;
-        self.check_sharer_soundness()
+        // Each line is checked once. A held line is checked from the
+        // lowest core holding it. After that every held line is clean, so
+        // its entries list exactly its holders: an entry none of whose
+        // listed cores holds a copy names a line no core holds.
+        let mut found = Ok(());
+        let mut check = |line, holder| {
+            if found.is_ok() {
+                found = self.check_line(line, holder);
+            }
+        };
+        for (i, caches) in self.cores.iter().enumerate() {
+            caches.l2_iter().for_each(|(line, _)| check(line, Some(i)));
+        }
+        let held = |line, c: CoreId| self.cores.get(c.0).is_some_and(|k| k.l2_contains(line));
+        for slice in &self.slices {
+            slice.for_each_entry(&mut |line, sharers| {
+                if !sharers.iter().any(|c| held(line, c)) {
+                    check(line, None);
+                }
+            });
+        }
+        found.map_err(OracleError::Invariant)
     }
 
-    /// One periodic-oracle step, called from [`Machine::access`] when the
-    /// `check` feature is on.
+    /// Builds `line`'s [`LineView`] and checks it. `holder` is the core
+    /// whose L2 walk found the line (a line a lower core holds too was
+    /// checked from there), or `None` for a line no core holds.
+    fn check_line(&self, line: LineAddr, holder: Option<usize>) -> Result<(), Violation> {
+        let mut holders = [Moesi::Invalid; MachineConfig::MAX_CORES];
+        if let Some(i) = holder {
+            for (state, caches) in holders.iter_mut().zip(&self.cores) {
+                *state = caches.state(line);
+            }
+            if holders[..i].iter().any(|s| s.is_valid()) {
+                return Ok(());
+            }
+        }
+        let slice = self.slice_of(line).0;
+        check_line(&LineView {
+            line,
+            slice,
+            holders: &holders[..self.cores.len()],
+            dir: self.slices[slice].parts(line),
+            quirk: self.config().directory == DirectoryKind::Baseline,
+        })
+    }
+
+    /// One periodic-oracle step under the `check` feature: advances the
+    /// access counter by `retired` — one access from [`Machine::access`],
+    /// a whole epoch from the sliced engine's barrier, where the machine
+    /// is whole and coherent — and sweeps when an [`ORACLE_INTERVAL`]
+    /// boundary was crossed.
     ///
     /// # Panics
     ///
     /// Panics on the first invariant violation the sweep finds.
     #[cfg(feature = "check")]
     #[inline]
-    pub(crate) fn oracle_tick(&mut self) {
-        self.oracle.accesses += 1;
-        if self.oracle.accesses % ORACLE_INTERVAL == 0 {
-            if let Err(e) = self.verify() {
-                panic!(
-                    "invariant oracle tripped after {} accesses: {e}",
-                    self.oracle.accesses
-                );
-            }
-        }
-    }
-
-    /// Epoch-granular periodic-oracle step for the sliced engine
-    /// (`crate::sliced`): advances the access counter by a whole epoch at
-    /// once and sweeps when an [`ORACLE_INTERVAL`] boundary was crossed.
-    /// Runs at the epoch barrier, where the machine is whole and
-    /// coherent.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first invariant violation the sweep finds.
-    #[cfg(feature = "check")]
-    pub(crate) fn oracle_epoch(&mut self, retired: u64) {
+    pub(crate) fn oracle_step(&mut self, retired: u64) {
         let before = self.oracle.accesses;
         self.oracle.accesses += retired;
         if self.oracle.accesses / ORACLE_INTERVAL > before / ORACLE_INTERVAL {
@@ -230,6 +147,142 @@ impl Machine {
                     self.oracle.accesses
                 );
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use secdir_coherence::{
+        AccessKind, DataSource, DirHitKind, DirParts, DirResponse, DirSlice, DirSliceStats,
+        DirWhere, EdEntry, Invalidations, SharerSet, TdEntry,
+    };
+    use Moesi::{Invalid as I, Modified as M, Owned as O, Shared as S};
+
+    /// A slice that reports one forged entry for `line` and nothing else.
+    struct Forged {
+        line: LineAddr,
+        parts: DirParts,
+        stats: DirSliceStats,
+    }
+
+    impl DirSlice for Forged {
+        fn request(&mut self, _: LineAddr, _: CoreId, _: AccessKind) -> DirResponse {
+            DirResponse::new(DataSource::Memory, DirHitKind::Miss)
+        }
+        fn l2_evict(&mut self, _: LineAddr, _: CoreId, _: bool) -> Invalidations {
+            Invalidations::new()
+        }
+        fn parts(&self, line: LineAddr) -> DirParts {
+            if line == self.line {
+                self.parts
+            } else {
+                DirParts::default()
+            }
+        }
+        fn stats(&self) -> &DirSliceStats {
+            &self.stats
+        }
+        fn validate(&self) -> Result<(), String> {
+            Ok(())
+        }
+        fn for_each_entry(&self, f: &mut dyn FnMut(LineAddr, SharerSet)) {
+            if let Some(w) = self.parts.locate() {
+                f(self.line, w.sharers());
+            }
+        }
+    }
+
+    fn set(cores: &[usize]) -> SharerSet {
+        cores.iter().map(|&c| CoreId(c)).collect()
+    }
+
+    fn ed(cores: &[usize]) -> DirParts {
+        let sharers = set(cores);
+        DirParts {
+            ed: Some(EdEntry { sharers }),
+            ..DirParts::default()
+        }
+    }
+
+    fn td(cores: &[usize], has_data: bool) -> DirParts {
+        let (sharers, llc_dirty) = (set(cores), false);
+        DirParts {
+            td: Some(TdEntry {
+                sharers,
+                has_data,
+                llc_dirty,
+            }),
+            ..DirParts::default()
+        }
+    }
+
+    /// Every rule of the shared invariant set, broken on a live machine —
+    /// caches set to `states`, the home slice forged to report `dir` — is
+    /// named by its own variant through the machine's per-line view.
+    #[test]
+    fn each_broken_rule_is_named_through_the_machine_view() {
+        let both = DirParts {
+            td: td(&[0, 1], true).td,
+            ..ed(&[0, 1])
+        };
+        let aliased = DirParts {
+            vd: set(&[1]),
+            ..ed(&[0, 1])
+        };
+        type Expected = fn(&Violation) -> bool;
+        let cases: [(DirectoryKind, [Moesi; 2], DirParts, Expected); 9] = [
+            (DirectoryKind::Baseline, [M, S], ed(&[0, 1]), |v| {
+                matches!(v, Violation::Swmr(..))
+            }),
+            (DirectoryKind::Baseline, [O, O], ed(&[0, 1]), |v| {
+                matches!(v, Violation::OwnerCoexistence(..))
+            }),
+            (DirectoryKind::Baseline, [S, S], ed(&[]), |v| {
+                matches!(v, Violation::EdNoSharers(..))
+            }),
+            (DirectoryKind::Baseline, [S, S], both, |v| {
+                matches!(v, Violation::EdAndTd(..))
+            }),
+            (DirectoryKind::SecDir, [S, S], aliased, |v| {
+                matches!(v, Violation::VdAliasing(_, _, DirWhere::Ed(_), _))
+            }),
+            (DirectoryKind::Baseline, [S, S], td(&[0, 1], false), |v| {
+                matches!(v, Violation::DatalessTd(..))
+            }),
+            (DirectoryKind::BaselineFixed, [S, S], td(&[], false), |v| {
+                matches!(v, Violation::EmptyTd(..))
+            }),
+            (DirectoryKind::Baseline, [S, S], ed(&[0]), |v| {
+                matches!(v, Violation::Inclusion(_, _, (CoreId(1), S), Some(_)))
+            }),
+            (DirectoryKind::Baseline, [S, I], ed(&[0, 1]), |v| {
+                matches!(v, Violation::StaleSharer(_, _, CoreId(1)))
+            }),
+        ];
+        let line = LineAddr::new(0x40);
+        for (kind, states, dir, expected) in cases {
+            let mut m = Machine::new(MachineConfig::small(2, kind));
+            for (core, &state) in states.iter().enumerate() {
+                if state != I {
+                    m.access(CoreId(core), line, false);
+                }
+            }
+            for (core, &state) in states.iter().enumerate() {
+                m.cores[core].set_state(line, state);
+            }
+            let home = m.slice_of(line).0;
+            m.slices[home] = Box::new(Forged {
+                line,
+                parts: dir,
+                stats: DirSliceStats::default(),
+            });
+            let got = m.verify();
+            assert!(
+                matches!(&got, Err(OracleError::Invariant(v)) if expected(v)),
+                "{kind:?} {states:?} {dir:?}: {got:?}"
+            );
         }
     }
 }

@@ -651,8 +651,8 @@ impl Driver<'_, '_, '_> {
                 && scheduler::queues_empty(&rt)
             {
                 match rt.machine.as_ref().map(Machine::verify) {
-                    Some(Err(invariant)) if cfg.final_audit => {
-                        Some((TenantStatus::Quarantined, invariant))
+                    Some(Err(e)) if cfg.final_audit => {
+                        Some((TenantStatus::Quarantined, e.to_string()))
                     }
                     _ => Some((TenantStatus::Done, String::new())),
                 }

@@ -16,8 +16,8 @@
 //!   whenever its retired count crosses a multiple of
 //!   [`ORACLE_INTERVAL`], mirroring the `check`-feature oracle.
 //!
-//! A failed sweep records the invariant text on the tenant; the parent
-//! module turns that into a `quarantined` terminal record. The server
+//! A failed sweep records the rendered [`crate::OracleError`] on the
+//! tenant; the parent module journals it in a `quarantined` record. The server
 //! never crashes on a tenant's invariant violation — that is the whole
 //! point.
 
@@ -39,8 +39,8 @@ pub(crate) fn audit(rt: &mut TenantShared) {
         return;
     }
     rt.last_verified = rt.retired;
-    if let Err(invariant) = m.verify() {
-        rt.quarantine_msg = Some(invariant);
+    if let Err(e) = m.verify() {
+        rt.quarantine_msg = Some(e.to_string());
     }
 }
 

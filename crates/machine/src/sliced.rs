@@ -720,7 +720,7 @@ fn merge(machine: &mut Machine, state: &mut RunState, total_retired: &mut u64) {
     }
     #[cfg(feature = "check")]
     with_whole_machine(machine, cells, scells, shuttle, |m| {
-        m.oracle_epoch(epoch_retired);
+        m.oracle_step(epoch_retired);
     });
 }
 

@@ -152,6 +152,86 @@ fn inject_matrix_through_the_server_quarantines_all_pairs() {
     cfg.drain = 8;
     cfg.workers = 4;
     let (journal, report) = run(&cfg, "");
+    // The oracle's texts, journaled as each quarantine's detail; the same
+    // in the debug and release profiles. Way-partitioned × flip-sharer-bit
+    // at this seed is caught by the audit, not the engine's panic.
+    let expected = [
+        (
+            "baseline+drop-invalidation",
+            "SWMR violation: core 1 holds 0x131 in E while core 3 holds it in M",
+        ),
+        (
+            "baseline+skip-quirk-invalidation",
+            "core2 holds 0x2a6 (M) but directory entry Td { sharers: SharerSet{}, has_data: true } \
+             does not list it",
+        ),
+        (
+            "baseline+flip-sharer-bit",
+            "slice 3: ED entry 0x1c0 tracks no sharers",
+        ),
+        (
+            "baseline-fixed+drop-invalidation",
+            "SWMR violation: core 0 holds 0xdf8 in E while core 2 holds it in M",
+        ),
+        (
+            "baseline-fixed+flip-sharer-bit",
+            "slice 2: ED entry 0x800 tracks no sharers",
+        ),
+        (
+            "secdir+drop-invalidation",
+            "SWMR violation: core 0 holds 0xde3 in E while core 3 holds it in M",
+        ),
+        (
+            "secdir+leak-vd-on-consolidate",
+            "slice 2: line 0xc00 has a live ED entry but also VD entries (cores SharerSet{1})",
+        ),
+        (
+            "secdir+flip-sharer-bit",
+            "slice 3: ED entry 0x700 tracks no sharers",
+        ),
+        (
+            "secdir-plain-vd+drop-invalidation",
+            "SWMR violation: core 1 holds 0x8be in M while core 3 holds it in M",
+        ),
+        (
+            "secdir-plain-vd+leak-vd-on-consolidate",
+            "slice 2: line 0xc00 has a live ED entry but also VD entries (cores SharerSet{1})",
+        ),
+        (
+            "secdir-plain-vd+flip-sharer-bit",
+            "slice 2: ED entry 0xd40 tracks no sharers",
+        ),
+        (
+            "way-partitioned+drop-invalidation",
+            "SWMR violation: core 0 holds 0x43c in M while core 2 holds it in E",
+        ),
+        (
+            "way-partitioned+flip-sharer-bit",
+            "slice 3: partition 1: ED entry 0x840 tracks no sharers",
+        ),
+        (
+            "vd-only+drop-invalidation",
+            "SWMR violation: core 1 holds 0xfb3 in E while core 2 holds it in M",
+        ),
+        (
+            "vd-only+flip-sharer-bit",
+            "core1 holds 0x580 (E) but slice2 has no directory entry",
+        ),
+        (
+            "vd-only-plain+drop-invalidation",
+            "SWMR violation: core 0 holds 0x5e0 in M while core 2 holds it in E",
+        ),
+        (
+            "vd-only-plain+flip-sharer-bit",
+            "core1 holds 0x700 (E) but slice3 has no directory entry",
+        ),
+    ];
+    let got: Vec<(&str, &str)> = report
+        .outcomes
+        .iter()
+        .map(|o| (o.name.as_str(), o.detail.as_str()))
+        .collect();
+    assert_eq!(got, expected);
     for outcome in &report.outcomes {
         // Detection must be attributed to the armed tenant itself — as a
         // quarantine, never a crash. That holds whichever layer trips
@@ -167,7 +247,6 @@ fn inject_matrix_through_the_server_quarantines_all_pairs() {
             outcome.detail
         );
         assert!(outcome.fired_at.is_some(), "`{}` never fired", outcome.name);
-        assert!(!outcome.detail.is_empty());
         assert!(journal.contains(&outcome.record));
     }
 }

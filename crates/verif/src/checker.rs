@@ -1,6 +1,8 @@
 //! Exhaustive exploration of the model's reachable state space, checking
 //! the paper's safety invariants at every state and reconstructing a
-//! labeled counterexample trace on the first violation.
+//! labeled counterexample trace on the first violation. The invariants
+//! are the runtime oracle's own: [`invariant_failure`] builds a
+//! [`LineView`] per line and calls [`check_line`].
 //!
 //! Two exploration cores share the packed-state machinery of
 //! [`pack`](crate::pack):
@@ -36,21 +38,54 @@
 //! bug worth a counterexample trace, not a silent exploration end.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use secdir_coherence::Moesi;
+use secdir_coherence::{check_line, AppendixA, DirParts, LineView, Moesi, Violation};
+use secdir_mem::LineAddr;
 
 use crate::canon::{CanonTable, PermPair, IDENTITY};
-use crate::model::{DirKind, Label, Model, ModelConfig, ModelState};
+use crate::model::{DirKind, Label, Model, ModelConfig, ModelState, MAX_CORES};
 use crate::pack::{pack, unpack, PackedLabel};
+
+/// Why exploration stopped at a state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// The state breaks a protocol invariant (the runtime oracle's).
+    Invariant(Violation),
+    /// `(structure, index, count)`: the model overfilled the ED/TD of
+    /// partition `index` or the VD bank of core `index` (a model bug).
+    Capacity(&'static str, usize, usize),
+    /// The state has no enabled transitions.
+    Deadlock,
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Failure::Invariant(v) => v.fmt(f),
+            Failure::Capacity("VD", core, count) => {
+                write!(f, "capacity: {count} VD entries in core{core}'s bank")
+            }
+            Failure::Capacity(what, part, count) => {
+                write!(f, "capacity: {count} {what} entries in partition {part}")
+            }
+            Failure::Deadlock => {
+                f.write_str("deadlock: no enabled transitions from this reachable state")
+            }
+        }
+    }
+}
 
 /// A labeled counterexample: the access sequence from the empty machine to
 /// a state violating `invariant`, in **original** (uncanonicalized)
 /// coordinates.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
-    /// Which invariant failed, with the offending line/cores interpolated.
+    /// What failed, with the offending line/cores interpolated.
+    pub failure: Failure,
+    /// `failure`, rendered.
     pub invariant: String,
     /// Transition labels from the initial state to the violating state.
     pub labels: Vec<Label>,
@@ -164,31 +199,13 @@ fn check_with(
         frontier += 1;
 
         let current = unpack(states[id]);
-        if let Some(invariant) = violated_invariant(&current, &cfg) {
-            return finish(
-                cfg,
-                &states,
-                &parents,
-                transitions,
-                false,
-                1,
-                0,
-                Some((id, invariant)),
-            );
-        }
-
-        successors(&current, &mut buf);
-        if buf.is_empty() {
-            return finish(
-                cfg,
-                &states,
-                &parents,
-                transitions,
-                false,
-                1,
-                0,
-                Some((id, deadlock_message())),
-            );
+        let failure = invariant_failure(&current, &cfg).or_else(|| {
+            successors(&current, &mut buf);
+            buf.is_empty().then_some(Failure::Deadlock)
+        });
+        if let Some(failure) = failure {
+            let violation = Some((id, failure));
+            return finish(cfg, &states, &parents, transitions, false, 1, 0, violation);
         }
         for (label, next) in &buf {
             transitions += 1;
@@ -235,13 +252,9 @@ struct Cand {
 struct ChunkOut {
     transitions: usize,
     cands: Vec<Cand>,
-    /// `(frontier index, kind, description)`; kind 0 = invariant breach,
-    /// 1 = deadlock (ranked after a breach at the same index).
-    violations: Vec<(u32, u8, String)>,
-}
-
-fn deadlock_message() -> String {
-    "deadlock: no enabled transitions from this reachable state".to_string()
+    /// `(frontier index, failure)`; a deadlock ranks after a breach at
+    /// the same index.
+    violations: Vec<(u32, Failure)>,
 }
 
 /// Explores `cfg` with the level-synchronized frontier BFS: symmetry
@@ -318,8 +331,8 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
         let best = outs
             .iter()
             .flat_map(|o| o.violations.iter())
-            .min_by_key(|(idx, vkind, _)| (*idx, *vkind));
-        if let Some((idx, _, desc)) = best {
+            .min_by_key(|(idx, failure)| (*idx, *failure == Failure::Deadlock));
+        if let Some(&(idx, failure)) = best {
             let report = finish(
                 cfg,
                 &states,
@@ -328,7 +341,7 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
                 table.is_some(),
                 threads,
                 levels,
-                Some((*idx as usize, desc.clone())),
+                Some((idx as usize, failure)),
             );
             return (report, states);
         }
@@ -390,14 +403,14 @@ fn expand_level(
         let mut buf: Vec<(Label, ModelState)> = Vec::new();
         for (id, &packed) in states.iter().enumerate().take(end).skip(start) {
             let current = unpack(packed);
-            if let Some(desc) = violated_invariant(&current, cfg) {
-                out.violations.push((id as u32, 0, desc));
+            if let Some(failure) = invariant_failure(&current, cfg) {
+                out.violations.push((id as u32, failure));
                 continue;
             }
             model.successors_into(&current, &mut buf);
             out.transitions += buf.len();
             if buf.is_empty() {
-                out.violations.push((id as u32, 1, deadlock_message()));
+                out.violations.push((id as u32, Failure::Deadlock));
                 continue;
             }
             for (label, next) in &buf {
@@ -528,9 +541,9 @@ fn finish(
     canonical: bool,
     threads: usize,
     levels: usize,
-    violation: Option<(usize, String)>,
+    violation: Option<(usize, Failure)>,
 ) -> CheckReport {
-    let violation = violation.map(|(id, desc)| rebuild(&cfg, states, parents, id, desc));
+    let violation = violation.map(|(id, failure)| rebuild(&cfg, states, parents, id, failure));
     CheckReport {
         kind: cfg.kind,
         states: states.len(),
@@ -559,7 +572,7 @@ fn rebuild(
     states: &[u128],
     parents: &[ParentRec],
     id: usize,
-    desc: String,
+    failure: Failure,
 ) -> Counterexample {
     let mut chain: Vec<(PackedLabel, u16)> = Vec::new();
     let mut cur = id;
@@ -578,18 +591,18 @@ fn rebuild(
         q = PermPair::from_index(perm_idx).compose(&q);
     }
     let state = q.inverse().apply_state(&unpack(states[id]), permute_parts);
-    // Re-render the invariant on the original-coordinate state (the
-    // canonical-frame description names permuted cores/lines). Invariants
-    // are permutation-invariant, so a violation is found either way;
-    // deadlock descriptions carry no coordinates and pass through.
-    let invariant = if desc.starts_with("deadlock") {
-        desc
-    } else {
-        violated_invariant(&state, cfg).unwrap_or(desc)
+    // Re-check on the original-coordinate state (the canonical-frame
+    // failure names permuted cores/lines). Invariants are
+    // permutation-invariant, so a violation is found either way; a
+    // deadlock carries no coordinates and passes through.
+    let failure = match failure {
+        Failure::Deadlock => failure,
+        _ => invariant_failure(&state, cfg).unwrap_or(failure),
     };
     let trace = labels.iter().map(|l| l.describe()).collect();
     Counterexample {
-        invariant,
+        failure,
+        invariant: failure.to_string(),
         labels,
         trace,
         state,
@@ -604,155 +617,48 @@ pub fn check_all_quick() -> Vec<CheckReport> {
         .collect()
 }
 
-/// Returns a description of the first violated invariant of `s`, or `None`
-/// if the state is clean. This is the model-side twin of the runtime
-/// oracle's `Machine::verify` — same invariants, abstract representation.
-pub fn violated_invariant(s: &ModelState, cfg: &ModelConfig) -> Option<String> {
+/// The first failure of `s`: a protocol invariant, checked per line by
+/// the same [`check_line`] the runtime oracle (`Machine::verify`) runs,
+/// then the model's own capacity bounds. `None` if the state is clean.
+pub fn invariant_failure(s: &ModelState, cfg: &ModelConfig) -> Option<Failure> {
+    let partitioned = cfg.kind == DirKind::WayPartitioned;
+    let (mut ed, mut td, mut vd) = ([0; MAX_CORES], [0; MAX_CORES], [0; MAX_CORES]);
     for line in 0..cfg.lines {
-        // --- SWMR and no-M+S-coexistence across private caches. ---
-        for core in 0..cfg.cores {
-            let st = s.caches[core][line];
-            if matches!(st, Moesi::Modified | Moesi::Exclusive) {
-                for other in 0..cfg.cores {
-                    if other != core && s.caches[other][line].is_valid() {
-                        return Some(format!(
-                            "SWMR: core{core} holds line{line} {st:?} while core{other} holds \
-                             {:?}",
-                            s.caches[other][line]
-                        ));
-                    }
-                }
-            }
-            if st == Moesi::Owned {
-                for other in 0..cfg.cores {
-                    let peer = s.caches[other][line];
-                    if other != core && peer.is_valid() && peer != Moesi::Shared {
-                        return Some(format!(
-                            "owner coexistence: core{core} holds line{line} Owned while \
-                             core{other} holds {peer:?}"
-                        ));
-                    }
-                }
-            }
+        let holders: [Moesi; MAX_CORES] = std::array::from_fn(|core| s.caches[core][line]);
+        let (e, t) = (s.ed[line], s.td[line]);
+        let partition = e.map(|(p, _)| p).or(t.map(|(p, _)| p));
+        let view = LineView {
+            line: LineAddr::new(line as u64),
+            slice: 0,
+            holders: &holders[..cfg.cores],
+            dir: DirParts {
+                ed: e.map(|(_, e)| e),
+                td: t.map(|(_, t)| t),
+                vd: s.vd[line],
+                partition: partition.filter(|_| partitioned).map(usize::from),
+            },
+            quirk: cfg.kind == DirKind::Baseline(AppendixA::SkylakeQuirk),
+        };
+        if let Err(v) = check_line(&view) {
+            return Some(Failure::Invariant(v));
         }
-
-        // --- Directory structure well-formedness. ---
-        let ed = s.ed[line];
-        let td = s.td[line];
-        let vd = s.vd[line];
-        if let Some((_, e)) = ed {
-            if e.sharers.is_empty() {
-                return Some(format!("ED entry for line{line} has an empty sharer set"));
-            }
-            if td.is_some() {
-                return Some(format!("line{line} resident in both ED and TD"));
-            }
-            if !vd.is_empty() {
-                return Some(format!(
-                    "VD aliasing: line{line} has a live ED entry and VD residency in bank \
-                     mask {:#b}",
-                    vd.bits()
-                ));
-            }
-        }
-        if let Some((_, t)) = td {
-            if !t.has_data && t.sharers.is_empty() {
-                return Some(format!(
-                    "TD entry for line{line} tracks neither data nor sharers"
-                ));
-            }
-            if let DirKind::Baseline(secdir_coherence::AppendixA::SkylakeQuirk) = cfg.kind {
-                if !t.has_data {
-                    return Some(format!(
-                        "quirk: data-less TD entry for line{line} under SkylakeQuirk"
-                    ));
-                }
-            }
-            if !vd.is_empty() {
-                return Some(format!(
-                    "VD aliasing: line{line} has a live TD entry and VD residency in bank \
-                     mask {:#b}",
-                    vd.bits()
-                ));
-            }
-        }
-
-        // --- Directory inclusion: every holder is tracked... ---
-        for core in 0..cfg.cores {
-            if !s.caches[core][line].is_valid() {
-                continue;
-            }
-            let c = secdir_mem::CoreId(core);
-            let tracked = ed.map(|(_, e)| e.sharers.contains(c)).unwrap_or(false)
-                || td.map(|(_, t)| t.sharers.contains(c)).unwrap_or(false)
-                || vd.contains(c);
-            if !tracked {
-                return Some(format!(
-                    "inclusion: core{core} holds line{line} {:?} but no directory entry \
-                     tracks it",
-                    s.caches[core][line]
-                ));
-            }
-        }
-
-        // --- ...and every tracked core is a holder (sharer soundness). ---
-        let mut listed = vd;
-        if let Some((_, e)) = ed {
-            for c in e.sharers.iter() {
-                listed.insert(c);
-            }
-        }
-        if let Some((_, t)) = td {
-            for c in t.sharers.iter() {
-                listed.insert(c);
-            }
-        }
-        for c in listed.iter() {
-            if c.0 >= cfg.cores || !s.caches[c.0][line].is_valid() {
-                return Some(format!(
-                    "stale sharer: directory lists core{} for line{line} but its cache \
-                     does not hold it",
-                    c.0
-                ));
-            }
-        }
+        e.into_iter().for_each(|(p, _)| ed[usize::from(p)] += 1);
+        t.into_iter().for_each(|(p, _)| td[usize::from(p)] += 1);
+        s.vd[line].iter().for_each(|c| vd[c.0] += 1);
     }
-
-    // --- Capacity bounds (the model must respect its own geometry). ---
-    let parts = if cfg.kind == DirKind::WayPartitioned {
-        cfg.cores
-    } else {
-        1
+    // Capacity bounds: the model must respect its own geometry.
+    let over = |what, counts: [usize; MAX_CORES], cap| {
+        let i = (0..MAX_CORES).find(|&i| counts[i] > cap)?;
+        Some(Failure::Capacity(what, i, counts[i]))
     };
-    for part in 0..parts {
-        let ed_count = (0..cfg.lines)
-            .filter(|&l| matches!(s.ed[l], Some((p, _)) if p as usize == part))
-            .count();
-        if ed_count > cfg.ed_capacity {
-            return Some(format!(
-                "capacity: {ed_count} ED entries in partition {part}"
-            ));
-        }
-        let td_count = (0..cfg.lines)
-            .filter(|&l| matches!(s.td[l], Some((p, _)) if p as usize == part))
-            .count();
-        if td_count > cfg.td_capacity {
-            return Some(format!(
-                "capacity: {td_count} TD entries in partition {part}"
-            ));
-        }
-    }
-    for core in 0..cfg.cores {
-        let resident = (0..cfg.lines)
-            .filter(|&l| s.vd[l].contains(secdir_mem::CoreId(core)))
-            .count();
-        if resident > cfg.vd_capacity {
-            return Some(format!(
-                "capacity: {resident} VD entries in core{core}'s bank"
-            ));
-        }
-    }
-    None
+    over("ED", ed, cfg.ed_capacity)
+        .or_else(|| over("TD", td, cfg.td_capacity))
+        .or_else(|| over("VD", vd, cfg.vd_capacity))
+}
+
+/// [`invariant_failure`], rendered.
+pub fn violated_invariant(s: &ModelState, cfg: &ModelConfig) -> Option<String> {
+    invariant_failure(s, cfg).map(|f| f.to_string())
 }
 
 #[cfg(test)]
@@ -764,7 +670,11 @@ mod tests {
         let cfg = ModelConfig::quick(DirKind::SecDir);
         let report = check_with(cfg, |_, out| out.clear());
         let v = report.violation.expect("empty relation must deadlock");
-        assert!(v.invariant.starts_with("deadlock:"), "{}", v.invariant);
+        assert_eq!(v.failure, Failure::Deadlock);
+        assert_eq!(
+            v.invariant,
+            "deadlock: no enabled transitions from this reachable state"
+        );
         assert!(v.trace.is_empty(), "initial-state deadlock has no trace");
         assert_eq!(report.states, 1);
     }
@@ -786,7 +696,7 @@ mod tests {
             }
         });
         let v = report.violation.expect("stuck successor must deadlock");
-        assert!(v.invariant.starts_with("deadlock:"), "{}", v.invariant);
+        assert_eq!(v.failure, Failure::Deadlock);
         assert_eq!(v.trace, vec![label.describe()]);
         assert_eq!(v.state, stuck);
     }

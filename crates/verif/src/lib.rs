@@ -7,12 +7,12 @@
 //!    abstract machine built on the *production* step relation
 //!    (`secdir_coherence::step`), for each directory organization —
 //!    baseline (quirk and fixed), way-partitioned, SecDir, and VD-only —
-//!    checking SWMR, directory inclusion, sharer soundness, ED/TD/VD
-//!    mutual exclusion, and VD/ED aliasing, with shortest counterexample
-//!    traces on violation.
-//! 2. A **runtime invariant oracle** (in `secdir-machine` behind the
-//!    `check` feature): the same invariants walked over the concrete
-//!    simulator state every `ORACLE_INTERVAL` accesses.
+//!    checking every line of every state with
+//!    [`secdir_coherence::check_line`] plus the model's capacity bounds,
+//!    with a typed [`Failure`] and a shortest counterexample trace.
+//! 2. A **runtime invariant oracle** (`Machine::verify` in
+//!    `secdir-machine`, swept periodically under its `check` feature):
+//!    the same `check_line` over the concrete simulator state.
 //! 3. A **token-level static-analysis engine** ([`analysis`], DESIGN.md
 //!    §11): a lossless Rust lexer, structural scope/region tracking, and
 //!    a pluggable rule registry gating panics, hot-path allocation,
@@ -35,6 +35,8 @@ pub mod perf;
 
 pub use analysis::{lint_workspace, render_json, Diagnostic, LintReport, Severity};
 pub use canon::{CanonTable, PermPair};
-pub use checker::{check, check_all_quick, check_opt, CheckOptions, CheckReport, Counterexample};
+pub use checker::{
+    check, check_all_quick, check_opt, CheckOptions, CheckReport, Counterexample, Failure,
+};
 pub use model::{DirKind, Fault, Model, ModelConfig, ModelState};
 pub use perf::{run_checker_bench, CheckerBenchRecord};

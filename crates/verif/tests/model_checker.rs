@@ -5,10 +5,13 @@
 //! certifies deadlock freedom: the checker reports any reachable state
 //! with no enabled transitions as a violation in its own right.
 
-use secdir_coherence::AppendixA;
+use secdir_coherence::{AppendixA, DirWhere, EdEntry, Moesi, SharerSet, TdEntry, Violation};
+use secdir_mem::CoreId;
 use secdir_verif::canon::CanonTable;
-use secdir_verif::checker::{check, check_opt_with_states, CheckOptions};
-use secdir_verif::model::{DirKind, Fault, ModelConfig};
+use secdir_verif::checker::{
+    check, check_opt_with_states, invariant_failure, CheckOptions, Failure,
+};
+use secdir_verif::model::{DirKind, Fault, ModelConfig, ModelState};
 use secdir_verif::pack::unpack;
 
 /// The quick configuration reaches exactly this many raw states per kind.
@@ -125,7 +128,7 @@ fn skipped_write_invalidation_yields_swmr_counterexample() {
             .violation
             .unwrap_or_else(|| panic!("{}: fault not caught", kind.name()));
         assert!(
-            v.invariant.contains("SWMR"),
+            matches!(v.failure, Failure::Invariant(Violation::Swmr(..))),
             "{}: wrong invariant: {}",
             kind.name(),
             v.invariant
@@ -159,7 +162,10 @@ fn leaked_vd_on_consolidation_yields_aliasing_counterexample() {
         if kind == DirKind::SecDir {
             let v = report.violation.expect("secdir must catch the VD leak");
             assert!(
-                v.invariant.contains("VD aliasing"),
+                matches!(
+                    v.failure,
+                    Failure::Invariant(Violation::VdAliasing(_, _, DirWhere::Td { .. }, _))
+                ),
                 "wrong invariant: {}",
                 v.invariant
             );
@@ -190,7 +196,7 @@ fn skipped_quirk_invalidation_yields_inclusion_counterexample() {
                 .violation
                 .expect("quirk baseline must catch the fault");
             assert!(
-                v.invariant.contains("inclusion"),
+                matches!(v.failure, Failure::Invariant(Violation::Inclusion(..))),
                 "wrong invariant: {}",
                 v.invariant
             );
@@ -228,5 +234,83 @@ fn three_core_configuration_is_clean() {
                 v.trace.join("\n  ")
             );
         }
+    }
+}
+
+/// Every rule of the shared invariant set, broken on a hand-built model
+/// state (line 0: the two cores' states, then its ED, TD and VD), is named
+/// by its own `Violation` variant — so a rule dropped from `check_line`
+/// fails here.
+#[test]
+fn each_broken_rule_is_named() {
+    use Moesi::{Invalid as I, Modified as M, Owned as O, Shared as S};
+    let set = |cores: &[usize]| cores.iter().map(|&c| CoreId(c)).collect::<SharerSet>();
+    let ed = |cores: &[usize]| {
+        let sharers = set(cores);
+        Some((0, EdEntry { sharers }))
+    };
+    let td = |cores: &[usize], has_data| {
+        let (sharers, llc_dirty) = (set(cores), false);
+        Some((
+            0,
+            TdEntry {
+                sharers,
+                has_data,
+                llc_dirty,
+            },
+        ))
+    };
+    let (quirk, fixed) = (
+        DirKind::Baseline(AppendixA::SkylakeQuirk),
+        DirKind::Baseline(AppendixA::Fixed),
+    );
+    type Expected = fn(&Violation) -> bool;
+    type Case = (
+        DirKind,
+        [Moesi; 2],
+        Option<(u8, EdEntry)>,
+        Option<(u8, TdEntry)>,
+        &'static [usize],
+        Expected,
+    );
+    let cases: [Case; 9] = [
+        (quirk, [M, S], ed(&[0, 1]), None, &[], |v| {
+            matches!(v, Violation::Swmr(..))
+        }),
+        (quirk, [O, O], ed(&[0, 1]), None, &[], |v| {
+            matches!(v, Violation::OwnerCoexistence(..))
+        }),
+        (quirk, [S, S], ed(&[]), None, &[], |v| {
+            matches!(v, Violation::EdNoSharers(..))
+        }),
+        (quirk, [S, S], ed(&[0, 1]), td(&[0, 1], true), &[], |v| {
+            matches!(v, Violation::EdAndTd(..))
+        }),
+        (DirKind::SecDir, [S, S], None, td(&[0], true), &[1], |v| {
+            matches!(v, Violation::VdAliasing(_, _, DirWhere::Td { .. }, _))
+        }),
+        (quirk, [S, S], None, td(&[0, 1], false), &[], |v| {
+            matches!(v, Violation::DatalessTd(..))
+        }),
+        (fixed, [I, I], None, td(&[], false), &[], |v| {
+            matches!(v, Violation::EmptyTd(..))
+        }),
+        (quirk, [S, S], ed(&[0]), None, &[], |v| {
+            matches!(v, Violation::Inclusion(_, _, (CoreId(1), S), Some(_)))
+        }),
+        (quirk, [S, I], ed(&[0, 1]), None, &[], |v| {
+            matches!(v, Violation::StaleSharer(_, _, CoreId(1)))
+        }),
+    ];
+    for (kind, states, ed, td, vd, expected) in cases {
+        let mut s = ModelState::initial();
+        (s.caches[0][0], s.caches[1][0]) = (states[0], states[1]);
+        (s.ed[0], s.td[0], s.vd[0]) = (ed, td, set(vd));
+        let got = invariant_failure(&s, &ModelConfig::quick(kind));
+        assert!(
+            matches!(&got, Some(Failure::Invariant(v)) if expected(v)),
+            "{} {states:?}: {got:?}",
+            kind.name()
+        );
     }
 }

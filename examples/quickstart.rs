@@ -67,8 +67,6 @@ fn main() {
         machine.stats().cores[0].inclusion_victims
     );
     assert_eq!(machine.stats().cores[0].inclusion_victims, 0);
-    machine
-        .check_invariants()
-        .expect("directory inclusion invariant");
+    machine.verify().expect("directory invariants");
     println!("directory invariants hold — done.");
 }

@@ -31,7 +31,7 @@ fn evict_reload_is_blind_on_secdir() {
     let o = evict_reload_attack(&mut m, &config(32), LineAddr::new(0xf00d));
     assert!(o.accuracy <= 0.7, "SecDir leaked: {}", o.accuracy);
     assert_eq!(o.victim_inclusion_victims, 0);
-    m.check_invariants().expect("invariants after attack");
+    m.verify().expect("invariants after attack");
 }
 
 #[test]

@@ -6,15 +6,6 @@ use secdir_coherence::Moesi;
 use secdir_machine::{DirectoryKind, Machine, MachineConfig};
 use secdir_mem::{CoreId, LineAddr};
 
-const KINDS: [DirectoryKind; 6] = [
-    DirectoryKind::Baseline,
-    DirectoryKind::BaselineFixed,
-    DirectoryKind::SecDir,
-    DirectoryKind::SecDirPlainVd,
-    DirectoryKind::SecDirVdOnly,
-    DirectoryKind::WayPartitioned,
-];
-
 /// An arbitrary short access stream over a small line space (so conflicts
 /// actually happen on the scaled-down machine).
 fn accesses() -> impl Strategy<Value = Vec<(u8, u16, bool)>> {
@@ -26,22 +17,23 @@ proptest! {
 
     /// Every valid L2 line is covered by a directory entry listing its
     /// core — the directory-inclusion invariant the coherence protocol
-    /// depends on.
+    /// depends on — checked with the full oracle, so the other protocol
+    /// invariants must hold too.
     #[test]
-    fn directory_inclusion_holds(stream in accesses(), kind_idx in 0usize..KINDS.len()) {
-        let kind = KINDS[kind_idx];
+    fn directory_inclusion_holds(stream in accesses(), kind_idx in 0usize..DirectoryKind::ALL.len()) {
+        let kind = DirectoryKind::ALL[kind_idx];
         let mut m = Machine::new(MachineConfig::small(4, kind));
         for &(core, line, write) in &stream {
             m.access(CoreId(core as usize), LineAddr::new(line as u64), write);
         }
-        m.check_invariants().unwrap();
+        m.verify().unwrap();
     }
 
     /// At most one core holds a dirty-exclusive (M/E) copy of a line, and
     /// if any core holds M/E no other core holds any copy.
     #[test]
-    fn single_writer_invariant(stream in accesses(), kind_idx in 0usize..KINDS.len()) {
-        let kind = KINDS[kind_idx];
+    fn single_writer_invariant(stream in accesses(), kind_idx in 0usize..DirectoryKind::ALL.len()) {
+        let kind = DirectoryKind::ALL[kind_idx];
         let mut m = Machine::new(MachineConfig::small(4, kind));
         for &(core, line, write) in &stream {
             m.access(CoreId(core as usize), LineAddr::new(line as u64), write);

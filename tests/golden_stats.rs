@@ -94,7 +94,7 @@ fn run(kind: DirectoryKind, workload: Workload) -> MachineStats {
         let write = rng.chance(WRITE_FRACTION);
         machine.access(CoreId(core), line, write);
     }
-    machine.check_invariants().unwrap();
+    machine.verify().unwrap();
     let mut stats = machine.stats().clone();
     // The fits snapshots were recorded with the directory block zeroed and
     // keep it so; the conflict snapshots pin the merged counters.
