@@ -99,8 +99,9 @@ pub struct LintReport {
     pub findings: Vec<Diagnostic>,
 }
 
-/// Files on the per-access simulation hot path, relative to the
-/// workspace root. The hot-alloc rule applies only to these.
+/// Files on the per-access simulation hot path and the model checker's
+/// per-transition path, relative to the workspace root. The hot-alloc
+/// rule applies only to these.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/cache/src/set_assoc.rs",
     "crates/cache/src/replacement.rs",
@@ -118,6 +119,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/machine/src/sliced.rs",
     "crates/machine/src/serve/scheduler.rs",
     "crates/mem/src/inline_vec.rs",
+    "crates/verif/src/canon.rs",
+    "crates/verif/src/model.rs",
 ];
 
 /// Analyzes one source file: lex, scope, rules, then waiver resolution.

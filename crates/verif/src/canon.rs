@@ -28,23 +28,32 @@
 //! *is* the optimal line permutation for a fixed core relabeling — the
 //! search is `cores!` candidates, not `cores!·lines!`.
 //!
-//! **Word-level relabeling.** A state is packed once, into its four
-//! identity line words; each core permutation then acts on those words
-//! through a precomputed `Relabel` — lookup tables for the two 6-bit
-//! halves of the MOESI field (cores 0–1 and cores 2–3), the 4-bit VD
-//! mask, and the 7-bit ED/TD entry field (present bit, partition, sharer
-//! mask; ED and TD share one layout, so they share one table). The entry
-//! table moves the partition with the cores only when `permute_parts` is
-//! set *and* the entry's present bit is set: an absent entry stores
-//! partition 0, which is not an owner, and relabeling it would put
-//! nonzero bits in a word that means "no entry". The result is exactly
-//! the word of the relabeled state, bit for bit, so the canonical form
-//! and the winning relabeling are the same as packing the relabeled
-//! struct once per permutation would give. Each candidate's sort is a
-//! five-comparator network over the keys `(word << 2) | (3 − line)`:
-//! the keys are distinct, so the network's order is the stable
-//! descending order, and the low two bits recover the line relabeling of
-//! the winner.
+//! **Word-level relabeling, σ-major.** A state is packed once, into its
+//! four identity line words; the core permutations then act on those
+//! words through precomputed field tables — the two 6-bit halves of the
+//! MOESI field (cores 0–1 and cores 2–3), the 4-bit VD mask, and the
+//! 7-bit ED/TD entry field (present bit, partition, sharer mask; ED and
+//! TD share one layout, so they share one table). The tables are
+//! *σ-major*: the row of a field value holds its image under every one
+//! of the `cores!` permutations, one lane each, so relabeling a word for
+//! all permutations is one straight loop over lanes that reads one row
+//! per field, and the compiler vectorises it at the constant lane count.
+//! The entry table moves the partition with the cores only when
+//! `permute_parts` is set *and* the entry's present bit is set: an
+//! absent entry stores partition 0, which is not an owner, and relabeling
+//! it would put nonzero bits in a word that means "no entry". Each lane
+//! holds exactly the word of the relabeled state, bit for bit, so the
+//! canonical form and the winning relabeling are the same as packing the
+//! relabeled struct once per permutation would give.
+//!
+//! The five-comparator descending sort then runs lane by lane on the
+//! relabeled words, and the greatest assembled candidate wins, the
+//! first lane winning ties. Equal words are interchangeable in a
+//! candidate, so the lanes sort words alone; the winner's *stable* line
+//! relabeling is recovered once, by sorting its words again on the keys
+//! `(word << 2) | (3 − line)`: the keys are distinct, so the network's
+//! order is the stable descending order, and the low two bits name the
+//! original line.
 //!
 //! Descending order (with the stable tie-break) also keeps active lines in
 //! the low indices: an unused line's word is always 0, so it can never
@@ -243,68 +252,10 @@ fn perm_from_index(mut idx: u8) -> [u8; 4] {
     out
 }
 
-/// The action of one core permutation on packed line words, as lookup
-/// tables over the word's fields (see module docs).
-#[derive(Clone, Debug)]
-struct Relabel {
-    /// MOESI codes of cores 0–1 (word bits 0..6), placed in the 12-bit
-    /// MOESI field.
-    moesi_lo: [u16; 64],
-    /// MOESI codes of cores 2–3 (word bits 6..12).
-    moesi_hi: [u16; 64],
-    /// A 4-bit core mask: the VD residency field.
-    mask: [u8; 16],
-    /// A 7-bit directory entry field (present, partition, sharer mask):
-    /// the ED field at bit 16 and the TD field at bit 23.
-    entry: [u8; 128],
-}
-
-impl Relabel {
-    /// The tables of core permutation `cp`; `permute_parts` moves the
-    /// partitions of present entries with the cores.
-    fn new(cp: &[u8; MAX_CORES], permute_parts: bool) -> Self {
-        // `v` holds the 3-bit codes of cores `2 * pair` and `2 * pair + 1`.
-        let moesi = |pair: usize, v: usize| {
-            (0..2).fold(0u16, |out, i| {
-                let code = (v >> (3 * i)) as u16 & 0b111;
-                out | code << (3 * cp[2 * pair + i])
-            })
-        };
-        let entry = |e: usize| {
-            let (present, part, sharers) = (e & 1, (e >> 1) & 0b11, (e >> 3) as u32);
-            let part = if present == 1 && permute_parts {
-                cp[part]
-            } else {
-                part as u8
-            };
-            present as u8 | part << 1 | (permute_mask(sharers, cp) as u8) << 3
-        };
-        Relabel {
-            moesi_lo: std::array::from_fn(|v| moesi(0, v)),
-            moesi_hi: std::array::from_fn(|v| moesi(1, v)),
-            mask: std::array::from_fn(|m| permute_mask(m as u32, cp) as u8),
-            entry: std::array::from_fn(entry),
-        }
-    }
-
-    /// The line word `w` with its cores relabeled.
-    #[inline]
-    fn word(&self, w: u32) -> u32 {
-        let field = |shift: u32, bits: u32| ((w >> shift) & ((1 << bits) - 1)) as usize;
-        u32::from(self.moesi_lo[field(0, 6)])
-            | u32::from(self.moesi_hi[field(6, 6)])
-            | u32::from(self.mask[field(12, 4)]) << 12
-            | u32::from(self.entry[field(16, 7)]) << 16
-            | u32::from(self.entry[field(23, 7)]) << 23
-            // `has_data` and `llc_dirty` name no core.
-            | w & (0b11 << 30)
-    }
-}
-
 /// Sorts four keys descending with a five-comparator network.
 #[inline]
 fn sort_desc(mut k: [u64; MAX_LINES]) -> [u64; MAX_LINES] {
-    for (a, b) in [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)] {
+    for (a, b) in SORT_NETWORK {
         let (hi, lo) = (k[a].max(k[b]), k[a].min(k[b]));
         k[a] = hi;
         k[b] = lo;
@@ -312,16 +263,48 @@ fn sort_desc(mut k: [u64; MAX_LINES]) -> [u64; MAX_LINES] {
     k
 }
 
+/// The comparators of a four-input sorting network.
+const SORT_NETWORK: [(usize, usize); 5] = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)];
+
+/// A σ-major field table: for each of the `values` field values in turn,
+/// its `image` under every permutation in `perms`.
+fn sigma_major<T>(
+    perms: &[[u8; MAX_CORES]],
+    values: u32,
+    image: impl Fn(&[u8; MAX_CORES], u32) -> T,
+) -> Vec<T> {
+    let image = &image;
+    (0..values)
+        .flat_map(|v| perms.iter().map(move |cp| image(cp, v)))
+        .collect()
+}
+
+/// Row `v` of a σ-major field table: the images of field value `v`
+/// under each of the `lanes` core permutations.
+#[inline(always)]
+fn row<T>(table: &[T], v: u32, lanes: usize) -> &[T] {
+    &table[v as usize * lanes..][..lanes]
+}
+
 /// Precomputed canonicalization context for a model geometry: every
-/// permutation of the used cores (identity on the unused tail) and its
-/// word-level relabeling tables.
+/// permutation of the used cores (identity on the unused tail) and the
+/// σ-major field tables of their word-level relabelings.
 #[derive(Clone, Debug)]
 pub struct CanonTable {
     cores: usize,
     lines: usize,
     permute_parts: bool,
     core_perms: Vec<[u8; MAX_CORES]>,
-    relabels: Vec<Relabel>,
+    /// MOESI codes of cores 0–1 (word bits 0..6), placed in the 12-bit
+    /// MOESI field; 64 rows.
+    moesi_lo: Vec<u16>,
+    /// MOESI codes of cores 2–3 (word bits 6..12); 64 rows.
+    moesi_hi: Vec<u16>,
+    /// A 4-bit core mask, the VD residency field; 16 rows.
+    mask: Vec<u8>,
+    /// A 7-bit directory entry field (present, partition, sharer mask):
+    /// the ED field at bit 16 and the TD field at bit 23; 128 rows.
+    entry: Vec<u8>,
     line_perms: Vec<[u8; MAX_LINES]>,
 }
 
@@ -343,10 +326,6 @@ impl CanonTable {
             full[..cores].copy_from_slice(p);
             core_perms.push(full);
         });
-        let relabels = core_perms
-            .iter()
-            .map(|cp| Relabel::new(cp, permute_parts))
-            .collect();
         let mut line_perms = Vec::new();
         let mut scratch: Vec<u8> = (0..lines as u8).collect();
         permutations(&mut scratch, 0, &mut |p| {
@@ -354,12 +333,33 @@ impl CanonTable {
             full[..lines].copy_from_slice(p);
             line_perms.push(full);
         });
+        // `v` holds the 3-bit codes of cores `2 * pair` and `2 * pair + 1`.
+        let moesi = |pair: usize| {
+            move |cp: &[u8; MAX_CORES], v: u32| {
+                (0..2).fold(0u16, |out, i| {
+                    let code = (v >> (3 * i)) as u16 & 0b111;
+                    out | code << (3 * cp[2 * pair + i])
+                })
+            }
+        };
+        let entry = |cp: &[u8; MAX_CORES], e: u32| {
+            let (present, part, sharers) = (e & 1, (e >> 1) & 0b11, e >> 3);
+            let part = if present == 1 && permute_parts {
+                u32::from(cp[part as usize])
+            } else {
+                part
+            };
+            (present | part << 1 | permute_mask(sharers, cp) << 3) as u8
+        };
         CanonTable {
             cores,
             lines,
             permute_parts,
+            moesi_lo: sigma_major(&core_perms, 64, moesi(0)),
+            moesi_hi: sigma_major(&core_perms, 64, moesi(1)),
+            mask: sigma_major(&core_perms, 16, |cp, m| permute_mask(m, cp) as u8),
+            entry: sigma_major(&core_perms, 128, entry),
             core_perms,
-            relabels,
             line_perms,
         }
     }
@@ -378,6 +378,32 @@ impl CanonTable {
         fact(self.cores) * fact(self.lines)
     }
 
+    /// Writes the line word `w` relabeled by every core permutation into
+    /// `out`, lane `j` under permutation `j`; `out` holds exactly one lane
+    /// per permutation. Inlined into callers whose lane count is a
+    /// constant, the loop compiles to straight vector code.
+    #[inline(always)]
+    fn relabel(&self, w: u32, out: &mut [u32]) {
+        let lanes = out.len();
+        debug_assert_eq!(lanes, self.core_perms.len());
+        let field = |shift: u32, bits: u32| (w >> shift) & ((1 << bits) - 1);
+        let lo = row(&self.moesi_lo, field(0, 6), lanes);
+        let hi = row(&self.moesi_hi, field(6, 6), lanes);
+        let mask = row(&self.mask, field(12, 4), lanes);
+        let ed = row(&self.entry, field(16, 7), lanes);
+        let td = row(&self.entry, field(23, 7), lanes);
+        // `has_data` and `llc_dirty` name no core.
+        let fixed = w & (0b11 << 30);
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = u32::from(lo[j])
+                | u32::from(hi[j])
+                | u32::from(mask[j]) << 12
+                | u32::from(ed[j]) << 16
+                | u32::from(td[j]) << 23
+                | fixed;
+        }
+    }
+
     /// Canonicalizes `s`: returns the canonical packed form and the
     /// relabeling `g` with `pack(g(s)) == packed`. Deterministic: core
     /// permutations are tried in a fixed order and ties keep the first
@@ -388,21 +414,48 @@ impl CanonTable {
     /// Panics if `s` has a field outside the model bounds (see
     /// [`line_word`](crate::pack::line_word)).
     pub fn canonicalize(&self, s: &ModelState) -> (u128, PermPair) {
+        // One lane per permutation of the used cores: `cores!`.
+        match self.cores {
+            1 => self.canonicalize_lanes::<1>(s),
+            2 => self.canonicalize_lanes::<2>(s),
+            3 => self.canonicalize_lanes::<6>(s),
+            _ => self.canonicalize_lanes::<24>(s),
+        }
+    }
+
+    /// [`CanonTable::canonicalize`] with `P = cores!` lanes.
+    #[inline(always)]
+    fn canonicalize_lanes<const P: usize>(&self, s: &ModelState) -> (u128, PermPair) {
         let words = line_words(s);
-        let (mut best_packed, mut best_keys, mut best_perm) = (0u128, [0u64; MAX_LINES], 0);
-        for (i, relabel) in self.relabels.iter().enumerate() {
-            // Stable descending block sort = optimal line relabeling for
-            // this core relabeling (see module docs).
-            let keys = sort_desc(std::array::from_fn(|line| {
-                u64::from(relabel.word(words[line])) << 2 | (3 - line) as u64
-            }));
-            let packed = assemble(keys.map(|k| (k >> 2) as u32));
-            if i == 0 || packed > best_packed {
-                (best_packed, best_keys, best_perm) = (packed, keys, i);
+        let mut lanes = [[0u32; P]; MAX_LINES];
+        for (w, lane) in words.into_iter().zip(&mut lanes) {
+            self.relabel(w, lane);
+        }
+        // Stable descending block sort = optimal line relabeling for
+        // each core relabeling (see module docs); equal words are
+        // interchangeable in the candidate, so the lanes sort words only.
+        let mut sorted = lanes;
+        for (a, b) in SORT_NETWORK {
+            let (head, tail) = sorted.split_at_mut(b);
+            for (x, y) in head[a].iter_mut().zip(&mut tail[0]) {
+                (*x, *y) = ((*x).max(*y), (*x).min(*y));
             }
         }
+        let candidates = (0..P).map(|j| assemble(std::array::from_fn(|line| sorted[line][j])));
+        let (mut best_packed, mut best) = (0u128, 0);
+        for (j, packed) in candidates.enumerate() {
+            if j == 0 || packed > best_packed {
+                (best_packed, best) = (packed, j);
+            }
+        }
+        // The winner's stable line relabeling: sort its words again on
+        // the keys `(word << 2) | (3 − line)`, whose low two bits name
+        // the original line.
+        let keys = sort_desc(std::array::from_fn(|line| {
+            u64::from(lanes[line][best]) << 2 | (3 - line) as u64
+        }));
         let mut lp = [0u8; MAX_LINES];
-        for (pos, &key) in best_keys.iter().enumerate() {
+        for (pos, &key) in keys.iter().enumerate() {
             lp[3 - (key & 3) as usize] = pos as u8;
         }
         debug_assert!(
@@ -410,7 +463,7 @@ impl CanonTable {
             "canonical line relabeling left the used-line range"
         );
         let pair = PermPair {
-            core: self.core_perms[best_perm],
+            core: self.core_perms[best],
             line: lp,
         };
         (best_packed, pair)
@@ -427,11 +480,15 @@ impl CanonTable {
     /// the checker bench reports the reduction factor at geometries whose
     /// raw exploration would not fit the CI budget.
     pub fn orbit_size(&self, s: &ModelState) -> usize {
-        let words = line_words(s);
+        let n = self.core_perms.len();
+        let mut lanes = [[0u32; FACT4 as usize]; MAX_LINES];
+        for (w, lane) in line_words(s).into_iter().zip(&mut lanes) {
+            self.relabel(w, &mut lane[..n]);
+        }
         let mut distinct: std::collections::HashSet<u128> =
             std::collections::HashSet::with_capacity(self.group_order());
-        for relabel in &self.relabels {
-            let relabeled = words.map(|w| relabel.word(w));
+        for j in 0..n {
+            let relabeled = lanes.map(|lane| lane[j]);
             for lp in &self.line_perms {
                 // `lp[l]` is the new index of old line `l`; block `new`
                 // of the permuted state is old line `inv(new)`'s word.
@@ -506,8 +563,9 @@ mod tests {
 
     #[test]
     fn relabel_matches_apply_state_on_every_word() {
-        // Each core permutation's tables must give exactly the words of
-        // the struct-relabeled state, for both partition actions.
+        // Each lane of the tables must give exactly the words of the
+        // state relabeled by that lane's core permutation, for both
+        // partition actions.
         let mut s = ModelState::initial();
         s.caches[0][1] = Moesi::Exclusive;
         s.caches[3][2] = Moesi::Owned;
@@ -527,13 +585,18 @@ mod tests {
         ));
         for permute_parts in [false, true] {
             let table = CanonTable::new(4, 4, permute_parts);
-            for (cp, relabel) in table.core_perms.iter().zip(&table.relabels) {
+            let lanes = line_words(&s).map(|w| {
+                let mut lane = [0u32; 24];
+                table.relabel(w, &mut lane);
+                lane
+            });
+            for (j, cp) in table.core_perms.iter().enumerate() {
                 let g = PermPair {
                     core: *cp,
                     line: [0, 1, 2, 3],
                 };
                 let expected = line_words(&g.apply_state(&s, permute_parts));
-                assert_eq!(line_words(&s).map(|w| relabel.word(w)), expected);
+                assert_eq!(lanes.map(|lane| lane[j]), expected);
             }
         }
     }

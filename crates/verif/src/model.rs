@@ -15,6 +15,8 @@
 //! likewise for the TD and the per-core VD banks. This matches a 1-set
 //! configuration of the real structures.
 
+use std::fmt;
+
 use secdir_coherence::step::{self, TdConflict};
 use secdir_coherence::{AccessKind, AppendixA, DataSource, EdEntry, Moesi, SharerSet, TdEntry};
 use secdir_mem::CoreId;
@@ -191,16 +193,16 @@ pub enum Label {
     },
 }
 
-impl Label {
-    /// Human-readable rendering for trace printing.
-    pub fn describe(self) -> String {
-        match self {
-            Label::Read { core, line } => format!("core{core}: read miss on line{line}"),
-            Label::Write { core, line } => format!("core{core}: write to line{line}"),
+/// Human-readable rendering for trace printing.
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Label::Read { core, line } => write!(f, "core{core}: read miss on line{line}"),
+            Label::Write { core, line } => write!(f, "core{core}: write to line{line}"),
             Label::SilentUpgrade { core, line } => {
-                format!("core{core}: silent E\u{2192}M upgrade of line{line}")
+                write!(f, "core{core}: silent E\u{2192}M upgrade of line{line}")
             }
-            Label::Evict { core, line } => format!("core{core}: L2 eviction of line{line}"),
+            Label::Evict { core, line } => write!(f, "core{core}: L2 eviction of line{line}"),
         }
     }
 }
@@ -247,38 +249,30 @@ impl Model {
     /// times — once per nondeterministic victim choice. Allocating
     /// convenience wrapper over [`Model::successors_into`].
     pub fn successors(&self, s: &ModelState) -> Vec<(Label, ModelState)> {
+        // lint: allow(hot-alloc): the convenience wrapper returns a fresh vector by design; the checker calls successors_into
         let mut out = Vec::new();
         self.successors_into(s, &mut out);
         out
     }
 
     /// Writes all `(label, successor)` pairs of `s` into `out` (cleared
-    /// first). The checker reuses one buffer across its whole exploration,
-    /// so steady-state expansion allocates only for the successor states
-    /// themselves, not for per-call result vectors.
+    /// first). Every branch reaches `out` through continuation sinks, and
+    /// each branch owns its state, copied only where the branches fork,
+    /// so expansion allocates nothing once `out` has grown to the largest
+    /// successor set: the checker reuses one buffer across its whole
+    /// exploration.
     pub fn successors_into(&self, s: &ModelState, out: &mut Vec<(Label, ModelState)>) {
         out.clear();
-        let mut evicted = Vec::new();
         for core in 0..self.cfg.cores {
             for line in 0..self.cfg.lines {
                 let st = s.caches[core][line];
                 if !st.is_valid() {
-                    self.access(
-                        s,
-                        core,
-                        line,
-                        AccessKind::Read,
-                        Label::Read { core, line },
-                        out,
-                    );
-                    self.access(
-                        s,
-                        core,
-                        line,
-                        AccessKind::Write,
-                        Label::Write { core, line },
-                        out,
-                    );
+                    for (kind, label) in [
+                        (AccessKind::Read, Label::Read { core, line }),
+                        (AccessKind::Write, Label::Write { core, line }),
+                    ] {
+                        self.access(s.clone(), core, line, kind, &mut |ns| out.push((label, ns)));
+                    }
                     continue;
                 }
                 match st {
@@ -288,36 +282,34 @@ impl Model {
                         out.push((Label::SilentUpgrade { core, line }, ns));
                     }
                     Moesi::Shared | Moesi::Owned => {
-                        self.upgrade(s, core, line, out);
+                        let label = Label::Write { core, line };
+                        self.upgrade(s.clone(), core, line, &mut |ns| out.push((label, ns)));
                     }
                     _ => {}
                 }
                 // Voluntary capacity eviction.
                 let mut ns = s.clone();
                 ns.caches[core][line] = Moesi::Invalid;
-                evicted.clear();
-                self.dir_l2_evict(&ns, core, line, st.is_dirty(), &mut evicted);
                 let label = Label::Evict { core, line };
-                out.extend(evicted.drain(..).map(|es| (label, es)));
+                self.dir_l2_evict(ns, core, line, st.is_dirty(), &mut |es| {
+                    out.push((label, es))
+                });
             }
         }
     }
 
     /// A private-cache miss: directory request, invalidation delivery,
     /// fill, and (branching) L2 capacity-victim handling — the model's
-    /// mirror of `Machine::access`'s miss path. Final states are pushed
-    /// into `out` under `label`.
+    /// mirror of `Machine::access`'s miss path. Final states go to `emit`.
     fn access(
         &self,
-        s: &ModelState,
+        s: ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-        label: Label,
-        out: &mut Vec<(Label, ModelState)>,
+        emit: &mut impl FnMut(ModelState),
     ) {
-        let mut evicted = Vec::new();
-        for (mut ns, source) in self.dir_request(s, core, line, kind) {
+        self.dir_request(s, core, line, kind, &mut |mut ns, source| {
             if kind == AccessKind::Read {
                 if let DataSource::L2Cache(owner) = source {
                     // MOESI: the forwarding owner downgrades (M→O, E→S),
@@ -327,69 +319,64 @@ impl Model {
                 }
             }
             let fill = step::fill_state(kind, source);
-            let resident = |st: &ModelState, x: usize| x != line && st.caches[core][x].is_valid();
-            let resident_count = (0..self.cfg.lines).filter(|&x| resident(&ns, x)).count();
-            if resident_count >= self.cfg.l2_capacity {
-                for victim in 0..self.cfg.lines {
-                    if !resident(&ns, victim) {
-                        continue;
-                    }
-                    let vstate = ns.caches[core][victim];
-                    let mut es = ns.clone();
+            let residents = self.lines_where(|x| x != line && ns.caches[core][x].is_valid());
+            if residents.count_ones() as usize >= self.cfg.l2_capacity {
+                for_each_choice(ns, residents, |mut es, victim| {
+                    let vstate = es.caches[core][victim];
                     es.caches[core][victim] = Moesi::Invalid;
                     es.caches[core][line] = fill;
-                    evicted.clear();
-                    self.dir_l2_evict(&es, core, victim, vstate.is_dirty(), &mut evicted);
-                    out.extend(evicted.drain(..).map(|e| (label, e)));
-                }
+                    self.dir_l2_evict(es, core, victim, vstate.is_dirty(), emit);
+                });
             } else {
                 ns.caches[core][line] = fill;
-                out.push((label, ns));
+                emit(ns);
             }
-        }
+        });
     }
 
     /// A store upgrade of a resident Shared/Owned line — the model's
     /// mirror of `Machine::upgrade`.
-    fn upgrade(
-        &self,
-        s: &ModelState,
-        core: usize,
-        line: usize,
-        out: &mut Vec<(Label, ModelState)>,
-    ) {
-        for (mut ns, _source) in self.dir_request(s, core, line, AccessKind::Write) {
+    fn upgrade(&self, s: ModelState, core: usize, line: usize, emit: &mut impl FnMut(ModelState)) {
+        self.dir_request(s, core, line, AccessKind::Write, &mut |mut ns, _source| {
             if ns.caches[core][line].is_valid() {
                 ns.caches[core][line] = Moesi::Modified;
             }
-            out.push((Label::Write { core, line }, ns));
-        }
+            emit(ns);
+        });
     }
 
     fn invalidate(&self, s: &mut ModelState, line: usize, cores: SharerSet) {
-        for c in cores.iter() {
+        for c in model_cores(cores) {
             s.caches[c.0][line] = Moesi::Invalid;
         }
     }
 
+    /// The lines `x` of the model with `pred(x)`, as a bit mask.
+    fn lines_where(&self, pred: impl Fn(usize) -> bool) -> u32 {
+        (0..self.cfg.lines).fold(0, |mask, x| mask | u32::from(pred(x)) << x)
+    }
+
     /// Dispatches a directory request per kind, mirroring each slice's
-    /// `request`; returns every `(state, data source)` branch.
+    /// `request`; every `(state, data source)` branch goes to `emit`.
     fn dir_request(
         &self,
-        s: &ModelState,
+        s: ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: &mut impl FnMut(ModelState, DataSource),
+    ) {
         match self.cfg.kind {
             DirKind::Baseline(appendix_a) => {
-                self.request_ed_td(s, core, line, kind, appendix_a, false)
+                self.request_ed_td(s, core, line, kind, appendix_a, false, emit)
             }
             DirKind::WayPartitioned => {
-                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, false)
+                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, false, emit)
             }
-            DirKind::SecDir => self.request_ed_td(s, core, line, kind, AppendixA::Fixed, true),
-            DirKind::VdOnly => self.request_vd_only(s, core, line, kind),
+            DirKind::SecDir => {
+                self.request_ed_td(s, core, line, kind, AppendixA::Fixed, true, emit)
+            }
+            DirKind::VdOnly => self.request_vd_only(s, core, line, kind, emit),
         }
     }
 
@@ -401,121 +388,112 @@ impl Model {
 
     /// The shared ED/TD request path of baseline, way-partitioned, and
     /// SecDir (which adds the VD probe after both miss).
+    #[allow(clippy::too_many_arguments)]
     fn request_ed_td(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
         appendix_a: AppendixA,
         has_vd: bool,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: &mut impl FnMut(ModelState, DataSource),
+    ) {
         let requester = CoreId(core);
         if let Some((part, entry)) = s.ed[line] {
-            return match kind {
+            match kind {
                 AccessKind::Read => {
                     let r = step::ed_read_hit(entry, requester);
-                    let mut ns = s.clone();
-                    ns.ed[line] = Some((part, r.entry));
-                    vec![(ns, r.source)]
+                    s.ed[line] = Some((part, r.entry));
+                    emit(s, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::ed_write_hit(entry, requester);
-                    let mut ns = s.clone();
-                    ns.ed[line] = Some((part, r.entry));
+                    s.ed[line] = Some((part, r.entry));
                     if self.cfg.fault != Fault::SkipWriteInvalidation {
-                        self.invalidate(&mut ns, line, r.invalidate);
+                        self.invalidate(&mut s, line, r.invalidate);
                     }
                     if self.partitioned() && part as usize != core {
                         // Ownership moves to the writer's partition.
-                        let moved = r.entry;
-                        ns.ed[line] = None;
-                        let mut states = Vec::new();
-                        self.alloc_ed_entry(
-                            &ns,
-                            line,
-                            moved,
-                            core,
-                            appendix_a,
-                            has_vd,
-                            &mut states,
-                        );
-                        states.into_iter().map(|es| (es, r.source)).collect()
+                        s.ed[line] = None;
+                        let (moved, source) = (r.entry, r.source);
+                        self.alloc_ed_entry(s, line, moved, core, appendix_a, has_vd, &mut |es| {
+                            emit(es, source)
+                        });
                     } else {
-                        vec![(ns, r.source)]
+                        emit(s, r.source);
                     }
                 }
-            };
+            }
+            return;
         }
         if let Some((part, entry)) = s.td[line] {
-            return match kind {
+            match kind {
                 AccessKind::Read => {
                     let r = step::td_read_hit(entry, requester);
-                    let mut ns = s.clone();
-                    ns.td[line] = Some((part, r.entry));
-                    vec![(ns, r.source)]
+                    s.td[line] = Some((part, r.entry));
+                    emit(s, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::td_write_hit(entry, requester);
-                    let mut ns = s.clone();
-                    ns.td[line] = None;
+                    s.td[line] = None;
                     if self.cfg.fault != Fault::SkipWriteInvalidation {
-                        self.invalidate(&mut ns, line, r.invalidate);
+                        self.invalidate(&mut s, line, r.invalidate);
                     }
                     let fresh = EdEntry {
                         sharers: SharerSet::single(requester),
                     };
-                    let mut states = Vec::new();
-                    self.alloc_ed_entry(&ns, line, fresh, core, appendix_a, has_vd, &mut states);
-                    states.into_iter().map(|es| (es, r.source)).collect()
+                    let source = r.source;
+                    self.alloc_ed_entry(s, line, fresh, core, appendix_a, has_vd, &mut |es| {
+                        emit(es, source)
+                    });
                 }
-            };
-        }
-        if has_vd {
-            if let Some(r) = self.secdir_vd_path(s, core, line, kind, appendix_a) {
-                return r;
             }
+            return;
         }
+        let s = if has_vd {
+            match self.secdir_vd_path(s, core, line, kind, emit) {
+                Some(missed) => missed,
+                None => return,
+            }
+        } else {
+            s
+        };
         // Full miss: fetch from memory, allocate an ED entry.
         let fresh = EdEntry {
             sharers: SharerSet::single(requester),
         };
-        let mut states = Vec::new();
-        self.alloc_ed_entry(s, line, fresh, core, appendix_a, has_vd, &mut states);
-        states
-            .into_iter()
-            .map(|es| (es, DataSource::Memory))
-            .collect()
+        self.alloc_ed_entry(s, line, fresh, core, appendix_a, has_vd, &mut |es| {
+            emit(es, DataSource::Memory)
+        });
     }
 
-    /// SecDir's VD probe after an ED/TD miss; `None` means the VD missed
-    /// too and the caller falls through to the memory path.
+    /// SecDir's VD probe after an ED/TD miss. Hands `s` back untouched
+    /// when the VD missed too, for the caller's memory path; `None`
+    /// means the VD served the request.
     fn secdir_vd_path(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-        _appendix_a: AppendixA,
-    ) -> Option<Vec<(ModelState, DataSource)>> {
+        emit: &mut impl FnMut(ModelState, DataSource),
+    ) -> Option<ModelState> {
         let requester = CoreId(core);
         let matched = s.vd[line];
         match kind {
             AccessKind::Read => {
-                let owner = matched.without(requester).any()?;
+                let Some(owner) = matched.without(requester).any() else {
+                    return Some(s);
+                };
                 // The reader joins the line's VD residency in its own bank.
-                let mut states = Vec::new();
-                self.vd_insert(s, line, core, &mut states);
-                Some(
-                    states
-                        .into_iter()
-                        .map(|ns| (ns, DataSource::L2Cache(owner)))
-                        .collect(),
-                )
+                self.vd_insert(s, line, core, &mut |ns| {
+                    emit(ns, DataSource::L2Cache(owner))
+                });
             }
             AccessKind::Write => {
                 if matched.is_empty() {
-                    return None;
+                    return Some(s);
                 }
                 let had_copy = matched.contains(requester);
                 let others = matched.without(requester);
@@ -524,32 +502,31 @@ impl Model {
                 } else {
                     DataSource::L2Cache(step::forwarding_sharer(others))
                 };
-                let mut ns = s.clone();
-                for other in others.iter() {
-                    ns.vd[line].remove(other);
+                for other in model_cores(others) {
+                    s.vd[line].remove(other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
-                    self.invalidate(&mut ns, line, others);
+                    self.invalidate(&mut s, line, others);
                 }
                 if had_copy {
-                    Some(vec![(ns, source)])
+                    emit(s, source);
                 } else {
-                    let mut states = Vec::new();
-                    self.vd_insert(&ns, line, core, &mut states);
-                    Some(states.into_iter().map(|es| (es, source)).collect())
+                    self.vd_insert(s, line, core, &mut |es| emit(es, source));
                 }
             }
         }
+        None
     }
 
     /// The VD-only request path, mirroring `VdOnlySlice::request`.
     fn request_vd_only(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         core: usize,
         line: usize,
         kind: AccessKind,
-    ) -> Vec<(ModelState, DataSource)> {
+        emit: &mut impl FnMut(ModelState, DataSource),
+    ) {
         let requester = CoreId(core);
         let matched = s.vd[line];
         let others = matched.without(requester);
@@ -559,9 +536,7 @@ impl Model {
                     Some(owner) => DataSource::L2Cache(owner),
                     None => DataSource::Memory,
                 };
-                let mut states = Vec::new();
-                self.vd_insert(s, line, core, &mut states);
-                states.into_iter().map(|ns| (ns, source)).collect()
+                self.vd_insert(s, line, core, &mut |ns| emit(ns, source));
             }
             AccessKind::Write => {
                 let had_copy = matched.contains(requester);
@@ -572,19 +547,16 @@ impl Model {
                 } else {
                     DataSource::Memory
                 };
-                let mut ns = s.clone();
-                for other in others.iter() {
-                    ns.vd[line].remove(other);
+                for other in model_cores(others) {
+                    s.vd[line].remove(other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
-                    self.invalidate(&mut ns, line, others);
+                    self.invalidate(&mut s, line, others);
                 }
                 if had_copy {
-                    vec![(ns, source)]
+                    emit(s, source);
                 } else {
-                    let mut states = Vec::new();
-                    self.vd_insert(&ns, line, core, &mut states);
-                    states.into_iter().map(|es| (es, source)).collect()
+                    self.vd_insert(s, line, core, &mut |es| emit(es, source));
                 }
             }
         }
@@ -593,186 +565,200 @@ impl Model {
     /// Allocates `entry` for `line` in the ED (of `core`'s partition when
     /// way-partitioned), branching over every possible ED victim when the
     /// structure is full; victims migrate into the TD per
-    /// [`step::ed_victim_to_td`]. Results are appended to `out`.
+    /// [`step::ed_victim_to_td`]. Results go to `emit`.
     #[allow(clippy::too_many_arguments)]
     fn alloc_ed_entry(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         line: usize,
         entry: EdEntry,
         core: usize,
         appendix_a: AppendixA,
         has_vd: bool,
-        out: &mut Vec<ModelState>,
+        emit: &mut impl FnMut(ModelState),
     ) {
         debug_assert!(s.ed[line].is_none(), "ED allocation over a live entry");
         let part = if self.partitioned() { core as u8 } else { 0 };
-        let occupied = |x: usize| matches!(s.ed[x], Some((p, _)) if p == part);
-        let occupants = (0..self.cfg.lines).filter(|&x| occupied(x)).count();
-        if occupants < self.cfg.ed_capacity {
-            let mut ns = s.clone();
-            ns.ed[line] = Some((part, entry));
-            out.push(ns);
+        let occupied = self.lines_where(|x| matches!(s.ed[x], Some((p, _)) if p == part));
+        if (occupied.count_ones() as usize) < self.cfg.ed_capacity {
+            s.ed[line] = Some((part, entry));
+            emit(s);
             return;
         }
-        for vline in 0..self.cfg.lines {
-            let Some((vpart, victim)) = s.ed[vline].filter(|_| occupied(vline)) else {
-                continue;
+        for_each_choice(s, occupied, |mut ns, vline| {
+            let Some((vpart, victim)) = ns.ed[vline] else {
+                unreachable!("an occupied ED line holds an entry");
             };
-            let mut ns = s.clone();
             ns.ed[vline] = None;
             ns.ed[line] = Some((part, entry));
             let m = step::ed_victim_to_td(victim, appendix_a);
             if !m.quirk_invalidate.is_empty() && self.cfg.fault != Fault::SkipQuirkInvalidation {
                 self.invalidate(&mut ns, vline, m.quirk_invalidate);
             }
-            self.insert_td_entry(&ns, vline, m.entry, vpart, has_vd, out);
-        }
+            self.insert_td_entry(ns, vline, m.entry, vpart, has_vd, emit);
+        });
     }
 
     /// Inserts a TD entry for `line`, branching over every TD victim when
     /// full; victims resolve per [`step::td_conflict`] (discard ② or, for
-    /// SecDir, VD migration ③). Results are appended to `out`.
+    /// SecDir, VD migration ③). Results go to `emit`.
     fn insert_td_entry(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         line: usize,
         entry: TdEntry,
         part: u8,
         has_vd: bool,
-        out: &mut Vec<ModelState>,
+        emit: &mut impl FnMut(ModelState),
     ) {
         debug_assert!(s.td[line].is_none(), "TD insertion over a live entry");
-        let occupied = |x: usize| matches!(s.td[x], Some((p, _)) if p == part);
-        let occupants = (0..self.cfg.lines).filter(|&x| occupied(x)).count();
-        if occupants < self.cfg.td_capacity {
-            let mut ns = s.clone();
-            ns.td[line] = Some((part, entry));
-            out.push(ns);
+        let occupied = self.lines_where(|x| matches!(s.td[x], Some((p, _)) if p == part));
+        if (occupied.count_ones() as usize) < self.cfg.td_capacity {
+            s.td[line] = Some((part, entry));
+            emit(s);
             return;
         }
-        for vline in 0..self.cfg.lines {
-            let Some((_, victim)) = s.td[vline].filter(|_| occupied(vline)) else {
-                continue;
+        for_each_choice(s, occupied, |mut ns, vline| {
+            let Some((_, victim)) = ns.td[vline] else {
+                unreachable!("an occupied TD line holds an entry");
             };
-            let mut ns = s.clone();
             ns.td[vline] = None;
             ns.td[line] = Some((part, entry));
             match step::td_conflict(victim, has_vd) {
                 TdConflict::Discard { invalidate, .. } => {
                     self.invalidate(&mut ns, vline, invalidate);
-                    out.push(ns);
+                    emit(ns);
                 }
                 TdConflict::MigrateToVd { sharers, .. } => {
-                    // Every sharer's bank receives the entry; each insert
-                    // may branch on a self-conflict victim.
-                    let mut states = vec![ns];
-                    let mut next = Vec::new();
-                    for sharer in sharers.iter() {
-                        next.clear();
-                        for st in &states {
-                            self.vd_insert(st, vline, sharer.0, &mut next);
-                        }
-                        std::mem::swap(&mut states, &mut next);
-                    }
-                    out.append(&mut states);
+                    // Every sharer's bank receives the entry.
+                    self.vd_insert_each(ns, vline, sharers, emit);
                 }
             }
-        }
+        });
+    }
+
+    /// Inserts `line` into the VD bank of every core in `banks`, in
+    /// ascending core order. Each insert may branch on a self-conflict
+    /// victim; the branches multiply out depth-first, the lowest bank's
+    /// choice varying slowest. Recursion goes through `dyn`, so the
+    /// continuation type stays finite.
+    fn vd_insert_each(
+        &self,
+        s: ModelState,
+        line: usize,
+        banks: SharerSet,
+        emit: &mut dyn FnMut(ModelState),
+    ) {
+        let Some(first) = banks.any() else {
+            emit(s);
+            return;
+        };
+        let rest = banks.without(first);
+        self.vd_insert(s, line, first.0, &mut |ns| {
+            self.vd_insert_each(ns, line, rest, emit)
+        });
     }
 
     /// Inserts `line` into `core`'s VD bank (idempotent), branching over
     /// every resident victim on a bank self-conflict (transition ⑤, which
     /// invalidates the bank owner's own copy of the displaced line).
-    /// Results are appended to `out`.
-    fn vd_insert(&self, s: &ModelState, line: usize, core: usize, out: &mut Vec<ModelState>) {
+    /// Results go to `emit`.
+    fn vd_insert(
+        &self,
+        mut s: ModelState,
+        line: usize,
+        core: usize,
+        emit: &mut impl FnMut(ModelState),
+    ) {
         let owner = CoreId(core);
         if s.vd[line].contains(owner) {
-            out.push(s.clone());
+            emit(s);
             return;
         }
-        let resident = |x: usize| x != line && s.vd[x].contains(owner);
-        let resident_count = (0..self.cfg.lines).filter(|&x| resident(x)).count();
-        if resident_count < self.cfg.vd_capacity {
-            let mut ns = s.clone();
-            ns.vd[line].insert(owner);
-            out.push(ns);
+        let residents = self.lines_where(|x| x != line && s.vd[x].contains(owner));
+        if (residents.count_ones() as usize) < self.cfg.vd_capacity {
+            s.vd[line].insert(owner);
+            emit(s);
             return;
         }
-        for vline in 0..self.cfg.lines {
-            if !resident(vline) {
-                continue;
-            }
-            let mut ns = s.clone();
+        for_each_choice(s, residents, |mut ns, vline| {
             ns.vd[vline].remove(owner);
             ns.caches[core][vline] = Moesi::Invalid;
             ns.vd[line].insert(owner);
-            out.push(ns);
-        }
+            emit(ns);
+        });
     }
 
     /// Dispatches an L2 eviction per kind, mirroring each slice's
-    /// `l2_evict`. Results are appended to `out`.
+    /// `l2_evict`. Results go to `emit`.
     fn dir_l2_evict(
         &self,
-        s: &ModelState,
+        mut s: ModelState,
         core: usize,
         line: usize,
         dirty: bool,
-        out: &mut Vec<ModelState>,
+        emit: &mut impl FnMut(ModelState),
     ) {
         let evictor = CoreId(core);
         match self.cfg.kind {
             DirKind::VdOnly => {
-                let mut ns = s.clone();
-                ns.vd[line].remove(evictor);
-                out.push(ns);
+                s.vd[line].remove(evictor);
+                emit(s);
             }
             DirKind::Baseline(..) | DirKind::WayPartitioned | DirKind::SecDir => {
                 let has_vd = self.cfg.kind == DirKind::SecDir;
                 if let Some((part, entry)) = s.ed[line] {
-                    let mut ns = s.clone();
-                    ns.ed[line] = None;
-                    self.insert_td_entry(
-                        &ns,
-                        line,
-                        step::l2_evict_ed(entry, evictor, dirty),
-                        part,
-                        has_vd,
-                        out,
-                    );
+                    s.ed[line] = None;
+                    let moved = step::l2_evict_ed(entry, evictor, dirty);
+                    self.insert_td_entry(s, line, moved, part, has_vd, emit);
                     return;
                 }
                 if let Some((part, entry)) = s.td[line] {
-                    let mut ns = s.clone();
                     let (updated, _fills) = step::l2_evict_td(entry, evictor, dirty);
-                    ns.td[line] = Some((part, updated));
-                    out.push(ns);
+                    s.td[line] = Some((part, updated));
+                    emit(s);
                     return;
                 }
                 if has_vd && !s.vd[line].is_empty() {
                     // Transition ④: consolidate the VD residency into a TD
                     // entry, exactly as `SecDirSlice::l2_evict` does.
                     let matched = s.vd[line];
-                    let mut ns = s.clone();
                     if self.cfg.fault != Fault::LeakVdOnConsolidate {
-                        ns.vd[line] = SharerSet::empty();
+                        s.vd[line] = SharerSet::empty();
                     }
-                    self.insert_td_entry(
-                        &ns,
-                        line,
-                        step::l2_evict_ed(EdEntry { sharers: matched }, evictor, dirty),
-                        0,
-                        true,
-                        out,
-                    );
+                    let consolidated =
+                        step::l2_evict_ed(EdEntry { sharers: matched }, evictor, dirty);
+                    self.insert_td_entry(s, line, consolidated, 0, true, emit);
                     return;
                 }
                 // No directory entry: only reachable in faulty runs whose
                 // violation the checker reports before exploring deeper.
-                out.push(s.clone());
+                emit(s);
             }
         }
+    }
+}
+
+/// The cores of `set`, ascending. A model set names only cores below
+/// [`MAX_CORES`], so this scans four bits where `SharerSet::iter` scans
+/// sixty-four.
+pub(crate) fn model_cores(set: SharerSet) -> impl Iterator<Item = CoreId> {
+    (0..MAX_CORES).map(CoreId).filter(move |&c| set.contains(c))
+}
+
+/// Calls `f` once per set bit `x` of `choices`, in ascending order, with
+/// a state of its own: copies of `s` for all but the last choice, which
+/// takes `s` itself — a branch point copies the state only when it
+/// really forks.
+fn for_each_choice(s: ModelState, mut choices: u32, mut f: impl FnMut(ModelState, usize)) {
+    while choices != 0 {
+        let x = choices.trailing_zeros() as usize;
+        choices &= choices - 1;
+        if choices == 0 {
+            f(s, x);
+            return;
+        }
+        f(s.clone(), x);
     }
 }
 
