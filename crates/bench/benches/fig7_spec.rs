@@ -6,9 +6,10 @@
 //! SecDir reduces L2 misses (avg ≈ −11.4% in the paper) by avoiding
 //! inclusion victims; VD hits ≈ 0 for single-threaded mixes.
 
-use secdir_bench::{bench_threads, fig7_matrix, header, DEFAULT_MEASURE, DEFAULT_WARMUP};
+use secdir_bench::{fig7_matrix, header, DEFAULT_MEASURE, DEFAULT_WARMUP};
 use secdir_machine::sweep::sweep;
 use secdir_machine::DirectoryKind;
+use secdir_mem::par::available_cpus;
 use secdir_workloads::registry;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         DEFAULT_MEASURE,
     );
     let cells = matrix.cells();
-    let results = sweep(&cells, &registry::factory, bench_threads(cells.len()));
+    let results = sweep(&cells, &registry::factory, available_cpus());
     // Cells are workload-major: [mix_i × Baseline, mix_i × SecDir], …
     let rows: Vec<_> = results
         .chunks_exact(2)

@@ -5,9 +5,10 @@
 //! VD hits are small on average but visible for sharing-heavy apps
 //! (freqmine ≈ 14% of misses).
 
-use secdir_bench::{bench_threads, fig8_matrix, header, DEFAULT_MEASURE, DEFAULT_WARMUP};
+use secdir_bench::{fig8_matrix, header, DEFAULT_MEASURE, DEFAULT_WARMUP};
 use secdir_machine::sweep::sweep;
 use secdir_machine::DirectoryKind;
+use secdir_mem::par::available_cpus;
 use secdir_workloads::registry;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
         DEFAULT_MEASURE,
     );
     let cells = matrix.cells();
-    let results = sweep(&cells, &registry::factory, bench_threads(cells.len()));
+    let results = sweep(&cells, &registry::factory, available_cpus());
     // Cells are workload-major: [app_i × Baseline, app_i × SecDir], …
     let rows: Vec<_> = results
         .chunks_exact(2)

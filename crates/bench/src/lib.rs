@@ -78,15 +78,6 @@ pub fn fig8_matrix(kinds: Vec<DirectoryKind>, warmup: u64, measure: u64) -> Swee
     }
 }
 
-/// Worker-thread count for parallel bench sweeps: the machine's available
-/// parallelism, capped at the cell count.
-pub fn bench_threads(cells: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, usize::from)
-        .min(cells)
-        .max(1)
-}
-
 /// Formats a ratio as a fixed-width cell.
 pub fn cell(x: f64) -> String {
     format!("{x:>7.3}")

@@ -109,10 +109,18 @@ impl SharerSet {
         self
     }
 
-    /// Iterates over the sharers in ascending core order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let bits = self.0;
-        (0..Self::MAX_CORES).filter_map(move |i| (bits & (1 << i) != 0).then_some(CoreId(i)))
+    /// Iterates over the sharers in ascending core order, visiting only
+    /// the set bits.
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let core = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(CoreId(core))
+        })
     }
 
     /// The raw presence bit vector.
@@ -188,9 +196,12 @@ mod tests {
 
     #[test]
     fn iter_ascending() {
-        let s: SharerSet = [CoreId(6), CoreId(1), CoreId(3)].into_iter().collect();
+        let s: SharerSet = [CoreId(6), CoreId(1), CoreId(63), CoreId(3)]
+            .into_iter()
+            .collect();
         let v: Vec<_> = s.iter().map(|c| c.0).collect();
-        assert_eq!(v, vec![1, 3, 6]);
+        assert_eq!(v, vec![1, 3, 6, 63]);
+        assert_eq!(SharerSet::empty().iter().next(), None);
     }
 
     #[test]

@@ -121,51 +121,6 @@ impl RunSummary {
     }
 }
 
-/// How [`run_workload_with`] picks the next core to advance.
-///
-/// Both schedulers pick the earliest-ready active core, with the lowest
-/// core id breaking time ties — so they produce bit-identical runs (see
-/// `tests/determinism.rs`). The heap is the default: it makes each pick
-/// O(log n) instead of O(n), which matters on the sweep harness's hot path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Scheduler {
-    /// `BinaryHeap` event queue keyed on `(ready-time, core-id)`.
-    #[default]
-    Heap,
-    /// Linear `min_by_key` scan over all cores (the reference
-    /// implementation, kept for A/B determinism checks).
-    Scan,
-}
-
-/// Advances `core` by one reference: returns its new ready time, or `None`
-/// (recording `finish_time`) when the stream is exhausted or the per-call
-/// access cap is reached.
-fn advance_core(
-    machine: &mut Machine,
-    streams: &mut [Box<dyn AccessStream + '_>],
-    runs: &mut [CoreRun],
-    core: usize,
-    ready: u64,
-    max_accesses_per_core: u64,
-) -> Option<u64> {
-    if runs[core].accesses >= max_accesses_per_core {
-        runs[core].finish_time = ready;
-        return None;
-    }
-    match streams[core].next_access() {
-        None => {
-            runs[core].finish_time = ready;
-            None
-        }
-        Some(acc) => {
-            let outcome = machine.access(CoreId(core), acc.line, acc.write);
-            runs[core].instructions += u64::from(acc.gap) + 1;
-            runs[core].accesses += 1;
-            Some(ready + u64::from(acc.gap) + outcome.latency)
-        }
-    }
-}
-
 /// Runs one stream per core until every stream is exhausted or a core has
 /// issued `max_accesses_per_core` references, advancing cores in global
 /// time order (earliest-ready first, lowest core id on ties).
@@ -179,8 +134,6 @@ fn advance_core(
 /// `run_workload(m, s, measure)`, where `measure` is the size of the
 /// measured phase itself, *not* `warmup + measure`.
 ///
-/// Equivalent to [`run_workload_with`] using [`Scheduler::Heap`].
-///
 /// # Panics
 ///
 /// Panics if `streams.len()` differs from the machine's core count.
@@ -188,20 +141,6 @@ pub fn run_workload(
     machine: &mut Machine,
     streams: &mut [Box<dyn AccessStream + '_>],
     max_accesses_per_core: u64,
-) -> RunSummary {
-    run_workload_with(machine, streams, max_accesses_per_core, Scheduler::Heap)
-}
-
-/// [`run_workload`] with an explicit [`Scheduler`] choice.
-///
-/// # Panics
-///
-/// Panics if `streams.len()` differs from the machine's core count.
-pub fn run_workload_with(
-    machine: &mut Machine,
-    streams: &mut [Box<dyn AccessStream + '_>],
-    max_accesses_per_core: u64,
-    scheduler: Scheduler,
 ) -> RunSummary {
     assert_eq!(
         streams.len(),
@@ -211,91 +150,69 @@ pub fn run_workload_with(
     let n = streams.len();
     let mut runs = vec![CoreRun::default(); n];
 
-    match scheduler {
-        Scheduler::Heap => {
-            // One entry per active core; a core re-enqueues itself with its
-            // new ready time, so the queue never holds stale entries.
-            //
-            // Each core's next reference is pulled one ahead of its
-            // simulation so the machine can prefetch the metadata rows it
-            // will probe while the other cores run (≈ n accesses of host
-            // memory latency hidden). Exactness is preserved: streams are
-            // per-core independent and still consumed in the same per-core
-            // order and count — a reference is only pulled once its
-            // predecessor has been counted below the access cap, matching
-            // the lazy scheduler's pull-at-pop discipline.
-            enum Pulled {
-                /// No reference buffered; ask the stream at the next pop.
-                Not,
-                /// The core's next reference, already prefetched.
-                Ready(Access),
-                /// The stream returned `None`; the core finishes at its
-                /// next pop, at the same cycle the lazy pull would have
-                /// discovered the exhaustion.
-                Exhausted,
-            }
-            let mut pulled: Vec<Pulled> = (0..n).map(|_| Pulled::Not).collect();
-            let mut queue: BinaryHeap<Reverse<(u64, usize)>> =
-                (0..n).map(|i| Reverse((0, i))).collect();
-            // An advancing core rewrites the top entry in place (one
-            // sift-down via `PeekMut`) rather than pop + push (two sifts);
-            // the heap holds the same (time, core) keys either way, and
-            // keys are unique per core, so the pick order is unchanged.
-            while let Some(mut top) = queue.peek_mut() {
-                let Reverse((ready, core)) = *top;
-                if runs[core].accesses >= max_accesses_per_core {
+    // A `BinaryHeap` keyed on `(ready, core)` holds one entry per active
+    // core; a core re-enqueues itself with its new ready time, so the
+    // queue never holds stale entries.
+    //
+    // Each core's next reference is pulled one ahead of its simulation so
+    // the machine can prefetch the metadata rows it will probe while the
+    // other cores run (≈ n accesses of host memory latency hidden).
+    // Exactness is preserved: streams are per-core independent and still
+    // consumed in the same per-core order and count — a reference is only
+    // pulled once its predecessor has been counted below the access cap,
+    // matching a lazy pull-at-pop discipline.
+    enum Pulled {
+        /// No reference buffered; ask the stream at the next pop.
+        Not,
+        /// The core's next reference, already prefetched.
+        Ready(Access),
+        /// The stream returned `None`; the core finishes at its next
+        /// pop, at the same cycle a lazy pull would have discovered the
+        /// exhaustion.
+        Exhausted,
+    }
+    let mut pulled: Vec<Pulled> = (0..n).map(|_| Pulled::Not).collect();
+    let mut queue: BinaryHeap<Reverse<(u64, usize)>> = (0..n).map(|i| Reverse((0, i))).collect();
+    // An advancing core rewrites the top entry in place (one sift-down via
+    // `PeekMut`) rather than pop + push (two sifts); the heap holds the
+    // same (time, core) keys either way, and keys are unique per core, so
+    // the pick order is unchanged.
+    while let Some(mut top) = queue.peek_mut() {
+        let Reverse((ready, core)) = *top;
+        if runs[core].accesses >= max_accesses_per_core {
+            runs[core].finish_time = ready;
+            PeekMut::pop(top);
+            continue;
+        }
+        let acc = match std::mem::replace(&mut pulled[core], Pulled::Not) {
+            Pulled::Ready(acc) => acc,
+            Pulled::Not => match streams[core].next_access() {
+                Some(acc) => acc,
+                None => {
                     runs[core].finish_time = ready;
                     PeekMut::pop(top);
                     continue;
                 }
-                let acc = match std::mem::replace(&mut pulled[core], Pulled::Not) {
-                    Pulled::Ready(acc) => acc,
-                    Pulled::Not => match streams[core].next_access() {
-                        Some(acc) => acc,
-                        None => {
-                            runs[core].finish_time = ready;
-                            PeekMut::pop(top);
-                            continue;
-                        }
-                    },
-                    Pulled::Exhausted => {
-                        runs[core].finish_time = ready;
-                        PeekMut::pop(top);
-                        continue;
-                    }
-                };
-                let outcome = machine.access(CoreId(core), acc.line, acc.write);
-                runs[core].instructions += u64::from(acc.gap) + 1;
-                runs[core].accesses += 1;
-                *top = Reverse((ready + u64::from(acc.gap) + outcome.latency, core));
-                drop(top);
-                if runs[core].accesses < max_accesses_per_core {
-                    pulled[core] = match streams[core].next_access() {
-                        Some(next) => {
-                            machine.prefetch(CoreId(core), next.line);
-                            Pulled::Ready(next)
-                        }
-                        None => Pulled::Exhausted,
-                    };
-                }
+            },
+            Pulled::Exhausted => {
+                runs[core].finish_time = ready;
+                PeekMut::pop(top);
+                continue;
             }
-        }
-        Scheduler::Scan => {
-            let mut ready = vec![0u64; n];
-            let mut done = vec![false; n];
-            while let Some(core) = (0..n).filter(|&i| !done[i]).min_by_key(|&i| (ready[i], i)) {
-                match advance_core(
-                    machine,
-                    streams,
-                    &mut runs,
-                    core,
-                    ready[core],
-                    max_accesses_per_core,
-                ) {
-                    Some(next) => ready[core] = next,
-                    None => done[core] = true,
+        };
+        let outcome = machine.access(CoreId(core), acc.line, acc.write);
+        runs[core].instructions += u64::from(acc.gap) + 1;
+        runs[core].accesses += 1;
+        *top = Reverse((ready + u64::from(acc.gap) + outcome.latency, core));
+        drop(top);
+        if runs[core].accesses < max_accesses_per_core {
+            pulled[core] = match streams[core].next_access() {
+                Some(next) => {
+                    machine.prefetch(CoreId(core), next.line);
+                    Pulled::Ready(next)
                 }
-            }
+                None => Pulled::Exhausted,
+            };
         }
     }
 
@@ -388,25 +305,5 @@ mod tests {
     fn stream_count_must_match() {
         let mut m = Machine::new(MachineConfig::small(2, DirectoryKind::Baseline));
         run_workload(&mut m, &mut [stream_of(vec![1], 0)], 10);
-    }
-
-    #[test]
-    fn heap_and_scan_schedulers_are_bit_identical() {
-        // Interleaved multi-core streams with shared lines, gaps, and an
-        // access cap — everything that could perturb scheduling order.
-        let build = || {
-            vec![
-                stream_of((0..200).map(|i| i % 37).collect(), 0),
-                stream_of((0..200).map(|i| i % 11).collect(), 3),
-                stream_of((0..50).collect(), 7),
-                stream_of(vec![5; 300], 1),
-            ]
-        };
-        let mut m_heap = Machine::new(MachineConfig::small(4, DirectoryKind::SecDir));
-        let heap = run_workload_with(&mut m_heap, &mut build(), 120, Scheduler::Heap);
-        let mut m_scan = Machine::new(MachineConfig::small(4, DirectoryKind::SecDir));
-        let scan = run_workload_with(&mut m_scan, &mut build(), 120, Scheduler::Scan);
-        assert_eq!(heap, scan);
-        assert_eq!(m_heap.stats(), m_scan.stats());
     }
 }

@@ -44,9 +44,7 @@ pub mod sweep;
 
 pub use caches::PrivateCaches;
 pub use config::{DirectoryKind, Latencies, MachineConfig, TimingMitigation};
-pub use engine::{
-    run_workload, run_workload_with, Access, AccessStream, CoreRun, RunSummary, Scheduler,
-};
+pub use engine::{run_workload, Access, AccessStream, CoreRun, RunSummary};
 pub use inject::{FaultKind, FaultPlan, InjectOutcome};
 pub use machine::{AccessOutcome, Machine, ServedBy};
 pub use oracle::{OracleError, ORACLE_INTERVAL};

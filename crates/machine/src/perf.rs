@@ -30,6 +30,7 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use secdir_mem::json::Writer;
+use secdir_mem::par::available_cpus;
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{sweep, CellSpec, StreamFactory};
@@ -97,7 +98,7 @@ impl PerfSpec {
             warmup: 20_000,
             measure: 200_000,
             sweep_cells: 8,
-            threads: host_cpus(),
+            threads: available_cpus(),
             seed: 0x5eed,
             serial_reps: 5,
             slice_threads: vec![1, 2, 4, 8],
@@ -117,11 +118,6 @@ impl PerfSpec {
             ..PerfSpec::full()
         }
     }
-}
-
-/// The CPUs this process may run on, as recorded in every row.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// One timed measurement.
@@ -240,7 +236,7 @@ fn measure_serial<F: StreamFactory + ?Sized>(
         cells: 1,
         threads: 1,
         warmup_timed: false,
-        host_cpus: host_cpus(),
+        host_cpus: available_cpus(),
         accesses,
         nanos,
     }
@@ -294,7 +290,7 @@ fn measure_sliced<F: StreamFactory + ?Sized>(
         cells: 1,
         threads: slice_threads,
         warmup_timed: false,
-        host_cpus: host_cpus(),
+        host_cpus: available_cpus(),
         accesses,
         nanos,
     }
@@ -321,7 +317,7 @@ fn measure_sweep<F: StreamFactory + ?Sized>(
         cells: cells.len(),
         threads: spec.threads.max(1),
         warmup_timed: true,
-        host_cpus: host_cpus(),
+        host_cpus: available_cpus(),
         accesses: results.iter().map(|r| r.stats.total_accesses()).sum(),
         nanos,
     }

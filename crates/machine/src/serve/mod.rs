@@ -49,14 +49,14 @@ use admission::Admission;
 use codec::{Checkpoint, Record, TerminalInfo};
 use journal::{GhostEnd, JournalSink};
 use scheduler::{SourceRt, TenantShared};
+use secdir_mem::par::{self, lock, Crew};
 use secdir_mem::{LineAddr, SplitMix64};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard};
-use std::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Salt separating the burst-shape RNG from the tenant's workload RNG.
 const BURST_SALT: u64 = 0x5e71_ce00_b127_57a1;
@@ -170,7 +170,9 @@ pub struct ServeConfig {
     /// Gap length bound of the on/off source gate (ticks, 0 = always
     /// on). Keep below `idle_timeout` or healthy tenants get evicted.
     pub burst_off_max: u64,
-    /// Drain worker threads (1 = fully inline, no threads spawned).
+    /// Drain threads, the calling thread included (1 = no thread
+    /// spawned). Clamped to `pool` and to the tenant count, since no tick
+    /// has more live machines than either.
     pub workers: usize,
     /// Run a final oracle sweep before a `done` record.
     pub final_audit: bool,
@@ -200,6 +202,12 @@ impl ServeConfig {
             final_audit: true,
             format: JournalFormat::Jsonl,
         }
+    }
+
+    /// Phase II participants: `workers`, clamped to the pool and the
+    /// tenant count — extra threads would find no tenant to claim.
+    fn drain_participants(&self) -> usize {
+        self.workers.min(self.pool).min(self.tenants.len())
     }
 
     fn validate(&self) -> Result<(), ServeError> {
@@ -394,29 +402,14 @@ impl ServeReport {
     }
 }
 
-/// Everything the drain workers share with the main thread.
-struct SharedRun<'a> {
+/// What phase II's participants share.
+struct DrainRun<'a> {
     /// Per-tenant worker-visible state.
     tenants: &'a [Mutex<TenantShared>],
     /// Work-claiming ticket counter, reset each tick.
-    claim: &'a AtomicUsize,
-    /// Shutdown flag, checked after the start barrier.
-    stop: &'a AtomicBool,
-    /// Tick-start barrier (workers + main).
-    start: &'a Barrier,
-    /// Tick-end barrier (workers + main).
-    end: &'a Barrier,
+    claim: AtomicUsize,
     /// Drain batch bound per core per tick.
     drain: u64,
-}
-
-/// Locks a tenant slot, recovering from poisoning (worker panics are
-/// caught inside the slot's `catch_unwind`, but be safe).
-fn lock_slot(slot: &Mutex<TenantShared>) -> MutexGuard<'_, TenantShared> {
-    match slot.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// One tenant's drain-phase step: drain batch plus oracle audit, with
@@ -435,25 +428,18 @@ fn drain_and_audit(rt: &mut TenantShared, drain: u64) {
 }
 
 // lint: region(barrier-worker)
-fn worker_loop(run: &SharedRun<'_>) {
+/// Participant `w`'s share of a tick's phase II, after the tick-start
+/// crossing: claims tenant slots until none is left, then crosses the
+/// tick-end barrier.
+fn drain_share(crew: &Crew, w: usize, run: &DrainRun<'_>) {
     loop {
-        run.start.wait();
-        if run.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        loop {
-            let i = run.claim.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = run.tenants.get(i) else {
-                break;
-            };
-            let mut rt = match slot.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            drain_and_audit(&mut rt, run.drain);
-        }
-        run.end.wait();
+        let i = run.claim.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = run.tenants.get(i) else {
+            break;
+        };
+        drain_and_audit(&mut lock(slot), run.drain);
     }
+    crew.wait(w);
 }
 
 /// Admission lifecycle of one tenant, main-thread view.
@@ -534,7 +520,7 @@ impl Driver<'_, '_, '_> {
                 }
                 streams
             };
-            let mut rt = lock_slot(&self.shared[i]);
+            let mut rt = lock(&self.shared[i]);
             rt.active = true;
             rt.ghost = is_ghost;
             rt.queues = (0..spec.cores)
@@ -567,7 +553,7 @@ impl Driver<'_, '_, '_> {
         let mut buffered = 0u64;
         for (i, slot) in self.shared.iter().enumerate() {
             if self.phase[i] == Phase::Active {
-                buffered += scheduler::buffered(&lock_slot(slot));
+                buffered += scheduler::buffered(&lock(slot));
             }
         }
         let mut global_left = cfg.global_cap.saturating_sub(buffered);
@@ -582,7 +568,7 @@ impl Driver<'_, '_, '_> {
             if !on {
                 continue;
             }
-            let mut rt = lock_slot(&self.shared[i]);
+            let mut rt = lock(&self.shared[i]);
             if rt.panic_msg.is_some() || rt.quarantine_msg.is_some() {
                 continue;
             }
@@ -603,15 +589,6 @@ impl Driver<'_, '_, '_> {
         }
     }
 
-    /// Phase II fallback for `workers == 1`: drain every active tenant
-    /// inline.
-    fn drain_inline(&mut self) {
-        for slot in self.shared {
-            let mut rt = lock_slot(slot);
-            drain_and_audit(&mut rt, self.cfg.drain);
-        }
-    }
-
     /// Phase III: terminal decisions, checkpoint/terminal emission, and
     /// slot release, in tenant-index order.
     fn emit_phase(&mut self) -> Result<(), ServeError> {
@@ -621,7 +598,7 @@ impl Driver<'_, '_, '_> {
                 continue;
             }
             let spec = &cfg.tenants[i];
-            let mut rt = lock_slot(&self.shared[i]);
+            let mut rt = lock(&self.shared[i]);
             let decided: Option<(TenantStatus, String)> = if let Some(msg) = rt.panic_msg.take() {
                 // A panic out of a machine whose armed fault already fired
                 // is the engine's own defensive layer detecting the
@@ -727,9 +704,9 @@ impl Driver<'_, '_, '_> {
         Ok(())
     }
 
-    /// The tick loop. With `workers` set, phase II is handed to the
-    /// barrier-synchronized worker pool; otherwise it runs inline.
-    fn run(&mut self, workers: Option<&SharedRun<'_>>) -> Result<u64, ServeError> {
+    /// The tick loop, leading the drain crew: phase II of every tick is
+    /// one crew round of two crossings, with this thread as participant 0.
+    fn run(&mut self, crew: &Crew, drain: &DrainRun<'_>) -> Result<u64, ServeError> {
         self.shed_initial()?;
         // Tick-0 sheds are their own durability unit (group commit).
         self.journal.commit()?;
@@ -747,14 +724,9 @@ impl Driver<'_, '_, '_> {
         while self.live > 0 {
             self.admit_pending()?;
             self.ingest_phase();
-            match workers {
-                Some(run) => {
-                    run.claim.store(0, Ordering::Release);
-                    run.start.wait();
-                    run.end.wait();
-                }
-                None => self.drain_inline(),
-            }
+            drain.claim.store(0, Ordering::Release);
+            crew.wait(0); // tick start
+            drain_share(crew, 0, drain);
             self.emit_phase()?;
             // Group commit: everything this tick emitted leaves as one
             // frame with one write+flush (no-op for JSONL, which
@@ -836,35 +808,19 @@ pub fn run_serve(
         tick: 0,
     };
 
-    let ticks = if cfg.workers > 1 {
-        let stop = AtomicBool::new(false);
-        let claim = AtomicUsize::new(0);
-        let start = Barrier::new(cfg.workers + 1);
-        let end = Barrier::new(cfg.workers + 1);
-        let run = SharedRun {
-            tenants: &shared,
-            claim: &claim,
-            stop: &stop,
-            start: &start,
-            end: &end,
-            drain: cfg.drain,
-        };
-        let run_ref = &run;
-        let result = thread::scope(|scope| {
-            for _ in 0..cfg.workers {
-                scope.spawn(move || worker_loop(run_ref));
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| driver.run(Some(run_ref))));
-            run_ref.stop.store(true, Ordering::Relaxed);
-            run_ref.start.wait();
-            result
-        });
-        match result {
-            Ok(r) => r?,
-            Err(payload) => resume_unwind(payload),
-        }
-    } else {
-        driver.run(None)?
+    let drain = DrainRun {
+        tenants: &shared,
+        claim: AtomicUsize::new(0),
+        drain: cfg.drain,
+    };
+    let ticks = match par::run_crew(
+        cfg.drain_participants(),
+        2,
+        |crew, w| drain_share(crew, w, &drain),
+        |crew| driver.run(crew, &drain),
+    ) {
+        Ok(r) => r?,
+        Err(payload) => resume_unwind(payload),
     };
 
     let mut outcomes = Vec::with_capacity(n);
@@ -893,4 +849,42 @@ pub fn run_serve(
         recovered_truncation,
         journal_bytes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The clamp is checked as a pure function: no case starts a thread.
+    #[test]
+    fn drain_participants_are_clamped_to_the_pool_and_the_tenants() {
+        for (workers, pool, tenants, want) in [
+            (1, 4, 7, 1),
+            (2, 4, 7, 2),
+            (8, 4, 7, 4),
+            (100_000, 4, 7, 4),
+            (100_000, 16, 7, 7),
+            (3, 16, 2, 2),
+        ] {
+            let specs = (0..tenants)
+                .map(|i| TenantSpec {
+                    name: format!("t{i}"),
+                    workload: "uniform".to_string(),
+                    kind: DirectoryKind::SecDir,
+                    seed: i,
+                    cores: 1,
+                    refs: 1,
+                    fault: None,
+                })
+                .collect();
+            let mut cfg = ServeConfig::new(specs);
+            cfg.workers = workers;
+            cfg.pool = pool;
+            assert_eq!(
+                cfg.drain_participants(),
+                want,
+                "workers {workers}, pool {pool}, {tenants} tenants"
+            );
+        }
+    }
 }

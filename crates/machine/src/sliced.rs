@@ -55,14 +55,15 @@
 //!
 //! # The epoch barrier
 //!
-//! Synchronization uses a sense-reversing barrier (`EpochBarrier`) with
-//! one participant per worker, the main thread included: one atomic add
-//! per arrival, a bounded spin on the generation word, then a
-//! `thread::yield_now` tier, then `thread::park`. When the host has at
-//! least as many CPUs as participants an epoch crossing stays in user
-//! space entirely; oversubscribed hosts skip the spin and yield straight
-//! away. This replaces the four kernel-mediated `std::sync::Barrier` waits
-//! per epoch that dominated the first version's per-epoch cost.
+//! The workers are a [`par::run_crew`] crew: one participant per worker,
+//! the main thread included, synchronized by the crew's sense-reversing
+//! epoch barrier — one atomic add per arrival, a bounded spin on the
+//! generation word, then a `thread::yield_now` tier, then `thread::park`.
+//! When the host has at least as many CPUs as participants an epoch
+//! crossing stays in user space entirely; oversubscribed hosts skip the
+//! spin and yield straight away. This replaces the four kernel-mediated
+//! standard-library `Barrier` waits per epoch that dominated the first
+//! version's per-epoch cost.
 //!
 //! # Determinism
 //!
@@ -107,24 +108,21 @@
 //! # Failure handling
 //!
 //! Spawned-worker panics (e.g. the `check`-feature oracle firing under
-//! fault injection) are caught **once per worker loop**, not per phase: a
-//! panicking worker records the failure and falls into a drain loop that
-//! keeps honoring every barrier, so no thread deadlocks. Each of the main
+//! fault injection) are caught by the crew **once per worker**, not per
+//! phase: a panicking worker records the failure and drains — it keeps
+//! honoring every barrier, so no thread deadlocks. Each of the main
 //! thread's steps — top-up, its phase-A and phase-B shares, the merge —
-//! runs under its own `catch_unwind`, records the failure the same way and
-//! still reaches every crossing. The machine gets its parts back, and the
-//! first panic is re-raised on the calling thread once all workers have
-//! parked.
+//! runs under its own `catch_unwind` ([`Crew::guarded`]), records the
+//! failure the same way and still reaches every crossing. The machine
+//! gets its parts back, and the first panic is re-raised on the calling
+//! thread once all workers have joined.
 
-use std::any::Any;
 use std::collections::VecDeque;
-use std::hint;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::Thread;
+use std::panic::resume_unwind;
+use std::sync::Mutex;
 
 use secdir_coherence::{AccessKind, DirResponse, DirSlice};
+use secdir_mem::par::{self, lock, Crew, Panic};
 use secdir_mem::{CoreId, LineAddr, SliceId};
 
 use crate::caches::PrivateCaches;
@@ -164,107 +162,6 @@ impl Default for SlicedOptions {
         }
     }
 }
-
-// The code between these region markers runs either on the main thread
-// between barrier crossings or inside the barrier itself — outside every
-// catch_unwind net. A panic here strands the other side of the barrier
-// (see the `barrier-panic` lint rule in secdir-verif).
-// lint: begin-region(barrier-worker)
-
-/// Locks a mutex, shrugging off poisoning: a worker that panicked has
-/// already recorded its failure, and the epoch loop unwinds through the
-/// same data to reassemble the machine before re-raising it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A sense-reversing epoch barrier: `fetch_add` on arrival, release by
-/// bumping the generation word, bounded spin → yield → park while
-/// waiting. All of `std`, no per-crossing kernel round-trip on the happy
-/// path, and safe against lost wake-ups: a parked waiter always rechecks
-/// the generation, and a stale park token at most costs one extra loop.
-struct EpochBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    participants: usize,
-    /// Spin iterations before yielding; zero on oversubscribed hosts
-    /// (fewer CPUs than participants), where spinning would steal the
-    /// timeslice the other side needs.
-    spin_limit: u32,
-    /// Participant thread handles for `unpark`, registered once before a
-    /// thread's first wait.
-    threads: Vec<OnceLock<Thread>>,
-}
-
-/// Yield-tier length between spinning and parking.
-const YIELD_LIMIT: u32 = 16;
-
-impl EpochBarrier {
-    fn new(participants: usize) -> Self {
-        // A lone participant never waits, so it skips the CPU-count query.
-        let spin = participants == 1
-            || std::thread::available_parallelism().map_or(1, usize::from) >= participants;
-        let spin_limit = if spin { 4096 } else { 0 };
-        EpochBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            participants,
-            spin_limit,
-            threads: (0..participants).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Registers the calling thread as participant `id`. Must run on that
-    /// thread before its first [`EpochBarrier::wait`]; the release path
-    /// only unparks registered threads, and a thread that has arrived has
-    /// necessarily registered.
-    fn register(&self, id: usize) {
-        // Ids are 0 for the main thread and 1.. for the spawned workers,
-        // always < participants; `.get` keeps this total all the same — a
-        // panic during registration would strand the already-spinning side.
-        if let Some(slot) = self.threads.get(id) {
-            let _ = slot.set(std::thread::current());
-        }
-    }
-
-    fn wait(&self, id: usize) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.participants {
-            // Last arriver: reset the count *before* publishing the new
-            // generation, so next-epoch arrivals (which happen-after the
-            // generation load below) see a clean counter.
-            // lint: allow(atomic-ordering): the Release store of `generation` below publishes this reset; every waiter Acquire-loads `generation` before its next-epoch `fetch_add`, so the reset happens-before all later arrivals
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            for (i, slot) in self.threads.iter().enumerate() {
-                if i != id {
-                    if let Some(t) = slot.get() {
-                        t.unpark();
-                    }
-                }
-            }
-        } else {
-            let mut tries = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if tries < self.spin_limit {
-                    hint::spin_loop();
-                } else if tries < self.spin_limit + YIELD_LIMIT {
-                    std::thread::yield_now();
-                } else {
-                    // A wake-up between the generation check and this
-                    // park leaves a token that makes park return
-                    // immediately; the loop then rechecks the generation,
-                    // so a stale token cannot strand us.
-                    std::thread::park();
-                }
-                tries = tries.saturating_add(1);
-            }
-        }
-    }
-}
-
-// lint: end-region(barrier-worker)
 
 /// A core's directory transaction parked at the epoch barrier.
 struct PendingTxn {
@@ -742,86 +639,22 @@ fn summary(cells: &[CoreCell]) -> RunSummary {
     RunSummary { cores, cycles }
 }
 
-// lint: region(barrier-worker)
-/// Records the first failure; later ones (usually cascades of the first)
-/// are dropped.
-fn record_failure(failure: &Mutex<Option<Box<dyn Any + Send>>>, p: Box<dyn Any + Send>) {
-    let mut slot = lock(failure);
-    if slot.is_none() {
-        *slot = Some(p);
-    }
-}
-
-// lint: region(barrier-worker)
-/// Runs one of the main thread's steps under its own `catch_unwind`: a
-/// panic is recorded instead of unwinding past the next barrier crossing.
-/// Returns whether the step completed.
-fn guarded(failure: &Mutex<Option<Box<dyn Any + Send>>>, step: impl FnOnce()) -> bool {
-    match catch_unwind(AssertUnwindSafe(step)) {
-        Ok(()) => true,
-        Err(p) => {
-            record_failure(failure, p);
-            false
-        }
-    }
-}
-
-// lint: region(barrier-worker)
-/// A spawned worker's epoch loop: phase A over its core chunk, phase B
-/// over its slice chunk, four barrier crossings per epoch. Returns when
-/// the main thread raises `done` at an epoch-start crossing. Panics
-/// inside the loop are caught by the spawning closure's `catch_unwind`,
-/// but keeping the loop itself panic-free (the region rule) means the
-/// drain protocol is a second line of defense, not the first.
-fn worker_loop(
-    slot: &Slot,
-    barrier: &EpochBarrier,
-    w: usize,
-    done: &AtomicBool,
-    lat: Latencies,
-    cap: u64,
-) {
-    loop {
-        barrier.wait(w); // (1) epoch start
-        if done.load(Ordering::Acquire) {
-            return;
-        }
-        {
-            let mut cells = lock(&slot.cores);
-            for cell in cells.iter_mut() {
-                run_core_epoch(cell, lat, cap);
-            }
-        }
-        barrier.wait(w); // (2) phase A done
-        barrier.wait(w); // (3) routing done
-        {
-            let mut scells = lock(&slot.slices);
-            for scell in scells.iter_mut() {
-                drain_slice(scell);
-            }
-        }
-        barrier.wait(w); // (4) phase B done
-    }
-}
-
-/// The epoch loop on `workers` threads: the calling thread is worker 0
-/// and `workers - 1` persistent scoped threads are spawned, so the
-/// barrier has exactly `workers` participants. Each worker owns a
-/// contiguous chunk of cores and slices; spawned workers get theirs
-/// through their slot, while the calling thread's chunk stays in the
-/// home vectors. Besides its phase-A and phase-B shares, the calling
+/// The epoch loop on a [`par::run_crew`] crew of `workers` threads: the
+/// calling thread leads as worker 0 and `workers - 1` persistent scoped
+/// threads are spawned, four barrier crossings per epoch. Each worker
+/// owns a contiguous chunk of cores and slices; spawned workers get
+/// theirs through their slot, while the calling thread's chunk stays in
+/// the home vectors. Besides its phase-A and phase-B shares, the calling
 /// thread runs top-up, routing and the merge between barrier crossings.
 ///
 /// A panic anywhere is caught once and recorded. A panicking spawned
-/// worker falls into a drain loop that keeps every barrier honored until
-/// the calling thread announces shutdown; each calling-thread step that
-/// may panic (top-up, its phase shares, the merge) runs under its own
-/// `catch_unwind` ([`guarded`]) and still reaches every crossing — so the
-/// protocol drains instead of deadlocking. Everything else between
-/// barrier crossings must be panic-free, which the region annotation
-/// makes the lint gate enforce.
+/// worker drains (the crew keeps it crossing every barrier until the
+/// calling thread ends the run); each calling-thread step that may panic
+/// (top-up, its phase shares, the merge) runs under [`Crew::guarded`] and
+/// still reaches every crossing — so the protocol drains instead of
+/// deadlocking. Everything else between barrier crossings must be
+/// panic-free, which the region annotation makes the lint gate enforce.
 // lint: region(barrier-worker)
-#[allow(clippy::too_many_arguments)]
 fn run_threaded(
     machine: &mut Machine,
     streams: &mut [Box<dyn AccessStream + '_>],
@@ -829,70 +662,61 @@ fn run_threaded(
     workers: usize,
     state: &mut RunState,
     opts: SlicedOptions,
-    lat: Latencies,
-) -> Option<Box<dyn Any + Send>> {
+) -> Option<Panic> {
+    let lat = machine.config().latencies;
     let (own, slots) = new_slots(state.cells.len(), workers);
-    let barrier = EpochBarrier::new(workers);
-    let done = AtomicBool::new(false);
-    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let mut total_retired = 0u64;
-    std::thread::scope(|scope| {
-        for (w, slot) in (1..).zip(&slots) {
-            let barrier = &barrier;
-            let done = &done;
-            let failure = &failure;
-            scope.spawn(move || {
-                barrier.register(w);
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                    worker_loop(slot, barrier, w, done, lat, cap);
-                })) {
-                    record_failure(failure, p);
-                    loop {
-                        barrier.wait(w);
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                }
-            });
+    // A spawned worker's epoch after crossing (1): phase A over its core
+    // chunk, phase B over its slice chunk.
+    let epoch = |crew: &Crew, w: usize| {
+        let slot = w.checked_sub(1).and_then(|i| slots.get(i));
+        if let Some(slot) = slot {
+            for cell in lock(&slot.cores).iter_mut() {
+                run_core_epoch(cell, lat, cap);
+            }
         }
-        barrier.register(0);
+        crew.wait(w); // (2) phase A done
+        crew.wait(w); // (3) routing done
+        if let Some(slot) = slot {
+            for scell in lock(&slot.slices).iter_mut() {
+                drain_slice(scell);
+            }
+        }
+        crew.wait(w); // (4) phase B done
+    };
+    par::run_crew(workers, 4, epoch, |crew| {
         // Under pipelining the next epoch's top-up already ran during this
         // epoch's phase B; `topped_up` skips the loop-top one.
         let mut topped_up = false;
         loop {
-            if lock(&failure).is_some() {
-                done.store(true, Ordering::Release);
-                barrier.wait(0); // release workers at (1); they see `done`
-                break;
+            if crew.failed() {
+                return;
             }
             if !topped_up
-                && !guarded(&failure, || {
+                && !crew.guarded(|| {
                     top_up(&mut state.cells, streams, cap, opts.epoch_batch);
                 })
             {
-                continue; // exits through the failure branch above
+                continue; // exits through the failure check above
             }
             topped_up = false;
             if all_finished(&state.cells) {
-                done.store(true, Ordering::Release);
-                barrier.wait(0);
-                break;
+                return;
             }
             hand_out(&mut state.cells, own, &slots, |s| &s.cores);
-            barrier.wait(0); // (1)
-            guarded(&failure, || {
+            crew.wait(0); // (1)
+            crew.guarded(|| {
                 // The calling thread's own cores: the only cells home now.
                 for cell in state.cells.iter_mut() {
                     run_core_epoch(cell, lat, cap);
                 }
             });
-            barrier.wait(0); // (2) phase A done
+            crew.wait(0); // (2) phase A done
             take_back(&mut state.cells, &slots, |s| &s.cores);
             route(machine, &mut state.cells, &mut state.scells);
             hand_out(&mut state.scells, own, &slots, |s| &s.slices);
-            barrier.wait(0); // (3)
-            guarded(&failure, || {
+            crew.wait(0); // (3)
+            crew.guarded(|| {
                 for scell in state.scells.iter_mut() {
                     drain_slice(scell);
                 }
@@ -902,21 +726,20 @@ fn run_threaded(
                 // B: they only touch slice cells between (3) and (4),
                 // while top-up touches streams and core cells — disjoint
                 // state, so this is pure overlap (see the module docs).
-                topped_up = guarded(&failure, || {
+                topped_up = crew.guarded(|| {
                     top_up(&mut state.cells, streams, cap, opts.epoch_batch);
                 });
             }
-            barrier.wait(0); // (4) phase B done
+            crew.wait(0); // (4) phase B done
             take_back(&mut state.scells, &slots, |s| &s.slices);
-            if lock(&failure).is_some() {
+            if crew.failed() {
                 continue; // skip merging half-built state; exit at loop top
             }
             collect_responses(&mut state.scells, &mut state.responses);
-            guarded(&failure, || merge(machine, state, &mut total_retired));
+            crew.guarded(|| merge(machine, state, &mut total_retired));
         }
-    });
-    let first = lock(&failure).take();
-    first
+    })
+    .err()
 }
 
 /// Returns the machine's parts at run end. If a panicking hook call left
@@ -991,7 +814,6 @@ pub fn run_workload_sliced_with(
         "one stream per core required"
     );
     let workers = slice_threads.min(machine.num_cores()).max(1);
-    let lat = machine.config().latencies;
     let mut state = new_run_state(machine, options.epoch_batch);
 
     machine.lenient = true;
@@ -1002,7 +824,6 @@ pub fn run_workload_sliced_with(
         workers,
         &mut state,
         options,
-        lat,
     );
     machine.lenient = false;
     restore_at_end(machine, &mut state);
@@ -1018,6 +839,7 @@ mod tests {
     use crate::config::{DirectoryKind, MachineConfig};
     use crate::engine::run_workload;
     use secdir_mem::SplitMix64;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn stream(seed: u64, len: usize, lines: u64) -> Box<dyn AccessStream> {
         let mut rng = SplitMix64::new(seed);
@@ -1198,7 +1020,7 @@ mod tests {
     }
 
     /// A panicking stream must unwind cleanly out of the threaded engine —
-    /// no deadlocked barrier, no poisoned worker left behind. (The test
+    /// no deadlocked barrier, no stranded worker left behind. (The test
     /// completing at all is the deadlock check.) Runs with and without
     /// pipelining — the pipelined top-up panics between barrier crossings
     /// (3) and (4), the unpipelined one outside the epoch — at 1, 2 and 4
@@ -1240,47 +1062,6 @@ mod tests {
                     assert_eq!(message, Some("bomb went off"));
                 }
             }
-        }
-    }
-
-    /// Hammers the barrier with 100k crossings at 2, 3 and 8
-    /// participants. On hosts with fewer than 8 CPUs the last case is
-    /// oversubscribed, so between them the spin, yield and park tiers
-    /// all run. After every crossing each participant must see exactly
-    /// the next generation (in order, none skipped) and every arrival of
-    /// that round (no early release); the test finishing at all rules out
-    /// a lost wake-up.
-    #[test]
-    fn epoch_barrier_releases_every_generation_in_order() {
-        const CROSSINGS: usize = 100_000;
-        for participants in [2, 3, 8] {
-            let barrier = EpochBarrier::new(participants);
-            let arrivals = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for id in 0..participants {
-                    let (barrier, arrivals) = (&barrier, &arrivals);
-                    scope.spawn(move || {
-                        barrier.register(id);
-                        for round in 0..CROSSINGS {
-                            arrivals.fetch_add(1, Ordering::SeqCst);
-                            barrier.wait(id);
-                            assert_eq!(
-                                barrier.generation.load(Ordering::SeqCst),
-                                round + 1,
-                                "{participants} participants: generation out of order"
-                            );
-                            // Everyone arrived for this round; only the
-                            // others can have arrived for the next one.
-                            let seen = arrivals.load(Ordering::SeqCst);
-                            assert!(
-                                seen >= (round + 1) * participants
-                                    && seen < (round + 2) * participants,
-                                "{participants} participants: {seen} arrivals after round {round}"
-                            );
-                        }
-                    });
-                }
-            });
         }
     }
 }

@@ -5,7 +5,8 @@
 //! hash (standing in for Intel's proprietary hash), and the Seznec–Bodin
 //! *skewing* hash family used by SecDir's cuckoo Victim Directories. Its
 //! [`json`] module is the one JSON writer and strict reader every record
-//! the workspace writes goes through.
+//! the workspace writes goes through, and its [`par`] module starts every
+//! worker thread.
 //!
 //! # Examples
 //!
@@ -24,6 +25,7 @@ mod addr;
 mod hash;
 mod inline_vec;
 pub mod json;
+pub mod par;
 mod rng;
 
 pub use addr::{CoreId, LineAddr, PhysAddr, SliceId, LINE_BYTES, LINE_OFFSET_BITS};

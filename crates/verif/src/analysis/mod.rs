@@ -119,6 +119,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/machine/src/sliced.rs",
     "crates/machine/src/serve/scheduler.rs",
     "crates/mem/src/inline_vec.rs",
+    "crates/mem/src/par.rs",
     "crates/verif/src/canon.rs",
     "crates/verif/src/model.rs",
 ];

@@ -13,7 +13,7 @@
 //!   shortest-counterexample semantics are identical to the PR 3 checker;
 //!   the quick-config fingerprints (562/856/8701/7564/106) are unchanged.
 //! * [`check_opt`] — the scalable core: **level-synchronized frontier
-//!   BFS**, optionally fanned out over [`std::thread::scope`] workers and
+//!   BFS**, optionally fanned out over [`par::for_each_claimed`] workers and
 //!   optionally exploring one representative per symmetry orbit via
 //!   [`canon`](crate::canon). Per-worker successor buffers are merged
 //!   into a sharded visited set in frontier order, so state counts,
@@ -40,14 +40,12 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use secdir_coherence::{check_line, AppendixA, DirParts, LineView, Moesi, Violation};
-use secdir_mem::LineAddr;
+use secdir_mem::{par, LineAddr};
 
 use crate::canon::{CanonTable, PermPair, IDENTITY};
-use crate::model::{model_cores, DirKind, Label, Model, ModelConfig, ModelState, MAX_CORES};
+use crate::model::{DirKind, Label, Model, ModelConfig, ModelState, MAX_CORES};
 use crate::pack::{pack, unpack, PackedLabel};
 
 /// Why exploration stopped at a state.
@@ -300,6 +298,7 @@ impl Cand {
 }
 
 /// Everything one expansion chunk produced.
+#[derive(Default)]
 struct ChunkOut {
     transitions: usize,
     cands: Vec<Cand>,
@@ -425,8 +424,8 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 }
 
 /// Expands frontier `[lo, hi)` of `states` into per-chunk buffers, in
-/// chunk order. Claims chunks through an atomic counter when `threads >
-/// 1`; the visited shards are only *read* here (membership pre-filter),
+/// chunk order, claiming chunks through [`par::for_each_claimed`]; the
+/// visited shards are only *read* here (membership pre-filter),
 /// never written, so workers share them without locks.
 #[allow(clippy::too_many_arguments)]
 fn expand_level(
@@ -440,14 +439,10 @@ fn expand_level(
     threads: usize,
 ) -> Vec<ChunkOut> {
     let n_chunks = (hi - lo).div_ceil(CHUNK);
-    let expand_chunk = |chunk: usize| -> ChunkOut {
+    let mut outs: Vec<ChunkOut> = (0..n_chunks).map(|_| ChunkOut::default()).collect();
+    par::for_each_claimed(&mut outs, threads, |chunk, out| {
         let start = lo + chunk * CHUNK;
         let end = (start + CHUNK).min(hi);
-        let mut out = ChunkOut {
-            transitions: 0,
-            cands: Vec::new(),
-            violations: Vec::new(),
-        };
         let mut buf: Vec<(Label, ModelState)> = Vec::new();
         for (id, &packed) in states.iter().enumerate().take(end).skip(start) {
             let current = unpack(packed);
@@ -477,36 +472,8 @@ fn expand_level(
                 });
             }
         }
-        out
-    };
-
-    if threads == 1 {
-        return (0..n_chunks).map(expand_chunk).collect();
-    }
-    let slots: Vec<Mutex<Option<ChunkOut>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            s.spawn(|| loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= n_chunks {
-                    break;
-                }
-                let out = expand_chunk(chunk);
-                match slots[chunk].lock() {
-                    Ok(mut slot) => *slot = Some(out),
-                    Err(poisoned) => *poisoned.into_inner() = Some(out),
-                }
-            });
-        }
     });
-    slots
-        .into_iter()
-        .filter_map(|slot| match slot.into_inner() {
-            Ok(out) => out,
-            Err(poisoned) => poisoned.into_inner(),
-        })
-        .collect()
+    outs
 }
 
 /// Merges per-chunk candidate buffers into the sharded visited set and
@@ -516,33 +483,18 @@ fn expand_level(
 /// no locks; every worker scans all buffers in the same order.
 fn merge_level(outs: &[ChunkOut], shards: &mut [KeySet], threads: usize) -> Vec<(usize, Cand)> {
     let per_worker = shards.len().div_ceil(threads);
-    let mut accepted: Vec<(usize, Cand)> = if threads == 1 {
-        merge_shard_range(outs, shards, 0)
-    } else {
-        let slots: Vec<Mutex<Vec<(usize, Cand)>>> = (0..threads.min(shards.len()))
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        std::thread::scope(|s| {
-            for (w, range) in shards.chunks_mut(per_worker).enumerate() {
-                let slot = &slots[w];
-                s.spawn(move || {
-                    let got = merge_shard_range(outs, range, w * per_worker);
-                    match slot.lock() {
-                        Ok(mut v) => *v = got,
-                        Err(poisoned) => *poisoned.into_inner() = got,
-                    }
-                });
-            }
-        });
-        let mut all = Vec::new();
-        for slot in slots {
-            match slot.into_inner() {
-                Ok(mut v) => all.append(&mut v),
-                Err(poisoned) => all.append(&mut poisoned.into_inner()),
-            }
-        }
-        all
-    };
+    let mut ranges: Vec<_> = shards
+        .chunks_mut(per_worker)
+        .map(|range| (range, Vec::new()))
+        .collect();
+    par::for_each_claimed(&mut ranges, threads, |w, (range, got)| {
+        *got = merge_shard_range(outs, range, w * per_worker);
+    });
+    let mut got = ranges.into_iter().map(|(_, got)| got);
+    let mut accepted = got.next().unwrap_or_default();
+    for mut more in got {
+        accepted.append(&mut more);
+    }
     accepted.sort_unstable_by_key(|(seq, _)| *seq);
     accepted
 }
@@ -685,7 +637,7 @@ pub fn invariant_failure(s: &ModelState, cfg: &ModelConfig) -> Option<Failure> {
         }
         e.into_iter().for_each(|(p, _)| ed[usize::from(p)] += 1);
         t.into_iter().for_each(|(p, _)| td[usize::from(p)] += 1);
-        model_cores(s.vd[line]).for_each(|c| vd[c.0] += 1);
+        s.vd[line].iter().for_each(|c| vd[c.0] += 1);
     }
     // Capacity bounds: the model must respect its own geometry.
     let over = |what, counts: [usize; MAX_CORES], cap| {

@@ -346,7 +346,7 @@ impl Model {
     }
 
     fn invalidate(&self, s: &mut ModelState, line: usize, cores: SharerSet) {
-        for c in model_cores(cores) {
+        for c in cores.iter() {
             s.caches[c.0][line] = Moesi::Invalid;
         }
     }
@@ -502,7 +502,7 @@ impl Model {
                 } else {
                     DataSource::L2Cache(step::forwarding_sharer(others))
                 };
-                for other in model_cores(others) {
+                for other in others.iter() {
                     s.vd[line].remove(other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
@@ -547,7 +547,7 @@ impl Model {
                 } else {
                     DataSource::Memory
                 };
-                for other in model_cores(others) {
+                for other in others.iter() {
                     s.vd[line].remove(other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
@@ -737,13 +737,6 @@ impl Model {
             }
         }
     }
-}
-
-/// The cores of `set`, ascending. A model set names only cores below
-/// [`MAX_CORES`], so this scans four bits where `SharerSet::iter` scans
-/// sixty-four.
-pub(crate) fn model_cores(set: SharerSet) -> impl Iterator<Item = CoreId> {
-    (0..MAX_CORES).map(CoreId).filter(move |&c| set.contains(c))
 }
 
 /// Calls `f` once per set bit `x` of `choices`, in ascending order, with

@@ -24,7 +24,7 @@ use secdir_machine::{
     run_workload, run_workload_sliced, AccessStream, DirectoryKind, Machine, MachineConfig,
     ServedBy,
 };
-use secdir_mem::{json, CoreId, LineAddr};
+use secdir_mem::{json, par, CoreId, LineAddr};
 use secdir_workloads::aes::AesVictim;
 use secdir_workloads::parsec::ParsecApp;
 use secdir_workloads::registry;
@@ -570,8 +570,7 @@ fn sweep_cmd(flags: &Flags) -> Result<ExitCode, String> {
         measure: flags.int("measure", 200_000),
     };
     let cells = matrix.cells();
-    let default_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = flags.int("threads", default_threads).min(cells.len());
+    let threads = flags.int("threads", par::available_cpus()).min(cells.len());
     let resume_path = flags.get("resume");
     let out_path = flags
         .get("out")
@@ -1297,7 +1296,8 @@ Replay:  --replay FILE [--directory KIND].
         int("cores", 1, MACHINE_CORES, "cores per cell (default 8, the Table-4 machine)"),
         int("warmup", 0, U64, "warm-up references per core (default 350000)"),
         int("measure", 0, U64, "measured references per core (default 200000)"),
-        int("threads", 1, USIZE, "worker threads, must be >= 1 (default: available parallelism)"),
+        int("threads", 1, USIZE, "worker threads, the calling thread included; must be >= 1 \
+            (default: available CPUs, capped at the cell count)"),
         value("out", "FILE", "JSONL output file (default: the --resume file, else \
             BENCH_sweep.json)"),
         value("resume", "FILE", "validate FILE as a checkpoint of this same matrix, keep its \
@@ -1336,8 +1336,8 @@ is nonzero.
         int("burst-on", 1, U64, "max ticks a tenant's source streams per burst (default 8)"),
         int("burst-off", 0, U64, "max idle-gap ticks between bursts; 0 disables gaps \
             (default 3)"),
-        int("workers", 1, USIZE, "drain worker threads; the journal is byte-identical for \
-            every value (default 1)"),
+        int("workers", 1, USIZE, "drain threads, the calling thread included, capped at --pool \
+            and the tenant count; the journal is byte-identical for every value (default 1)"),
         value("format", "jsonl|binary", "journal encoding: jsonl (one flushed JSON line per \
             record, the default) or binary (secdir-journal/1 checksummed frames, one \
             write+flush per tick; `secdir-sim decode` converts it back to the byte-identical \
@@ -1422,8 +1422,9 @@ runtime invariant oracle flags the corruption within one oracle interval
             --cores/--lines still override"),
         switch("raw", "disable symmetry canonicalization (explore every raw state with the \
             serial checker instead of one orbit representative)"),
-        int("threads", 1, USIZE, "worker threads for the canonical frontier BFS, must be >= 1 \
-            (default 1); results are bit-identical at every thread count"),
+        int("threads", 1, USIZE, "worker threads for the canonical frontier BFS, the calling \
+            thread included; must be >= 1 (default 1); results are bit-identical at every \
+            thread count"),
         value("bench", "PATH", "also run the checker benchmark (both geometries, raw leg timed \
             at quick / orbit-derived at full) and write JSONL records (schema \
             secdir-bench-checker/2) to PATH"),
