@@ -291,6 +291,12 @@ pub trait DirSlice {
     /// Hints the host CPU to pull the metadata rows a future request for
     /// `line` would probe into its cache. Purely a performance hint with
     /// no simulated effect; the default does nothing.
+    ///
+    /// Its caller is the sliced engine's phase B
+    /// (`secdir_machine::run_workload_sliced`): each participant hints
+    /// every request in its slices' inboxes, then drains them, so every
+    /// hinted request is certain to run. The serial engine does not call
+    /// it.
     fn prefetch(&self, line: LineAddr) {
         let _ = line;
     }

@@ -46,5 +46,5 @@ mod vd_only;
 
 pub use config::{SecDirConfig, VdHashing};
 pub use slice::SecDirSlice;
-pub use vd::{VdBank, VdInsert};
+pub use vd::{VdBank, VdInsert, VdSets};
 pub use vd_only::VdOnlySlice;

@@ -67,8 +67,9 @@ impl TdVictimPolicy for VdBanks {
             } => {
                 stats.llc_writebacks += u64::from(llc_writeback);
                 stats.td_to_vd_migrations += 1;
+                let sets = self.sets(line);
                 for core in sharers.iter() {
-                    self.insert(line, core, stats, out);
+                    self.insert(sets, line, core, stats, out);
                 }
             }
         }
@@ -103,7 +104,8 @@ impl DirSlice for SecDirSlice {
         // stop at the first matching batch. A reader that hits joins the
         // line's VD residency in its own bank (placement the paper leaves
         // open; see DESIGN.md), so the attacker cannot touch its entry.
-        if !vds.serve(line, core, kind, kind == AccessKind::Read, stats, &mut resp) {
+        let (sets, early_exit) = (vds.sets(line), kind == AccessKind::Read);
+        if !vds.serve(sets, line, core, kind, early_exit, stats, &mut resp) {
             stats.misses += 1;
             self.dir
                 .allocate_ed(line, core, stats, vds, &mut resp.invalidations);
@@ -124,13 +126,14 @@ impl DirSlice for SecDirSlice {
         // Transition ④: the line's state lives in VD banks. Consolidate
         // every matching entry into a single TD entry and write the data
         // back into the LLC.
-        let matched = vds.holders(line);
+        let sets = vds.sets(line);
+        let matched = vds.holders(sets, line);
         if matched.is_empty() {
             debug_assert!(false, "L2 evicted a line with no directory entry: {line}");
             return out;
         }
         stats.vd_to_td_migrations += 1;
-        vds.remove(line, matched);
+        vds.remove(sets, line, matched);
         // The consolidated entry transitions exactly like an ED entry whose
         // sharer vector is the VD residency.
         let entry = step::l2_evict_ed(EdEntry { sharers: matched }, core, dirty);
@@ -140,7 +143,7 @@ impl DirSlice for SecDirSlice {
 
     fn parts(&self, line: LineAddr) -> DirParts {
         DirParts {
-            vd: self.vds.holders(line),
+            vd: self.vds.holders(self.vds.sets(line), line),
             ..self.dir.parts(line)
         }
     }

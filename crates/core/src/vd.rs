@@ -27,6 +27,30 @@ struct VdSlot {
 /// A (set, way) handle into the bank's flat arrays.
 type SetWay = (usize, usize);
 
+/// A line's candidate sets in a VD bank: the set of each hash function a
+/// lookup consults (`h1` and `h2` under cuckoo hashing, `h1` alone under
+/// plain hashing).
+///
+/// The sets depend only on the bank's geometry and hashing, never on its
+/// seed, so every bank of one slice yields the same sets. Like the
+/// hardware, which computes the two indices once and sends them to every
+/// bank (§5.1), a slice hashes a request's line once
+/// ([`VdBank::candidate_sets`]) and hands the sets to each bank's
+/// Empty-Bit check and probe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VdSets {
+    sets: [usize; 2],
+    len: usize,
+}
+
+impl VdSets {
+    /// The candidate sets, one per active hash function, in hash order.
+    #[inline]
+    pub fn as_slice(&self) -> &[usize] {
+        &self.sets[..self.len]
+    }
+}
+
 /// One bank of a core's distributed Victim Directory.
 ///
 /// A bank is indexed by two Seznec–Bodin skewing hash functions `h1`/`h2`
@@ -118,14 +142,6 @@ impl VdBank {
         self.hashes[usize::from(hash_fn)].index(line)
     }
 
-    /// The hash functions this lookup consults (cuckoo probes both).
-    fn active_hashes(&self) -> &[u8] {
-        match self.hashing {
-            VdHashing::Cuckoo { .. } => &[0, 1],
-            VdHashing::Plain => &[0],
-        }
-    }
-
     /// All-ways-occupied mask for one set.
     #[inline]
     fn row_mask(&self) -> u64 {
@@ -151,21 +167,43 @@ impl VdBank {
         None
     }
 
+    /// `line`'s candidate sets in this bank. Every bank with the same
+    /// geometry and hashing returns the same sets.
     #[inline]
-    fn find(&self, line: LineAddr) -> Option<SetWay> {
-        for &k in self.active_hashes() {
-            let set = self.index(k, line);
-            if let Some(hit) = self.find_in_set(set, line) {
-                return Some(hit);
+    pub fn candidate_sets(&self, line: LineAddr) -> VdSets {
+        match self.hashing {
+            VdHashing::Cuckoo { .. } => VdSets {
+                sets: [self.index(0, line), self.index(1, line)],
+                len: 2,
+            },
+            VdHashing::Plain => {
+                let set = self.index(0, line);
+                VdSets {
+                    sets: [set, set],
+                    len: 1,
+                }
             }
         }
-        None
+    }
+
+    #[inline]
+    fn find_at(&self, sets: VdSets, line: LineAddr) -> Option<SetWay> {
+        sets.as_slice()
+            .iter()
+            .find_map(|&set| self.find_in_set(set, line))
     }
 
     /// Whether the bank holds an entry for `line`.
     #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.contains_at(self.candidate_sets(line), line)
+    }
+
+    /// [`VdBank::contains`] for a line whose candidate sets are already
+    /// known; `sets` must be `line`'s.
+    #[inline]
+    pub fn contains_at(&self, sets: VdSets, line: LineAddr) -> bool {
+        self.find_at(sets, line).is_some()
     }
 
     /// Empty-Bit filter: `true` when the bit arrays prove the lookup must
@@ -176,11 +214,14 @@ impl VdBank {
     /// lookup then probes the array.
     #[inline]
     pub fn eb_filters_out(&self, line: LineAddr) -> bool {
-        self.empty_bit
-            && self
-                .active_hashes()
-                .iter()
-                .all(|&k| self.valid[self.index(k, line)] == 0)
+        self.eb_filters_out_at(self.candidate_sets(line))
+    }
+
+    /// [`VdBank::eb_filters_out`] for a line whose candidate sets are
+    /// already known.
+    #[inline]
+    pub fn eb_filters_out_at(&self, sets: VdSets) -> bool {
+        self.empty_bit && sets.as_slice().iter().all(|&set| self.valid[set] == 0)
     }
 
     fn place(&mut self, set: usize, way: usize, slot: VdSlot) {
@@ -220,11 +261,17 @@ impl VdBank {
     /// [`VdInsert::displaced`]. With plain hashing a full set immediately
     /// displaces a random resident.
     pub fn insert(&mut self, line: LineAddr) -> VdInsert {
+        self.insert_at(self.candidate_sets(line), line)
+    }
+
+    /// [`VdBank::insert`] for a line whose candidate sets are already
+    /// known; `sets` must be `line`'s.
+    pub(crate) fn insert_at(&mut self, sets: VdSets, line: LineAddr) -> VdInsert {
         // Each candidate set is probed exactly once: the idempotence check
         // and the free-way search share the same visit.
         match self.hashing {
             VdHashing::Plain => {
-                let set = self.index(0, line);
+                let set = sets.sets[0];
                 if self.find_in_set(set, line).is_some() {
                     return VdInsert::default();
                 }
@@ -240,7 +287,7 @@ impl VdBank {
                 }
             }
             VdHashing::Cuckoo { num_relocations } => {
-                let candidates = [self.index(0, line), self.index(1, line)];
+                let candidates = sets.sets;
                 if candidates
                     .iter()
                     .any(|&set| self.find_in_set(set, line).is_some())
@@ -335,7 +382,13 @@ impl VdBank {
 
     /// Removes the entry for `line`; returns whether it was present.
     pub fn remove(&mut self, line: LineAddr) -> bool {
-        if let Some((set, way)) = self.find(line) {
+        self.remove_at(self.candidate_sets(line), line)
+    }
+
+    /// [`VdBank::remove`] for a line whose candidate sets are already
+    /// known; `sets` must be `line`'s.
+    pub(crate) fn remove_at(&mut self, sets: VdSets, line: LineAddr) -> bool {
+        if let Some((set, way)) = self.find_at(sets, line) {
             self.valid[set] &= !(1 << way);
             self.len -= 1;
             true
@@ -379,27 +432,25 @@ impl VdBank {
                 let idx = set * ways + way;
                 let line = self.tags[idx];
                 let hash_fn = self.hash_fns[idx];
-                if !self.active_hashes().contains(&hash_fn) {
+                let sets = self.candidate_sets(line);
+                let sets = sets.as_slice();
+                let Some(&home) = sets.get(usize::from(hash_fn)) else {
                     return Err(format!(
                         "set {set} way {way}: entry {line} recorded under inactive hash fn {hash_fn}"
                     ));
-                }
-                if self.index(hash_fn, line) != set {
+                };
+                if home != set {
                     return Err(format!(
-                        "set {set} way {way}: entry {line} under hash fn {hash_fn} belongs in set {}",
-                        self.index(hash_fn, line)
+                        "set {set} way {way}: entry {line} under hash fn {hash_fn} belongs in set {home}"
                     ));
                 }
                 // Count residencies over the line's *distinct* candidate
                 // sets (h0 and h1 may collide on the same set).
                 let mut residencies = 0usize;
-                let mut seen = [usize::MAX; 2];
-                for (i, &k) in self.active_hashes().iter().enumerate() {
-                    let s = self.index(k, line);
-                    if seen[..i].contains(&s) {
+                for (i, &s) in sets.iter().enumerate() {
+                    if sets[..i].contains(&s) {
                         continue;
                     }
-                    seen[i] = s;
                     residencies += (0..ways)
                         .filter(|&w| {
                             self.valid[s] & (1 << w) != 0 && self.tags[s * ways + w] == line

@@ -8,7 +8,7 @@ use secdir_coherence::{
 };
 use secdir_mem::{CoreId, LineAddr};
 
-use crate::{SecDirConfig, VdBank};
+use crate::{SecDirConfig, VdBank, VdSets};
 
 /// One slice's VD banks; bank `i` is private to core `i`.
 #[derive(Clone, Debug)]
@@ -21,6 +21,7 @@ impl VdBanks {
     /// Creates `config.num_banks` empty banks; bank `i`'s replacement RNG
     /// is seeded with `seed ^ (salt + i)`.
     pub fn new(config: &SecDirConfig, seed: u64, salt: u64) -> Self {
+        assert!(config.num_banks >= 1, "a slice needs at least one VD bank");
         assert!(
             config.num_banks <= 64,
             "VD bank candidates are tracked in a u64 bitmask"
@@ -44,10 +45,19 @@ impl VdBanks {
         &mut self.banks[core.0]
     }
 
-    /// The cores whose banks hold `line` (does not touch probe counters).
-    pub fn holders(&self, line: LineAddr) -> SharerSet {
+    /// `line`'s candidate sets, the same in every bank (they share one
+    /// geometry and hashing): hashed once per request, then handed to
+    /// each bank.
+    #[inline]
+    pub fn sets(&self, line: LineAddr) -> VdSets {
+        self.banks[0].candidate_sets(line)
+    }
+
+    /// The cores whose banks hold `line`, whose candidate sets are `sets`
+    /// (does not touch probe counters).
+    pub fn holders(&self, sets: VdSets, line: LineAddr) -> SharerSet {
         (0..self.banks.len())
-            .filter(|&i| self.banks[i].contains(line))
+            .filter(|&i| self.banks[i].contains_at(sets, line))
             .map(CoreId)
             .collect()
     }
@@ -59,10 +69,13 @@ impl VdBanks {
     /// joins the residency in its own bank when another bank holds the
     /// line; a writer becomes its only holder, invalidating the others.
     /// Returns whether a bank held the line (a miss changes no bank).
-    /// Always inlined: VD-only runs it on every request.
+    /// `sets` are `line`'s candidate sets. Always inlined: VD-only runs it
+    /// on every request.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     pub fn serve(
         &mut self,
+        sets: VdSets,
         line: LineAddr,
         core: CoreId,
         kind: AccessKind,
@@ -76,7 +89,7 @@ impl VdBanks {
         // bitmask — no per-request allocation on this path.
         let mut remaining = 0u64;
         for (i, bank) in self.banks.iter().enumerate() {
-            if !bank.eb_filters_out(line) {
+            if !bank.eb_filters_out_at(sets) {
                 remaining |= 1 << i;
             }
         }
@@ -94,7 +107,7 @@ impl VdBanks {
                 let i = remaining.trailing_zeros() as usize;
                 remaining &= remaining - 1;
                 stats.vd_bank_probes += 1;
-                if self.banks[i].contains(line) {
+                if self.banks[i].contains_at(sets, line) {
                     matched.insert(CoreId(i));
                     chunk_matched = true;
                 }
@@ -112,7 +125,7 @@ impl VdBanks {
         };
         let out = &mut resp.invalidations;
         if kind == AccessKind::Write && !others.is_empty() {
-            self.remove(line, others);
+            self.remove(sets, line, others);
             out.push(Invalidation {
                 line,
                 cores: others,
@@ -121,24 +134,26 @@ impl VdBanks {
             });
         }
         if !had_copy {
-            self.insert(line, core, stats, out);
+            self.insert(sets, line, core, stats, out);
         }
         stats.vd_hits += 1;
         (resp.source, resp.hit) = (source, DirHitKind::Vd);
         true
     }
 
-    /// Inserts `line` into `core`'s bank, reporting any self-conflict
-    /// eviction (transition ⑤) as an invalidation of that core's own copy.
+    /// Inserts `line`, whose candidate sets are `sets`, into `core`'s
+    /// bank, reporting any self-conflict eviction (transition ⑤) as an
+    /// invalidation of that core's own copy.
     #[inline]
     pub fn insert(
         &mut self,
+        sets: VdSets,
         line: LineAddr,
         core: CoreId,
         stats: &mut DirSliceStats,
         out: &mut Invalidations,
     ) {
-        let r = self.banks[core.0].insert(line);
+        let r = self.banks[core.0].insert_at(sets, line);
         stats.vd_inserts += 1;
         stats.cuckoo_relocations += u64::from(r.relocations);
         if let Some(victim) = r.displaced {
@@ -152,10 +167,11 @@ impl VdBanks {
         }
     }
 
-    /// Removes `line` from every bank in `cores`.
-    pub fn remove(&mut self, line: LineAddr, cores: SharerSet) {
+    /// Removes `line`, whose candidate sets are `sets`, from every bank
+    /// in `cores`.
+    pub fn remove(&mut self, sets: VdSets, line: LineAddr, cores: SharerSet) {
         for core in cores.iter() {
-            self.banks[core.0].remove(line);
+            self.banks[core.0].remove_at(sets, line);
         }
     }
 
@@ -178,5 +194,33 @@ impl VdBanks {
                 .map_err(|e| format!("VD bank {core} storage: {e}"))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VdHashing;
+    use secdir_mem::SplitMix64;
+
+    /// `sets` hashes with bank 0 on behalf of every bank: each bank, whose
+    /// RNG seed differs, must compute the same candidate sets.
+    #[test]
+    fn every_bank_yields_the_same_candidate_sets() {
+        for hashing in [VdHashing::Cuckoo { num_relocations: 8 }, VdHashing::Plain] {
+            let config = SecDirConfig {
+                hashing,
+                ..SecDirConfig::skylake_x(8)
+            };
+            let vds = VdBanks::new(&config, 0x5eed, 0x1000);
+            let mut rng = SplitMix64::new(3);
+            for _ in 0..2000 {
+                let line = LineAddr::new(rng.next_u64() >> 6);
+                let sets = vds.sets(line);
+                for core in 0..config.num_banks {
+                    assert_eq!(vds.bank(CoreId(core)).candidate_sets(line), sets);
+                }
+            }
+        }
     }
 }

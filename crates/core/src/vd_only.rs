@@ -59,27 +59,29 @@ impl DirSlice for VdOnlySlice {
         let (stats, vds) = (&mut self.stats, &mut self.vds);
         stats.requests += 1;
         let mut resp = DirResponse::new(DataSource::Memory, DirHitKind::Miss);
-        let hit = vds.serve(line, core, kind, false, stats, &mut resp);
+        let sets = vds.sets(line);
+        let hit = vds.serve(sets, line, core, kind, false, stats, &mut resp);
         // Only a hit reports a probed VD array (a miss pays no VD array
         // latency), and no search batches are reported. With no ED, a miss
         // places the requester's entry straight into its own bank.
         (resp.vd_array_probed, resp.vd_batches) = (hit, 0);
         if !hit {
             stats.misses += 1;
-            vds.insert(line, core, stats, &mut resp.invalidations);
+            vds.insert(sets, line, core, stats, &mut resp.invalidations);
         }
         resp
     }
 
     fn l2_evict(&mut self, line: LineAddr, core: CoreId, _dirty: bool) -> Invalidations {
         // No TD to consolidate into: the evicting core's entry is dropped.
-        self.vds.remove(line, SharerSet::single(core));
+        let sets = self.vds.sets(line);
+        self.vds.remove(sets, line, SharerSet::single(core));
         Invalidations::new()
     }
 
     fn parts(&self, line: LineAddr) -> DirParts {
         DirParts {
-            vd: self.vds.holders(line),
+            vd: self.vds.holders(self.vds.sets(line), line),
             ..DirParts::default()
         }
     }

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 use secdir::{VdBank, VdHashing};
 use secdir_cache::Geometry;
-use secdir_mem::LineAddr;
+use secdir_mem::{LineAddr, SkewHash};
 
 fn hashings() -> impl Strategy<Value = VdHashing> {
     prop_oneof![
@@ -78,6 +78,53 @@ proptest! {
             let line = LineAddr::new(p);
             if bank.eb_filters_out(line) {
                 prop_assert!(!bank.contains(line), "EB filtered a resident line {line}");
+            }
+        }
+    }
+
+    /// A line's candidate sets are the bank's skewed hashes of the line,
+    /// whatever the bank's seed, and the set-taking forms agree with
+    /// `contains` and `eb_filters_out` on every line of the universe —
+    /// here with the sets a sibling bank of another seed computed, as a
+    /// slice hands one bank's sets to all of its banks. A fill of more
+    /// distinct lines than the bank's eight entries must run the cuckoo
+    /// relocation chain.
+    #[test]
+    fn set_taking_forms_agree_with_the_line_forms(
+        lines in prop::collection::vec(0u64..512, 24..200),
+        hashing in hashings(),
+        empty_bit in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let geometry = Geometry::new(4, 2);
+        let mut bank = VdBank::new(geometry, hashing, empty_bit, seed);
+        let sibling = VdBank::new(geometry, hashing, empty_bit, !seed);
+        let (mut model, mut relocations) = (HashSet::new(), 0);
+        let distinct = lines.iter().collect::<HashSet<_>>().len();
+        for &l in &lines {
+            let r = bank.insert(LineAddr::new(l));
+            relocations += r.relocations;
+            model.insert(l);
+            if let Some(d) = r.displaced {
+                model.remove(&d.value());
+            }
+        }
+        if hashing != VdHashing::Plain && distinct > geometry.lines() {
+            prop_assert!(relocations > 0, "the fill never relocated");
+        }
+        let hashes = [SkewHash::new(0, 4), SkewHash::new(1, 4)];
+        let active = if hashing == VdHashing::Plain { 1 } else { 2 };
+        for l in 0..512 {
+            let line = LineAddr::new(l);
+            let sets = sibling.candidate_sets(line);
+            prop_assert_eq!(sets, bank.candidate_sets(line));
+            let expected: Vec<usize> = hashes[..active].iter().map(|h| h.index(line)).collect();
+            prop_assert_eq!(sets.as_slice(), &expected[..]);
+            prop_assert_eq!(bank.contains_at(sets, line), model.contains(&l));
+            prop_assert_eq!(bank.contains_at(sets, line), bank.contains(line));
+            prop_assert_eq!(bank.eb_filters_out_at(sets), bank.eb_filters_out(line));
+            if !empty_bit {
+                prop_assert!(!bank.eb_filters_out_at(sets));
             }
         }
     }

@@ -584,12 +584,17 @@ impl Machine {
 
     /// Hints the host CPU to pull the arrays a future
     /// [`Machine::access`] by `core` to `line` will probe into its cache.
-    /// Purely a performance hint with no simulated effect; the engine
-    /// calls it as soon as a core's next reference is known.
+    /// Purely a performance hint with no simulated effect. Its caller is
+    /// the serial engine ([`run_workload`](crate::run_workload)), one
+    /// reference ahead: as soon as a core's next reference is known. The
+    /// sliced engine hints the same rows on its checked-out caches
+    /// ([`PrivateCaches::prefetch`], phase A) and never calls this.
     ///
     /// Only the core's L2 rows are hinted ([`PrivateCaches::prefetch`]):
     /// the L1 arrays are small enough to stay host-resident, and the
-    /// home slice's directory and LLC rows are not hinted.
+    /// home slice's directory and LLC rows are not hinted here (the
+    /// sliced engine hints directory rows in phase B, through
+    /// [`DirSlice::prefetch`]).
     #[inline]
     pub fn prefetch(&self, core: CoreId, line: LineAddr) {
         self.cores[core.0].prefetch(line);
@@ -768,5 +773,112 @@ mod tests {
         assert_eq!(m.stats().cores[0].accesses, 1);
         assert_eq!(m.stats().cores[0].reads, 1);
         assert_eq!(m.stats().cores[1].writes, 1);
+    }
+
+    use secdir_coherence::{DirParts, SharerSet};
+    use secdir_mem::SplitMix64;
+    use std::sync::{Arc, Mutex};
+
+    /// What a hinted slice answered: a request's response or an L2
+    /// eviction's invalidations.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Answer {
+        Request(DirResponse),
+        Evict(Invalidations),
+    }
+
+    /// Forwards every call to the slice it wraps and logs each answer.
+    /// With `hints` set, it first issues up to three `DirSlice::prefetch`
+    /// calls, for the call's own line or random ones.
+    struct Hinted {
+        inner: Box<dyn DirSlice + Send>,
+        hints: Option<SplitMix64>,
+        log: Arc<Mutex<Vec<Answer>>>,
+    }
+
+    impl Hinted {
+        fn hint(&mut self, line: LineAddr) {
+            if let Some(rng) = self.hints.as_mut() {
+                for _ in 0..rng.next_below(4) {
+                    let hinted = if rng.chance(0.5) {
+                        line
+                    } else {
+                        LineAddr::new(rng.next_below(1 << 20))
+                    };
+                    self.inner.prefetch(hinted);
+                }
+            }
+        }
+    }
+
+    impl DirSlice for Hinted {
+        fn request(&mut self, line: LineAddr, core: CoreId, kind: AccessKind) -> DirResponse {
+            self.hint(line);
+            let resp = self.inner.request(line, core, kind);
+            self.log.lock().unwrap().push(Answer::Request(resp.clone()));
+            resp
+        }
+        fn l2_evict(&mut self, line: LineAddr, core: CoreId, dirty: bool) -> Invalidations {
+            self.hint(line);
+            let out = self.inner.l2_evict(line, core, dirty);
+            self.log.lock().unwrap().push(Answer::Evict(out.clone()));
+            out
+        }
+        fn parts(&self, line: LineAddr) -> DirParts {
+            self.inner.parts(line)
+        }
+        fn stats(&self) -> &DirSliceStats {
+            self.inner.stats()
+        }
+        fn validate(&self) -> Result<(), String> {
+            self.inner.validate()
+        }
+        fn for_each_entry(&self, f: &mut dyn FnMut(LineAddr, SharerSet)) {
+            self.inner.for_each_entry(f);
+        }
+    }
+
+    /// `DirSlice::prefetch` is a pure host hint: random hints between a
+    /// run's directory calls leave every response, every slice's stats and
+    /// every line's parts as they are without them, for all seven kinds.
+    #[test]
+    fn prefetch_hints_change_no_response_stat_or_part() {
+        const LINES: u64 = 800;
+        for kind in DirectoryKind::ALL {
+            let run = |hints: bool| {
+                let mut m = machine(kind);
+                let log = Arc::default();
+                let slices = std::mem::take(&mut m.slices);
+                m.slices = slices
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, inner)| -> Box<dyn DirSlice + Send> {
+                        let seed = 0x41 + i as u64;
+                        Box::new(Hinted {
+                            inner,
+                            hints: hints.then(|| SplitMix64::new(seed)),
+                            log: Arc::clone(&log),
+                        })
+                    })
+                    .collect();
+                let mut rng = SplitMix64::new(0x9e37);
+                for _ in 0..8000 {
+                    let core = CoreId(rng.next_below(4) as usize);
+                    let line = LineAddr::new(rng.next_below(LINES));
+                    m.access(core, line, rng.chance(0.3));
+                }
+                let stats: Vec<DirSliceStats> =
+                    m.slices.iter().map(|s| s.stats().clone()).collect();
+                let parts: Vec<DirParts> = (0..LINES)
+                    .map(LineAddr::new)
+                    .map(|line| m.slice(m.slice_of(line)).parts(line))
+                    .collect();
+                let answers = std::mem::take(&mut *log.lock().unwrap());
+                (answers, stats, parts, m.stats().clone())
+            };
+            let (hinted, plain) = (run(true), run(false));
+            assert!(!plain.0.is_empty(), "{kind:?}: no directory calls");
+            assert_eq!(hinted, plain, "{kind:?}");
+        }
     }
 }

@@ -204,9 +204,11 @@ impl ServeConfig {
         }
     }
 
-    /// Phase II participants: `workers`, clamped to the pool and the
-    /// tenant count — extra threads would find no tenant to claim.
-    fn drain_participants(&self) -> usize {
+    /// Phase II participants, the calling thread included: `workers`,
+    /// clamped to the pool and the tenant count — extra threads would find
+    /// no tenant to claim. This is the thread count a run actually drains
+    /// with, which `serve --bench` records as `"workers"`.
+    pub fn drain_participants(&self) -> usize {
         self.workers.min(self.pool).min(self.tenants.len())
     }
 

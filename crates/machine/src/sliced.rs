@@ -24,12 +24,16 @@
 //!    L1/L2 probe (the one [`Machine::access`] calls), until it needs the
 //!    directory. The first access that does (an L2 miss, or a non-silent
 //!    write hit needing an upgrade) is parked, with the probe's outcome,
-//!    as the core's single *pending transaction* for this epoch.
+//!    as the core's single *pending transaction* for this epoch. The
+//!    L2 rows of the buffered references `PREFETCH_AHEAD` ahead are
+//!    hinted to the host cache as the sweep goes.
 //! 3. **Routing** (main): pending transactions are routed by the
 //!    machine's `SliceHash` into per-slice inboxes.
-//! 4. **Phase B — slice phase** (parallel over slices): each slice drains
-//!    its inbox in the canonical `(ready-time, core-id)` order — the same
-//!    key the serial engine's `BinaryHeap` scheduler uses — performing the
+//! 4. **Phase B — slice phase** (parallel over slices): each participant
+//!    first hints the directory rows of every request in its slices'
+//!    inboxes ([`DirSlice::prefetch`]), then each slice drains its inbox
+//!    in the canonical `(ready-time, core-id)` order — the same key the
+//!    serial engine's `BinaryHeap` scheduler uses — performing the
 //!    directory transaction and recording the response.
 //! 5. **Merge** (main): responses are applied in the same global canonical
 //!    order through the machine's own response path (`apply_response_in`,
@@ -136,6 +140,11 @@ use crate::stats::CoreStats;
 /// enough that cross-core effects stay within a few hundred cycles of
 /// their serial delivery point.
 const EPOCH_BATCH: usize = 64;
+
+/// How many buffered references ahead phase A hints a core's L2 rows
+/// ([`PrivateCaches::prefetch`]), so the host cache misses of the next
+/// probes overlap the current one.
+const PREFETCH_AHEAD: usize = 2;
 
 /// Tuning knobs for the slice-parallel engine
 /// ([`run_workload_sliced_with`]). Every setting is a pure throughput
@@ -380,6 +389,9 @@ fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
         Some(s) => s,
         None => unreachable!("core part checked out"),
     };
+    for ahead in cell.buffer.iter().take(PREFETCH_AHEAD) {
+        caches.prefetch(ahead.line);
+    }
     loop {
         if cell.accesses >= cap {
             cell.finished = Some(cell.ready);
@@ -391,6 +403,9 @@ fn run_core_epoch(cell: &mut CoreCell, lat: Latencies, cap: u64) {
             }
             return;
         };
+        if let Some(ahead) = cell.buffer.get(PREFETCH_AHEAD - 1) {
+            caches.prefetch(ahead.line);
+        }
         match probe(caches, stats, lat, acc.line, acc.write) {
             Probe::Hit(_, latency) => {
                 cell.instructions += u64::from(acc.gap) + 1;
@@ -426,6 +441,21 @@ fn route(machine: &Machine, cells: &mut [CoreCell], scells: &mut [SliceCell]) {
                 line: txn.access.line,
                 kind: txn.probe.request_kind(),
             });
+        }
+    }
+}
+
+// lint: region(barrier-worker)
+/// Phase B's first pass: hints the host to pull the directory rows of
+/// every request in the given slices' inboxes ([`DirSlice::prefetch`]).
+/// Every hinted request runs in the drains that follow, so their host
+/// cache misses overlap instead of stalling one request at a time.
+fn prefetch_inboxes(scells: &[SliceCell]) {
+    for scell in scells {
+        if let Some(slice) = scell.slice.as_ref() {
+            for e in &scell.inbox {
+                slice.prefetch(e.line);
+            }
         }
     }
 }
@@ -678,7 +708,9 @@ fn run_threaded(
         crew.wait(w); // (2) phase A done
         crew.wait(w); // (3) routing done
         if let Some(slot) = slot {
-            for scell in lock(&slot.slices).iter_mut() {
+            let mut slices = lock(&slot.slices);
+            prefetch_inboxes(&slices);
+            for scell in slices.iter_mut() {
                 drain_slice(scell);
             }
         }
@@ -717,6 +749,7 @@ fn run_threaded(
             hand_out(&mut state.scells, own, &slots, |s| &s.slices);
             crew.wait(0); // (3)
             crew.guarded(|| {
+                prefetch_inboxes(&state.scells);
                 for scell in state.scells.iter_mut() {
                     drain_slice(scell);
                 }

@@ -885,6 +885,8 @@ fn serve_cmd(flags: &Flags) -> Result<ExitCode, String> {
 /// `retired_per_sec`, `journal_bytes` — identical on every row of one
 /// run) so the serve throughput trajectory is trackable across formats
 /// and machines. Those four are the only non-deterministic fields.
+/// `workers` is the drain thread count the run used
+/// ([`ServeConfig::drain_participants`]), not the requested `--workers`.
 fn write_serve_bench(
     path: &str,
     cfg: &ServeConfig,
@@ -928,7 +930,7 @@ fn write_serve_bench(
         jw.key("l2_misses").u64(sum(&|o| o.l2_misses));
         jw.key("vd_hits").u64(sum(&|o| o.vd_hits));
         jw.key("ticks").u64(report.ticks);
-        jw.key("workers").u64(cfg.workers as u64);
+        jw.key("workers").u64(cfg.drain_participants() as u64);
         jw.key("format").str(cfg.format.name());
         jw.key("nanos").u128(nanos);
         jw.key("retired_per_sec").u64(retired_per_sec);

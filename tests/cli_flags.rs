@@ -183,3 +183,39 @@ fn directories_all_selects_the_seven_kinds() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// A `serve --bench` row records the drain threads the run used: the
+/// requested `--workers` clamped to the pool and the tenant count, so
+/// 50 requested workers over three tenants start (and record) three.
+#[test]
+fn serve_bench_records_the_drain_threads_used() {
+    let dir = std::env::temp_dir().join(format!("secdir-cli-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let bench = dir.join("bench.jsonl");
+    let journal = dir.join("serve.jsonl");
+    let out = run(&[
+        "serve",
+        "--tenants",
+        "3",
+        "--refs",
+        "50",
+        "--workers",
+        "50",
+        "--journal",
+        journal.to_str().expect("utf-8 temp path"),
+        "--bench",
+        bench.to_str().expect("utf-8 temp path"),
+    ]);
+    let rows = std::fs::read_to_string(&bench).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{} stderr {:?}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(rows.lines().count() > 0, "no bench rows");
+    for row in rows.lines() {
+        assert!(row.contains("\"workers\":3,"), "{row}");
+    }
+}
