@@ -2,12 +2,68 @@
 //! a pure performance knob. Every report field that describes the
 //! exploration — state count, transition count, level count, violation
 //! and its trace — must be identical at 1, 2, 4, and 8 workers, on clean
-//! and on faulted models, with and without canonicalization.
+//! and on faulted models, with and without canonicalization. The
+//! discovery order itself is pinned by a digest of the visited states.
 
-use secdir_verif::checker::{check, check_opt, CheckOptions};
+use secdir_verif::checker::{check, check_opt, check_opt_with_states, CheckOptions};
 use secdir_verif::model::{DirKind, Fault, ModelConfig};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// FNV-1a digest of the packed states in discovery order, each
+/// little-endian.
+fn order_digest(states: &[u128]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in states.iter().flat_map(|s| s.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `(order_digest, levels)` of every kind at the quick geometry, in
+/// `DirKind::ALL` order: uncanonicalized, then canonicalized.
+const QUICK_ORDER: [[(u64, usize); 5]; 2] = [
+    [
+        (0xcd8e_ec75_e4b9_d194, 7),
+        (0x60dc_d90e_5ae6_8804, 7),
+        (0xe7d2_9ac5_5742_8504, 9),
+        (0x753f_4d96_ba2f_b67c, 9),
+        (0xbfaa_db33_caaa_2cea, 4),
+    ],
+    [
+        (0xc39f_da85_7d15_4b4d, 7),
+        (0x42e0_904f_1086_91ac, 7),
+        (0x5c11_a9c0_029a_46dc, 9),
+        (0x0ff1_9ad0_290a_9c52, 9),
+        (0xa58d_00e0_b4b4_11b8, 4),
+    ],
+];
+
+/// Counts alone would not notice two successors trading places; the
+/// digest of the state sequence does, and so would the parent records
+/// and counterexample traces that follow from it.
+#[test]
+fn discovery_order_is_pinned_at_quick_at_every_thread_count() {
+    for threads in THREAD_COUNTS {
+        let got: Vec<[(u64, usize); 5]> = [false, true]
+            .into_iter()
+            .map(|canonicalize| {
+                let opts = CheckOptions {
+                    canonicalize,
+                    threads,
+                };
+                DirKind::ALL.map(|kind| {
+                    let (report, states) = check_opt_with_states(ModelConfig::quick(kind), &opts);
+                    (order_digest(&states), report.levels)
+                })
+            })
+            .collect();
+        assert_eq!(
+            got, QUICK_ORDER,
+            "threads={threads}: discovery order drifted"
+        );
+    }
+}
 
 #[test]
 fn clean_exploration_is_identical_at_every_thread_count() {
