@@ -20,6 +20,11 @@
 //!   transition counts, and the reported counterexample are
 //!   bit-identical at every thread count.
 //!
+//! Both cores expand a state the same way: through
+//! [`Model::successors_each`], keying each successor inside the sink
+//! (packing it, or canonicalizing it), then deduplicating the state's
+//! keys in one pass, in the model's successor order.
+//!
 //! **Level-barrier argument.** Workers expand one BFS level at a time
 //! with two barriers: (1) every frontier state is invariant-checked and
 //! expanded before any discovered successor is inserted, and (2) the
@@ -173,16 +178,16 @@ impl ParentRec {
 /// Panics if `cfg` is out of the model's bounds (see [`Model::new`]).
 pub fn check(cfg: ModelConfig) -> CheckReport {
     let model = Model::new(cfg);
-    check_with(cfg, |s, out| model.successors_into(s, out))
+    check_with(cfg, |s, mut emit| model.successors_each(s, &mut emit))
 }
 
-/// The serial BFS core, parameterized over the successor relation so the
-/// deadlock path can be exercised with a stubbed transition function
-/// (the real model never produces an empty successor set — see the
-/// module docs).
+/// The serial BFS core, parameterized over the successor relation (in
+/// [`Model::successors_each`]'s form) so the deadlock path can be
+/// exercised with a stubbed transition function (the real model never
+/// produces an empty successor set — see the module docs).
 fn check_with(
     cfg: ModelConfig,
-    mut successors: impl FnMut(&ModelState, &mut Vec<(Label, ModelState)>),
+    mut successors: impl FnMut(&ModelState, &mut dyn FnMut(Label, ModelState)),
 ) -> CheckReport {
     let init_key = pack(&ModelState::initial());
     let mut states: Vec<u128> = vec![init_key];
@@ -191,7 +196,8 @@ fn check_with(
     seen.insert(init_key);
 
     let mut transitions = 0usize;
-    let mut buf: Vec<(Label, ModelState)> = Vec::new();
+    // The current state's successors, packed in the sink.
+    let mut keyed: Vec<(u128, Label)> = Vec::new();
     let mut frontier = 0usize;
     while frontier < states.len() {
         let id = frontier;
@@ -199,21 +205,23 @@ fn check_with(
 
         let current = unpack(states[id]);
         let failure = invariant_failure(&current, &cfg).or_else(|| {
-            successors(&current, &mut buf);
-            buf.is_empty().then_some(Failure::Deadlock)
+            keyed.clear();
+            successors(&current, &mut |label, next| {
+                keyed.push((pack(&next), label))
+            });
+            keyed.is_empty().then_some(Failure::Deadlock)
         });
         if let Some(failure) = failure {
             let violation = Some((id, failure));
             return finish(cfg, &states, &parents, transitions, false, 1, 0, violation);
         }
-        for (label, next) in &buf {
-            transitions += 1;
-            let key = pack(next);
+        transitions += keyed.len();
+        for &(key, label) in &keyed {
             if seen.insert(key) {
                 states.push(key);
                 parents.push(ParentRec {
                     parent: id as u32,
-                    label: PackedLabel::encode(*label),
+                    label: PackedLabel::encode(label),
                     perm: IDENTITY.index(),
                 });
             }
@@ -292,6 +300,15 @@ struct Cand {
 }
 
 impl Cand {
+    fn new(key: u128, parent: usize, label: Label, perm: PermPair) -> Self {
+        Cand {
+            key: [(key >> 64) as u64, key as u64],
+            parent: parent as u32,
+            label: PackedLabel::encode(label),
+            perm: perm.index(),
+        }
+    }
+
     fn key(&self) -> u128 {
         u128::from(self.key[0]) << 64 | u128::from(self.key[1])
     }
@@ -427,6 +444,13 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 /// chunk order, claiming chunks through [`par::for_each_claimed`]; the
 /// visited shards are only *read* here (membership pre-filter),
 /// never written, so workers share them without locks.
+///
+/// Each successor is keyed (canonicalized or packed) inside the model's
+/// sink, so no successor state is stored. The keys of one frontier state
+/// are then probed against the visited set in one tight loop: each probe
+/// is a likely cache miss on a large set, and with no canonicalization
+/// between them the host overlaps them instead of waiting out one at a
+/// time. Candidates keep the model's successor order.
 #[allow(clippy::too_many_arguments)]
 fn expand_level(
     model: &Model,
@@ -443,34 +467,39 @@ fn expand_level(
     par::for_each_claimed(&mut outs, threads, |chunk, out| {
         let start = lo + chunk * CHUNK;
         let end = (start + CHUNK).min(hi);
-        let mut buf: Vec<(Label, ModelState)> = Vec::new();
+        // The current state's successors, keyed, in the model's order.
+        let mut keyed: Vec<Cand> = Vec::new();
+        let mut seen: Vec<bool> = Vec::new();
         for (id, &packed) in states.iter().enumerate().take(end).skip(start) {
             let current = unpack(packed);
             if let Some(failure) = invariant_failure(&current, cfg) {
                 out.violations.push((id as u32, failure));
                 continue;
             }
-            model.successors_into(&current, &mut buf);
-            out.transitions += buf.len();
-            if buf.is_empty() {
+            keyed.clear();
+            model.successors_each(&current, &mut |label, next| {
+                let (key, perm) = match table {
+                    Some(t) => t.canonicalize(&next),
+                    None => (pack(&next), IDENTITY),
+                };
+                keyed.push(Cand::new(key, id, label, perm));
+            });
+            out.transitions += keyed.len();
+            if keyed.is_empty() {
                 out.violations.push((id as u32, Failure::Deadlock));
                 continue;
             }
-            for (label, next) in &buf {
-                let (key, perm) = match table {
-                    Some(t) => t.canonicalize(next),
-                    None => (pack(next), IDENTITY),
-                };
-                if shards[shard_of(key)].contains(&key) {
-                    continue;
-                }
-                out.cands.push(Cand {
-                    key: [(key >> 64) as u64, key as u64],
-                    parent: id as u32,
-                    label: PackedLabel::encode(*label),
-                    perm: perm.index(),
-                });
-            }
+            seen.clear();
+            seen.extend(keyed.iter().map(|c| {
+                let key = c.key();
+                shards[shard_of(key)].contains(&key)
+            }));
+            out.cands.extend(
+                keyed
+                    .iter()
+                    .zip(&seen)
+                    .filter_map(|(c, &s)| (!s).then_some(*c)),
+            );
         }
     });
     outs
@@ -661,7 +690,7 @@ mod tests {
     #[test]
     fn deadlock_at_the_initial_state_is_reported() {
         let cfg = ModelConfig::quick(DirKind::SecDir);
-        let report = check_with(cfg, |_, out| out.clear());
+        let report = check_with(cfg, |_, _| {});
         let v = report.violation.expect("empty relation must deadlock");
         assert_eq!(v.failure, Failure::Deadlock);
         assert_eq!(
@@ -682,10 +711,9 @@ mod tests {
             .next()
             .expect("the real model always has enabled transitions");
         let stuck = next.clone();
-        let report = check_with(cfg, move |s, out| {
-            out.clear();
+        let report = check_with(cfg, move |s, emit| {
             if *s == ModelState::initial() {
-                out.push((label, next.clone()));
+                emit(label, next.clone());
             }
         });
         let v = report.violation.expect("stuck successor must deadlock");

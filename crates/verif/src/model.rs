@@ -247,22 +247,29 @@ impl Model {
 
     /// All `(label, successor)` pairs of `s`. Each label may appear several
     /// times — once per nondeterministic victim choice. Allocating
-    /// convenience wrapper over [`Model::successors_into`].
+    /// convenience wrapper over [`Model::successors_each`].
     pub fn successors(&self, s: &ModelState) -> Vec<(Label, ModelState)> {
-        // lint: allow(hot-alloc): the convenience wrapper returns a fresh vector by design; the checker calls successors_into
+        // lint: allow(hot-alloc): the convenience wrapper returns a fresh vector by design; the checker calls successors_each
         let mut out = Vec::new();
         self.successors_into(s, &mut out);
         out
     }
 
     /// Writes all `(label, successor)` pairs of `s` into `out` (cleared
-    /// first). Every branch reaches `out` through continuation sinks, and
-    /// each branch owns its state, copied only where the branches fork,
-    /// so expansion allocates nothing once `out` has grown to the largest
-    /// successor set: the checker reuses one buffer across its whole
-    /// exploration.
+    /// first), in [`Model::successors_each`]'s order. Allocates nothing
+    /// once `out` has grown to the largest successor set.
     pub fn successors_into(&self, s: &ModelState, out: &mut Vec<(Label, ModelState)>) {
         out.clear();
+        self.successors_each(s, &mut |label, ns| out.push((label, ns)));
+    }
+
+    /// Hands every `(label, successor)` pair of `s` to `emit`, in a fixed
+    /// order: by core, then line, then access kind, then victim choice.
+    /// Every branch reaches `emit` through continuation sinks, and each
+    /// branch owns its state, copied only where the branches fork, so
+    /// expansion itself allocates nothing: the checker keys each
+    /// successor inside `emit` and never stores the state.
+    pub fn successors_each(&self, s: &ModelState, emit: &mut impl FnMut(Label, ModelState)) {
         for core in 0..self.cfg.cores {
             for line in 0..self.cfg.lines {
                 let st = s.caches[core][line];
@@ -271,7 +278,7 @@ impl Model {
                         (AccessKind::Read, Label::Read { core, line }),
                         (AccessKind::Write, Label::Write { core, line }),
                     ] {
-                        self.access(s.clone(), core, line, kind, &mut |ns| out.push((label, ns)));
+                        self.access(s.clone(), core, line, kind, &mut |ns| emit(label, ns));
                     }
                     continue;
                 }
@@ -279,11 +286,11 @@ impl Model {
                     Moesi::Exclusive => {
                         let mut ns = s.clone();
                         ns.caches[core][line] = Moesi::Modified;
-                        out.push((Label::SilentUpgrade { core, line }, ns));
+                        emit(Label::SilentUpgrade { core, line }, ns);
                     }
                     Moesi::Shared | Moesi::Owned => {
                         let label = Label::Write { core, line };
-                        self.upgrade(s.clone(), core, line, &mut |ns| out.push((label, ns)));
+                        self.upgrade(s.clone(), core, line, &mut |ns| emit(label, ns));
                     }
                     _ => {}
                 }
@@ -291,9 +298,7 @@ impl Model {
                 let mut ns = s.clone();
                 ns.caches[core][line] = Moesi::Invalid;
                 let label = Label::Evict { core, line };
-                self.dir_l2_evict(ns, core, line, st.is_dirty(), &mut |es| {
-                    out.push((label, es))
-                });
+                self.dir_l2_evict(ns, core, line, st.is_dirty(), &mut |es| emit(label, es));
             }
         }
     }

@@ -1,12 +1,16 @@
 //! Proves the model checker's inner loop performs no heap allocation.
 //!
 //! The checker expands every frontier state with
-//! `Model::successors_into`, which threads each nondeterministic branch
-//! through continuation sinks into one reused output buffer, and
-//! canonicalizes every successor with `CanonTable::canonicalize`, which
-//! works on fixed-size lane arrays. This test wraps the global allocator
-//! in a counter and asserts that, once a warm-up pass has grown the
-//! buffer to the largest successor set, neither call allocates.
+//! `Model::successors_each`, which threads each nondeterministic branch
+//! through continuation sinks into one caller-supplied sink. Inside that
+//! sink the checker canonicalizes the successor with
+//! `CanonTable::canonicalize`, which works on fixed-size lane arrays, and
+//! pushes the key into a reused scratch vector. This test wraps the
+//! global allocator in a counter and asserts that, once a warm-up pass
+//! has grown the reused vectors to the largest successor set, that
+//! expansion allocates nothing. It asserts the same of the buffered form
+//! that the benchmark's traced search calls: `Model::successors_into`,
+//! then `canonicalize` on every buffered successor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -62,26 +66,36 @@ fn bfs_prefix(cfg: ModelConfig, limit: usize) -> Vec<ModelState> {
     order
 }
 
-/// `(successors_into, canonicalize)` allocations over one pass that
-/// expands every state in `states` and canonicalizes every successor,
-/// after a warm-up pass over the same states.
-fn expansion_allocations(cfg: ModelConfig, states: &[ModelState]) -> (u64, u64) {
+/// Allocations over one pass that expands every state in `states` and
+/// canonicalizes every successor, after a warm-up pass over the same
+/// states: `(successors_each with canonicalize in the sink,
+/// successors_into, canonicalize of the buffered successors)`.
+fn expansion_allocations(cfg: ModelConfig, states: &[ModelState]) -> (u64, u64, u64) {
     let model = Model::new(cfg);
     let table = CanonTable::new(cfg.cores, cfg.lines, cfg.kind == DirKind::WayPartitioned);
+    let mut keys = Vec::new();
     let mut buf = Vec::new();
-    let mut counts = (0, 0);
-    // The first pass warms up: it grows `buf` to the largest successor set.
+    let mut counts = (0, 0, 0);
+    // The first pass warms up: it grows `keys` and `buf` to the largest
+    // successor set.
     for _ in 0..2 {
-        counts = (0, 0);
+        counts = (0, 0, 0);
         for s in states {
+            let start = allocations();
+            keys.clear();
+            model.successors_each(s, &mut |label, t| {
+                keys.push((table.canonicalize(&t), label))
+            });
+            black_box(&keys);
             let before = allocations();
             model.successors_into(s, &mut buf);
             let between = allocations();
             for (_, t) in &buf {
                 black_box(table.canonicalize(t));
             }
-            counts.0 += between - before;
-            counts.1 += allocations() - between;
+            counts.0 += before - start;
+            counts.1 += between - before;
+            counts.2 += allocations() - between;
         }
     }
     counts
@@ -106,12 +120,13 @@ fn expansion_and_canonicalization_do_not_allocate() {
     cases.push((full, sample));
 
     for (cfg, states) in &cases {
-        let (successors, canon) = expansion_allocations(*cfg, states);
+        let (keyed, successors, canon) = expansion_allocations(*cfg, states);
         assert_eq!(
-            (successors, canon),
-            (0, 0),
-            "{} at {}x{}: {successors} allocations in successors_into and {canon} in \
-             canonicalize over {} warmed-up states",
+            (keyed, successors, canon),
+            (0, 0, 0),
+            "{} at {}x{}: {keyed} allocations in successors_each keying in its sink, \
+             {successors} in successors_into and {canon} in canonicalize over {} \
+             warmed-up states",
             cfg.kind.name(),
             cfg.cores,
             cfg.lines,
