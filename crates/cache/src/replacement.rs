@@ -26,7 +26,8 @@ pub enum ReplacementPolicy {
 pub(crate) struct ReplacerState {
     policy: ReplacementPolicy,
     ways: usize,
-    /// LRU: per-way last-use stamp. NRU: 0/1 reference bits.
+    /// LRU: per-way last-use stamp. NRU: 0/1 reference bits. Random:
+    /// empty, since its victim draw reads no per-way state.
     stamps: Vec<u64>,
     clock: u64,
     rng: SplitMix64,
@@ -34,10 +35,14 @@ pub(crate) struct ReplacerState {
 
 impl ReplacerState {
     pub(crate) fn new(policy: ReplacementPolicy, sets: usize, ways: usize, seed: u64) -> Self {
+        let stamped = match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Nru => sets * ways,
+            ReplacementPolicy::Random => 0,
+        };
         ReplacerState {
             policy,
             ways,
-            stamps: vec![0; sets * ways],
+            stamps: vec![0; stamped],
             clock: 0,
             rng: SplitMix64::new(seed),
         }
@@ -96,7 +101,9 @@ impl ReplacerState {
     /// Clears the state of `(set, way)` after an invalidation.
     #[inline]
     pub(crate) fn clear(&mut self, set: usize, way: usize) {
-        self.stamps[set * self.ways + way] = 0;
+        if self.policy != ReplacementPolicy::Random {
+            self.stamps[set * self.ways + way] = 0;
+        }
     }
 
     /// Hints the host CPU to pull `set`'s replacement state into cache
@@ -104,6 +111,9 @@ impl ReplacerState {
     /// Write intent: a touch stores a fresh stamp into the row.
     #[inline]
     pub(crate) fn prefetch(&self, set: usize) {
+        if self.policy == ReplacementPolicy::Random {
+            return;
+        }
         let base = set * self.ways;
         crate::prefetch::prefetch_write(&self.stamps[base]);
         if self.ways > 8 {
@@ -144,6 +154,10 @@ mod tests {
             assert!(va < 8);
             assert_eq!(va, vb);
         }
+        // Random keeps no per-way state, so clear and prefetch touch none.
+        assert!(a.stamps.is_empty());
+        a.clear(0, 7);
+        a.prefetch(0);
     }
 
     #[test]

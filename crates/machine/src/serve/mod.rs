@@ -10,9 +10,10 @@
 //!    by the per-core queue cap and a machine-wide buffer budget
 //!    (`global_cap`). Full queues exert *backpressure* — shortfalls are
 //!    counted as `stalled` and retried, never dropped.
-//! 2. **drain** (parallel across tenants): up to `drain` references per
-//!    core are retired into the tenant's machine, followed by the
-//!    online oracle audit (`quarantine`). Every per-tenant step runs
+//! 2. **drain** (parallel over contiguous chunks of tenants, one per
+//!    drain participant): up to `drain` references per core are retired
+//!    into the tenant's machine, followed by the online oracle audit
+//!    (`quarantine`). Every per-tenant step runs
 //!    under `catch_unwind`: a panicking stream or machine becomes a
 //!    structured `panicked` terminal record, not a server crash.
 //! 3. **emit** (serial, tenant-index order): checkpoint and terminal
@@ -48,15 +49,13 @@ use crate::{DirectoryKind, MachineConfig};
 use admission::Admission;
 use codec::{Checkpoint, Record, TerminalInfo};
 use journal::{GhostEnd, JournalSink};
-use scheduler::{SourceRt, TenantShared};
-use secdir_mem::par::{self, lock, Crew};
+use scheduler::{Phase, SourceRt, Tenant};
+use secdir_mem::par::{self, Crew, Handoff};
 use secdir_mem::{LineAddr, SplitMix64};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Salt separating the burst-shape RNG from the tenant's workload RNG.
 const BURST_SALT: u64 = 0x5e71_ce00_b127_57a1;
@@ -205,9 +204,9 @@ impl ServeConfig {
     }
 
     /// Phase II participants, the calling thread included: `workers`,
-    /// clamped to the pool and the tenant count — extra threads would find
-    /// no tenant to claim. This is the thread count a run actually drains
-    /// with, which `serve --bench` records as `"workers"`.
+    /// clamped to the pool and the tenant count, since no tick has more
+    /// live machines than either. This is the thread count a run actually
+    /// drains with, which `serve --bench` records as `"workers"`.
     pub fn drain_participants(&self) -> usize {
         self.workers.min(self.pool).min(self.tenants.len())
     }
@@ -404,72 +403,61 @@ impl ServeReport {
     }
 }
 
-/// What phase II's participants share.
-struct DrainRun<'a> {
-    /// Per-tenant worker-visible state.
-    tenants: &'a [Mutex<TenantShared>],
-    /// Work-claiming ticket counter, reset each tick.
-    claim: AtomicUsize,
-    /// Drain batch bound per core per tick.
-    drain: u64,
-}
-
-/// One tenant's drain-phase step: drain batch plus oracle audit, with
-/// panics contained into the tenant's failure slot.
-fn drain_and_audit(rt: &mut TenantShared, drain: u64) {
-    if !rt.active || rt.panic_msg.is_some() {
-        return;
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        scheduler::drain_tenant(rt, drain);
-        quarantine::audit(rt);
-    }));
-    if let Err(payload) = outcome {
-        rt.panic_msg = Some(panic_message(payload));
+/// Phase II for one chunk of tenants: each active tenant's drain batch
+/// plus oracle audit, with panics contained into the tenant's failure
+/// slot. Touches only the tenants in `chunk`.
+fn drain_and_audit(chunk: &mut [Tenant], drain: u64) {
+    for rt in chunk {
+        if rt.phase != Phase::Active || rt.panic_msg.is_some() {
+            continue;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            scheduler::drain_tenant(rt, drain);
+            quarantine::audit(rt);
+        }));
+        if let Err(payload) = outcome {
+            rt.panic_msg = Some(panic_message(payload));
+        }
     }
 }
 
 // lint: region(barrier-worker)
-/// Participant `w`'s share of a tick's phase II, after the tick-start
-/// crossing: claims tenant slots until none is left, then crosses the
+/// Spawned participant `w`'s share of a tick's phase II, after the
+/// tick-start crossing: drains its chunk of tenants, then crosses the
 /// tick-end barrier.
-fn drain_share(crew: &Crew, w: usize, run: &DrainRun<'_>) {
-    loop {
-        let i = run.claim.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = run.tenants.get(i) else {
-            break;
-        };
-        drain_and_audit(&mut lock(slot), run.drain);
+fn drain_share(crew: &Crew, w: usize, chunks: &Handoff<Tenant>, drain: u64) {
+    if let Some(mut chunk) = chunks.chunk(w) {
+        drain_and_audit(&mut chunk, drain);
     }
     crew.wait(w);
 }
 
-/// Admission lifecycle of one tenant, main-thread view.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for a pool slot.
-    Waiting,
-    /// Admitted and being served.
-    Active,
-    /// Finished (any terminal status).
-    Terminal,
+// lint: region(barrier-worker)
+/// Phase II on the lead: hands out the spawned participants' chunks,
+/// drains its own between the tick-start and tick-end crossings, and
+/// takes the chunks back in tenant-index order.
+fn drain_phase(tenants: &mut Vec<Tenant>, crew: &Crew, chunks: &Handoff<Tenant>, drain: u64) {
+    chunks.hand_out(tenants);
+    crew.wait(0); // tick start
+    drain_and_audit(tenants, drain);
+    crew.wait(0); // tick end
+    chunks.take_back(tenants);
 }
 
-/// The main-thread driver: owns everything except the worker-visible
-/// tenant slots.
+/// The main-thread driver: owns every tenant, and lends chunks of them
+/// to the spawned drain participants during phase II only.
 struct Driver<'a, 'j, 's> {
     cfg: &'a ServeConfig,
     factory: &'a dyn TenantStreams,
-    shared: &'a [Mutex<TenantShared>],
+    /// Every tenant, in index order (home between drain phases).
+    tenants: Vec<Tenant>,
     journal: &'a mut JournalSink<'j>,
     ghost: &'s [Option<GhostEnd>],
     sources: Vec<Option<SourceRt>>,
-    phase: Vec<Phase>,
     idle: Vec<u64>,
     checkpoints: Vec<u64>,
     outcomes: Vec<Option<TenantOutcome>>,
     admission: Admission,
-    live: usize,
     tick: u64,
 }
 
@@ -495,8 +483,7 @@ impl Driver<'_, '_, '_> {
             let ghost = self.ghost[i].map(|_| 0);
             let outcome = finish(self.journal, &cfg.tenants[i].name, now, ghost)?;
             self.outcomes[i] = Some(outcome);
-            self.phase[i] = Phase::Terminal;
-            self.live -= 1;
+            self.tenants[i].phase = Phase::Terminal;
         }
         Ok(())
     }
@@ -522,8 +509,8 @@ impl Driver<'_, '_, '_> {
                 }
                 streams
             };
-            let mut rt = lock(&self.shared[i]);
-            rt.active = true;
+            let rt = &mut self.tenants[i];
+            rt.phase = Phase::Active;
             rt.ghost = is_ghost;
             rt.queues = (0..spec.cores)
                 .map(|_| VecDeque::with_capacity(cfg.queue_cap))
@@ -535,7 +522,6 @@ impl Driver<'_, '_, '_> {
                 }
                 rt.machine = Some(machine);
             }
-            drop(rt);
             self.sources[i] = Some(SourceRt {
                 streams,
                 rng: SplitMix64::new(spec.seed ^ BURST_SALT),
@@ -543,7 +529,6 @@ impl Driver<'_, '_, '_> {
                 off_left: 0,
                 emitted: vec![0; spec.cores],
             });
-            self.phase[i] = Phase::Active;
         }
         Ok(())
     }
@@ -552,15 +537,14 @@ impl Driver<'_, '_, '_> {
     /// in tenant-index order (index is ingest priority).
     fn ingest_phase(&mut self) {
         let cfg = self.cfg;
+        // Waiting and terminal tenants hold no queues.
         let mut buffered = 0u64;
-        for (i, slot) in self.shared.iter().enumerate() {
-            if self.phase[i] == Phase::Active {
-                buffered += scheduler::buffered(&lock(slot));
-            }
+        for rt in &self.tenants {
+            buffered += scheduler::buffered(rt);
         }
         let mut global_left = cfg.global_cap.saturating_sub(buffered);
-        for i in 0..self.shared.len() {
-            if self.phase[i] != Phase::Active {
+        for i in 0..self.tenants.len() {
+            if self.tenants[i].phase != Phase::Active {
                 continue;
             }
             let Some(src) = self.sources[i].as_mut() else {
@@ -570,20 +554,13 @@ impl Driver<'_, '_, '_> {
             if !on {
                 continue;
             }
-            let mut rt = lock(&self.shared[i]);
+            let rt = &mut self.tenants[i];
             if rt.panic_msg.is_some() || rt.quarantine_msg.is_some() {
                 continue;
             }
             let refs = cfg.tenants[i].refs;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                scheduler::ingest_tick(
-                    src,
-                    &mut rt,
-                    cfg.ingest,
-                    refs,
-                    cfg.queue_cap,
-                    &mut global_left,
-                );
+                scheduler::ingest_tick(src, rt, cfg.ingest, refs, cfg.queue_cap, &mut global_left);
             }));
             if let Err(payload) = outcome {
                 rt.panic_msg = Some(panic_message(payload));
@@ -595,12 +572,12 @@ impl Driver<'_, '_, '_> {
     /// slot release, in tenant-index order.
     fn emit_phase(&mut self) -> Result<(), ServeError> {
         let cfg = self.cfg;
-        for i in 0..self.shared.len() {
-            if self.phase[i] != Phase::Active {
+        for i in 0..self.tenants.len() {
+            let spec = &cfg.tenants[i];
+            let rt = &mut self.tenants[i];
+            if rt.phase != Phase::Active {
                 continue;
             }
-            let spec = &cfg.tenants[i];
-            let mut rt = lock(&self.shared[i]);
             let decided: Option<(TenantStatus, String)> = if let Some(msg) = rt.panic_msg.take() {
                 // A panic out of a machine whose armed fault already fired
                 // is the engine's own defensive layer detecting the
@@ -627,7 +604,7 @@ impl Driver<'_, '_, '_> {
             } else if self.sources[i]
                 .as_ref()
                 .is_some_and(|s| scheduler::source_complete(s, spec.refs))
-                && scheduler::queues_empty(&rt)
+                && scheduler::buffered(rt) == 0
             {
                 match rt.machine.as_ref().map(Machine::verify) {
                     Some(Err(e)) if cfg.final_audit => {
@@ -692,13 +669,10 @@ impl Driver<'_, '_, '_> {
                     };
                     let ghost = rt.ghost.then_some(rt.drained_this_tick);
                     self.outcomes[i] = Some(finish(self.journal, &spec.name, now, ghost)?);
-                    rt.active = false;
+                    rt.phase = Phase::Terminal;
                     rt.machine = None;
                     rt.queues = Vec::new();
-                    drop(rt);
                     self.sources[i] = None;
-                    self.phase[i] = Phase::Terminal;
-                    self.live -= 1;
                     self.admission.release();
                 }
             }
@@ -708,7 +682,7 @@ impl Driver<'_, '_, '_> {
 
     /// The tick loop, leading the drain crew: phase II of every tick is
     /// one crew round of two crossings, with this thread as participant 0.
-    fn run(&mut self, crew: &Crew, drain: &DrainRun<'_>) -> Result<u64, ServeError> {
+    fn run(&mut self, crew: &Crew, chunks: &Handoff<Tenant>) -> Result<u64, ServeError> {
         self.shed_initial()?;
         // Tick-0 sheds are their own durability unit (group commit).
         self.journal.commit()?;
@@ -723,12 +697,10 @@ impl Driver<'_, '_, '_> {
         // stays far under this.
         let watchdog = (total_refs + self.cfg.tenants.len() as u64 + 2)
             .saturating_mul(self.cfg.idle_timeout + self.cfg.burst_off_max + 2);
-        while self.live > 0 {
+        while self.tenants.iter().any(|t| t.phase != Phase::Terminal) {
             self.admit_pending()?;
             self.ingest_phase();
-            drain.claim.store(0, Ordering::Release);
-            crew.wait(0); // tick start
-            drain_share(crew, 0, drain);
+            drain_phase(&mut self.tenants, crew, chunks, self.cfg.drain);
             self.emit_phase()?;
             // Group commit: everything this tick emitted leaves as one
             // frame with one write+flush (no-op for JSONL, which
@@ -777,49 +749,27 @@ pub fn run_serve(
     journal_sink.begin()?;
 
     let n = cfg.tenants.len();
-    let shared: Vec<Mutex<TenantShared>> = (0..n)
-        .map(|_| {
-            Mutex::new(TenantShared {
-                active: false,
-                ghost: false,
-                queues: Vec::new(),
-                machine: None,
-                retired: 0,
-                stalled: 0,
-                cycles: 0,
-                drained_this_tick: 0,
-                last_verified: 0,
-                panic_msg: None,
-                quarantine_msg: None,
-            })
-        })
-        .collect();
     let mut driver = Driver {
         cfg,
         factory,
-        shared: &shared,
+        tenants: (0..n).map(|_| Tenant::default()).collect(),
         journal: &mut journal_sink,
         ghost: &plan.ghost,
         sources: (0..n).map(|_| None).collect(),
-        phase: vec![Phase::Waiting; n],
         idle: vec![0; n],
         checkpoints: vec![0; n],
         outcomes: (0..n).map(|_| None).collect(),
         admission: Admission::new(n, cfg.pool, cfg.max_waiting),
-        live: n,
         tick: 0,
     };
 
-    let drain = DrainRun {
-        tenants: &shared,
-        claim: AtomicUsize::new(0),
-        drain: cfg.drain,
-    };
+    let participants = cfg.drain_participants();
+    let chunks = Handoff::new(n, participants);
     let ticks = match par::run_crew(
-        cfg.drain_participants(),
+        participants,
         2,
-        |crew, w| drain_share(crew, w, &drain),
-        |crew| driver.run(crew, &drain),
+        |crew, w| drain_share(crew, w, &chunks, cfg.drain),
+        |crew| driver.run(crew, &chunks),
     ) {
         Ok(r) => r?,
         Err(payload) => resume_unwind(payload),

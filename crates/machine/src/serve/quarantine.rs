@@ -21,12 +21,12 @@
 //! never crashes on a tenant's invariant violation — that is the whole
 //! point.
 
-use super::scheduler::TenantShared;
+use super::scheduler::Tenant;
 use crate::ORACLE_INTERVAL;
 
-/// End-of-tick audit for one tenant. Runs on the drain worker inside
+/// End-of-tick audit for one tenant, run by its drain participant inside
 /// the per-tenant `catch_unwind`, right after the tenant's drain batch.
-pub(crate) fn audit(rt: &mut TenantShared) {
+pub(crate) fn audit(rt: &mut Tenant) {
     if rt.quarantine_msg.is_some() {
         return;
     }
@@ -47,23 +47,17 @@ pub(crate) fn audit(rt: &mut TenantShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::scheduler::Phase;
     use crate::{DirectoryKind, FaultKind, FaultPlan, Machine, MachineConfig};
     use secdir_mem::{CoreId, LineAddr, SplitMix64};
     use std::collections::VecDeque;
 
-    fn rt_with(machine: Machine) -> TenantShared {
-        TenantShared {
-            active: true,
-            ghost: false,
+    fn rt_with(machine: Machine) -> Tenant {
+        Tenant {
+            phase: Phase::Active,
             queues: vec![VecDeque::new()],
             machine: Some(machine),
-            retired: 0,
-            stalled: 0,
-            cycles: 0,
-            drained_this_tick: 0,
-            last_verified: 0,
-            panic_msg: None,
-            quarantine_msg: None,
+            ..Tenant::default()
         }
     }
 

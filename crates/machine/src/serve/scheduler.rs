@@ -3,10 +3,11 @@
 //! Every server tick has three phases (driven by `run_serve` in the
 //! parent module): **ingest** (serial, tenant-index order) pulls a
 //! bounded batch from each tenant's bursty source into bounded per-core
-//! queues, **drain** (parallel across tenants) retires a bounded batch
-//! from each queue onto the tenant's [`Machine`], and **emit** (serial)
-//! writes journal records. The functions here implement the first two
-//! phases and are the per-access hot path of the service.
+//! queues, **drain** (parallel over chunks of tenants) retires a
+//! bounded batch from each queue onto the tenant's [`Machine`], and
+//! **emit** (serial) writes journal records. The functions here
+//! implement the first two phases and are the per-access hot path of the
+//! service.
 //!
 //! Two properties are load-bearing:
 //!
@@ -42,14 +43,15 @@ pub(crate) struct QueuedRef {
     pub write: bool,
 }
 
-/// Worker-visible tenant state, held under a `Mutex` in the parent
-/// module. The main thread fills `queues` during ingest; drain workers
-/// pop them and drive the machine; the main thread reads the counters
-/// back during emission.
-pub(crate) struct TenantShared {
-    /// Admitted and not yet terminal: drain workers touch only active
-    /// tenants.
-    pub active: bool,
+/// One tenant's service state, owned by the parent module's driver. The
+/// driver fills `queues` during ingest; during the drain phase one
+/// participant pops them and drives the machine (a spawned participant
+/// receives the tenant by move, inside its chunk); the driver reads the
+/// counters back during emission.
+#[derive(Default)]
+pub(crate) struct Tenant {
+    /// Admission lifecycle: the drain phase touches only active tenants.
+    pub phase: Phase,
     /// Terminal record already replayed from the journal: no machine,
     /// dummy references, counters only.
     pub ghost: bool,
@@ -74,6 +76,18 @@ pub(crate) struct TenantShared {
     pub panic_msg: Option<String>,
     /// Invariant violation reported by the online oracle, if any.
     pub quarantine_msg: Option<String>,
+}
+
+/// Admission lifecycle of one tenant.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Waiting for a pool slot.
+    #[default]
+    Waiting,
+    /// Admitted and being served.
+    Active,
+    /// Finished (any terminal status).
+    Terminal,
 }
 
 /// Main-thread-only tenant source state: the reference streams and the
@@ -120,7 +134,7 @@ pub(crate) fn advance_burst(src: &mut SourceRt, on_max: u64, off_max: u64) -> bo
 /// counter is capped out, no stall is charged).
 pub(crate) fn ingest_tick(
     src: &mut SourceRt,
-    rt: &mut TenantShared,
+    rt: &mut Tenant,
     ingest: u64,
     refs: u64,
     queue_cap: usize,
@@ -171,11 +185,11 @@ pub(crate) fn ingest_tick(
 /// the machine and just advance the counters arithmetically). The batch
 /// size is decided once per core from the queue length — not per item —
 /// and the machine `Option` is resolved once per call, so the per-access
-/// loop is just pop/access/accumulate. Runs on a worker thread inside
+/// loop is just pop/access/accumulate. Runs on a drain participant inside
 /// the per-tenant `catch_unwind`, so a machine panic is contained.
-pub(crate) fn drain_tenant(rt: &mut TenantShared, drain: u64) {
+pub(crate) fn drain_tenant(rt: &mut Tenant, drain: u64) {
     rt.drained_this_tick = 0;
-    let TenantShared {
+    let Tenant {
         queues,
         machine,
         retired,
@@ -212,7 +226,7 @@ pub(crate) fn drain_tenant(rt: &mut TenantShared, drain: u64) {
 
 /// Total references currently buffered for one tenant (global-bound
 /// accounting).
-pub(crate) fn buffered(rt: &TenantShared) -> u64 {
+pub(crate) fn buffered(rt: &Tenant) -> u64 {
     let mut total = 0u64;
     for q in &rt.queues {
         total += q.len() as u64;
@@ -223,11 +237,6 @@ pub(crate) fn buffered(rt: &TenantShared) -> u64 {
 /// Whether the tenant's source has emitted its full quota on every core.
 pub(crate) fn source_complete(src: &SourceRt, refs: u64) -> bool {
     src.emitted.iter().all(|&e| e >= refs)
-}
-
-/// Whether every per-core queue is empty.
-pub(crate) fn queues_empty(rt: &TenantShared) -> bool {
-    rt.queues.iter().all(VecDeque::is_empty)
 }
 
 #[cfg(test)]
@@ -244,19 +253,12 @@ mod tests {
         }
     }
 
-    fn ghost_rt(cores: usize, cap: usize) -> TenantShared {
-        TenantShared {
-            active: true,
+    fn ghost_rt(cores: usize, cap: usize) -> Tenant {
+        Tenant {
+            phase: Phase::Active,
             ghost: true,
             queues: (0..cores).map(|_| VecDeque::with_capacity(cap)).collect(),
-            machine: None,
-            retired: 0,
-            stalled: 0,
-            cycles: 0,
-            drained_this_tick: 0,
-            last_verified: 0,
-            panic_msg: None,
-            quarantine_msg: None,
+            ..Tenant::default()
         }
     }
 
@@ -300,7 +302,6 @@ mod tests {
         assert_eq!(rt.retired, 6);
         assert_eq!(rt.queues[0].len(), 5);
         assert_eq!(buffered(&rt), 10);
-        assert!(!queues_empty(&rt));
     }
 
     #[test]
@@ -316,6 +317,6 @@ mod tests {
         assert_eq!(rt.stalled, 0);
         drain_tenant(&mut rt, 64);
         assert_eq!(rt.retired, 20);
-        assert!(queues_empty(&rt));
+        assert_eq!(buffered(&rt), 0);
     }
 }

@@ -46,10 +46,10 @@
 //! The machine's per-core caches, per-core stats and directory slices are
 //! checked out of the [`Machine`] **once per run**
 //! ([`Machine::take_parts`]) into run-local cells. Between barriers the
-//! cells shuttle between the main thread and the spawned workers' hand-off
-//! slots as header-sized `Vec` moves — a handful of uncontended mutex
-//! operations per *epoch*, not per transaction, and no per-epoch machine
-//! surgery. The main thread's own partition (the first chunk of cores and
+//! cells shuttle between the main thread and the spawned workers through
+//! a [`Handoff`] as header-sized `Vec` moves — a handful of uncontended
+//! mutex operations per *epoch*, not per transaction, and no per-epoch
+//! machine surgery. The main thread's own partition (the first chunk of cores and
 //! slices) never leaves its home vectors.
 //! The merge runs against the cells directly through the
 //! `CoherentParts` view. Parts return to the machine only around the hook
@@ -123,10 +123,9 @@
 
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
-use std::sync::Mutex;
 
 use secdir_coherence::{AccessKind, DirResponse, DirSlice};
-use secdir_mem::par::{self, lock, Crew, Panic};
+use secdir_mem::par::{self, Crew, Handoff, Panic};
 use secdir_mem::{CoreId, LineAddr, SliceId};
 
 use crate::caches::PrivateCaches;
@@ -278,63 +277,6 @@ fn new_run_state(machine: &mut Machine, epoch_batch: usize) -> RunState {
             stats: Vec::with_capacity(n),
             slices: Vec::with_capacity(n),
         },
-    }
-}
-
-/// A spawned worker's hand-off slot. Cells move in and out as whole
-/// `Vec`s (header-sized moves); a worker holds the lock for its entire
-/// phase, so the mutexes see a handful of uncontended operations per
-/// epoch.
-struct Slot {
-    /// Cores (and slices) in the worker's chunk.
-    len: usize,
-    cores: Mutex<Vec<CoreCell>>,
-    slices: Mutex<Vec<SliceCell>>,
-}
-
-/// Splits `n` cores and slices into `workers` contiguous chunks: the
-/// main thread owns the first (its size is returned) and each spawned
-/// worker gets a slot for one of the rest, in order. Results do not
-/// depend on the partition, so any balanced split works; the remainder
-/// goes to the last chunks, since the main thread also runs the serial
-/// steps.
-fn new_slots(n: usize, workers: usize) -> (usize, Vec<Slot>) {
-    let base = n / workers;
-    let extra = n % workers;
-    let slots: Vec<Slot> = (1..workers)
-        .map(|w| {
-            let len = base + usize::from(w >= workers - extra);
-            Slot {
-                len,
-                cores: Mutex::new(Vec::with_capacity(len)),
-                slices: Mutex::new(Vec::with_capacity(len)),
-            }
-        })
-        .collect();
-    (base, slots)
-}
-
-// lint: region(barrier-worker)
-/// Moves the home cells after the main thread's own first `own` into
-/// the spawned workers' slots, chunk by chunk.
-fn hand_out<T>(
-    home: &mut Vec<T>,
-    own: usize,
-    slots: &[Slot],
-    get: impl Fn(&Slot) -> &Mutex<Vec<T>>,
-) {
-    let mut rest = home.drain(own.min(home.len())..);
-    for slot in slots {
-        lock(get(slot)).extend(rest.by_ref().take(slot.len));
-    }
-}
-
-// lint: region(barrier-worker)
-/// Moves every worker's cells back behind the main thread's own chunk,
-/// in worker (= core/slice) order.
-fn take_back<T>(home: &mut Vec<T>, slots: &[Slot], get: impl Fn(&Slot) -> &Mutex<Vec<T>>) {
-    for slot in slots {
-        home.append(&mut lock(get(slot)));
     }
 }
 
@@ -673,9 +615,10 @@ fn summary(cells: &[CoreCell]) -> RunSummary {
 /// calling thread leads as worker 0 and `workers - 1` persistent scoped
 /// threads are spawned, four barrier crossings per epoch. Each worker
 /// owns a contiguous chunk of cores and slices; spawned workers get
-/// theirs through their slot, while the calling thread's chunk stays in
-/// the home vectors. Besides its phase-A and phase-B shares, the calling
-/// thread runs top-up, routing and the merge between barrier crossings.
+/// theirs through a [`Handoff`] (one for cores, one for slices), while
+/// the calling thread's chunk stays in the home vectors. Besides its
+/// phase-A and phase-B shares, the calling thread runs top-up, routing
+/// and the merge between barrier crossings.
 ///
 /// A panic anywhere is caught once and recorded. A panicking spawned
 /// worker drains (the crew keeps it crossing every barrier until the
@@ -694,23 +637,22 @@ fn run_threaded(
     opts: SlicedOptions,
 ) -> Option<Panic> {
     let lat = machine.config().latencies;
-    let (own, slots) = new_slots(state.cells.len(), workers);
+    let cores = Handoff::new(state.cells.len(), workers);
+    let slices = Handoff::new(state.scells.len(), workers);
     let mut total_retired = 0u64;
     // A spawned worker's epoch after crossing (1): phase A over its core
     // chunk, phase B over its slice chunk.
     let epoch = |crew: &Crew, w: usize| {
-        let slot = w.checked_sub(1).and_then(|i| slots.get(i));
-        if let Some(slot) = slot {
-            for cell in lock(&slot.cores).iter_mut() {
+        if let Some(mut chunk) = cores.chunk(w) {
+            for cell in chunk.iter_mut() {
                 run_core_epoch(cell, lat, cap);
             }
         }
         crew.wait(w); // (2) phase A done
         crew.wait(w); // (3) routing done
-        if let Some(slot) = slot {
-            let mut slices = lock(&slot.slices);
-            prefetch_inboxes(&slices);
-            for scell in slices.iter_mut() {
+        if let Some(mut chunk) = slices.chunk(w) {
+            prefetch_inboxes(&chunk);
+            for scell in chunk.iter_mut() {
                 drain_slice(scell);
             }
         }
@@ -735,7 +677,7 @@ fn run_threaded(
             if all_finished(&state.cells) {
                 return;
             }
-            hand_out(&mut state.cells, own, &slots, |s| &s.cores);
+            cores.hand_out(&mut state.cells);
             crew.wait(0); // (1)
             crew.guarded(|| {
                 // The calling thread's own cores: the only cells home now.
@@ -744,9 +686,9 @@ fn run_threaded(
                 }
             });
             crew.wait(0); // (2) phase A done
-            take_back(&mut state.cells, &slots, |s| &s.cores);
+            cores.take_back(&mut state.cells);
             route(machine, &mut state.cells, &mut state.scells);
-            hand_out(&mut state.scells, own, &slots, |s| &s.slices);
+            slices.hand_out(&mut state.scells);
             crew.wait(0); // (3)
             crew.guarded(|| {
                 prefetch_inboxes(&state.scells);
@@ -764,7 +706,7 @@ fn run_threaded(
                 });
             }
             crew.wait(0); // (4) phase B done
-            take_back(&mut state.scells, &slots, |s| &s.slices);
+            slices.take_back(&mut state.scells);
             if crew.failed() {
                 continue; // skip merging half-built state; exit at loop top
             }

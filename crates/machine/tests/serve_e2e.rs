@@ -52,18 +52,34 @@ fn seven_kind_config(workers: usize) -> ServeConfig {
     cfg
 }
 
-/// Worker counts 1, 2, 4 and 8 — eight is more than the seven tenants
-/// and the pool of four, so the participant clamp runs too.
+/// The seven-kind config with a pool as large as the tenant count: every
+/// tenant is live from tick 0, so every drain participant's chunk holds
+/// live machines at once.
+fn seven_kind_full_pool_config(workers: usize) -> ServeConfig {
+    let mut cfg = seven_kind_config(workers);
+    cfg.pool = cfg.tenants.len();
+    // Room for every live queue, so no tenant starves into an idle
+    // eviction behind the lower indices' ingest priority.
+    cfg.global_cap = (cfg.pool * 2 * cfg.queue_cap) as u64;
+    cfg
+}
+
+/// Worker counts 1, 2, 3, 4 and 8 — three splits the tenants unevenly,
+/// and eight is more than the seven tenants and the pool of four, so the
+/// participant clamp runs too. The full-pool config keeps every chunk
+/// live at once.
 #[test]
 fn journal_is_byte_identical_across_worker_counts() {
-    let (j1, r1) = run(&seven_kind_config(1), "");
-    assert!(r1.all_done(), "quick matrix should drain cleanly");
-    for workers in [2, 4, 8] {
-        let (jn, rn) = run(&seven_kind_config(workers), "");
-        assert_eq!(j1, jn, "worker count {workers} leaked into the journal");
-        for (a, b) in r1.outcomes.iter().zip(&rn.outcomes) {
-            assert_eq!(a.record, b.record);
-            assert_eq!(a.cycles, b.cycles);
+    for config in [seven_kind_config, seven_kind_full_pool_config] {
+        let (j1, r1) = run(&config(1), "");
+        assert!(r1.all_done(), "quick matrix should drain cleanly");
+        for workers in [2, 3, 4, 8] {
+            let (jn, rn) = run(&config(workers), "");
+            assert_eq!(j1, jn, "worker count {workers} leaked into the journal");
+            for (a, b) in r1.outcomes.iter().zip(&rn.outcomes) {
+                assert_eq!(a.record, b.record);
+                assert_eq!(a.cycles, b.cycles);
+            }
         }
     }
 }
@@ -338,7 +354,7 @@ fn binary_journal_is_byte_identical_across_worker_counts() {
     let (b1, r1) = run_raw(&seven_kind_binary_config(1), b"");
     assert!(r1.all_done());
     assert_eq!(r1.journal_bytes, b1.len() as u64);
-    for workers in [2, 4, 8] {
+    for workers in [2, 3, 4, 8] {
         let (bn, rn) = run_raw(&seven_kind_binary_config(workers), b"");
         assert_eq!(
             b1, bn,

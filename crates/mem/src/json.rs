@@ -131,7 +131,8 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Appends `v` in decimal without allocating.
+/// Appends `v` in decimal without allocating: the digits are built
+/// right to left in a stack buffer and appended in one `push_str`.
 fn push_u64(out: &mut String, v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
@@ -144,33 +145,40 @@ fn push_u64(out: &mut String, v: u64) {
             break;
         }
     }
-    for &b in &buf[i..] {
-        out.push(b as char);
-    }
+    // ASCII digits are always valid UTF-8.
+    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or_default());
 }
 
 /// Appends `s` JSON-escaped, without the surrounding quotes: a short
 /// form for `"`, `\`, newline, CR and tab, `\u00xx` in lowercase hex for
-/// every other control character, everything else verbatim.
+/// every other control character, everything else verbatim. Every byte
+/// that needs escaping is ASCII, so the scan runs over bytes and each
+/// run between escapes (the whole string, when none is needed) is
+/// appended with one `push_str`.
 pub fn push_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let n = c as u32;
-                for shift in [4u32, 0] {
-                    let d = (n >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Reads JSON that [`Writer`] wrote, accepting only its spelling; see
@@ -388,7 +396,13 @@ mod tests {
 
     #[test]
     fn push_u64_matches_display() {
-        for v in [0u64, 1, 9, 10, 12345, u64::MAX] {
+        let mut values = vec![0u64, 12345, u64::MAX];
+        // Every power-of-ten boundary: each digit-count change.
+        for p in 0..=19 {
+            let ten = 10u64.pow(p);
+            values.extend([ten - 1, ten, ten + 1]);
+        }
+        for v in values {
             let mut s = String::new();
             push_u64(&mut s, v);
             assert_eq!(s, v.to_string());
@@ -396,6 +410,49 @@ mod tests {
     }
 
     const HOSTILE: &str = "quote \" slash \\ newline \n ctl \u{1f} \u{7f} brace } é";
+
+    /// The char-by-char escaper: the reference the run-based
+    /// [`push_escaped`] must match.
+    fn push_escaped_reference(out: &mut String, s: &str) {
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str("\\u00");
+                    let n = c as u32;
+                    for shift in [4u32, 0] {
+                        let d = (n >> shift) & 0xf;
+                        out.push(char::from_digit(d, 16).unwrap_or('0'));
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Every escape class, a multi-byte character and plain ASCII.
+    const ALPHABET: &[char] = &[
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'a', '}', 'é', '☃', '𝄞',
+    ];
+
+    proptest! {
+        #[test]
+        fn push_escaped_matches_the_char_by_char_reference(
+            picks in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
+        ) {
+            let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let (mut fast, mut slow) = (String::from("x"), String::from("x"));
+            push_escaped(&mut fast, &s);
+            push_escaped_reference(&mut slow, &s);
+            prop_assert_eq!(fast, slow);
+        }
+    }
 
     /// One line exercising every value kind, nested.
     fn render(out: &mut String, ipc: f64, fired: Option<u64>) {

@@ -15,6 +15,9 @@
 //!   keeps honouring every barrier crossing, so nothing deadlocks and the
 //!   first panic comes back to the caller.
 //!
+//! A crew's per-participant state moves through a [`Handoff`] (the
+//! sliced engine's cores and slices, serve's tenants).
+//!
 //! Results never depend on the participant count: each item or share of
 //! a round is a pure function of its index, and callers merge in index
 //! order.
@@ -82,8 +85,63 @@ where
 /// Locks a mutex, shrugging off poisoning: a participant that panicked
 /// has already recorded its failure, and the survivors still need the
 /// data to wind down or to reassemble what the panic interrupted.
-pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Contiguous chunks of a crew's items, moved as whole `Vec`s. The lead
+/// (participant 0) keeps chunk 0 in its home vector; spawned participant
+/// `id` gets chunk `id` through a slot. [`Handoff::hand_out`] before the
+/// round-start crossing and [`Handoff::take_back`] after the round's last
+/// one take one uncontended lock per spawned participant each, none at
+/// one participant, and never allocate: each slot keeps its chunk's
+/// capacity.
+pub struct Handoff<T> {
+    /// Length of the lead's chunk.
+    own: usize,
+    /// `(chunk length, chunk)` per spawned participant, ids `1..`.
+    slots: Vec<(usize, Mutex<Vec<T>>)>,
+}
+
+impl<T> Handoff<T> {
+    /// Splits `n` items over `participants` contiguous chunks, the
+    /// remainder on the last ones: the lead also runs the serial steps.
+    pub fn new(n: usize, participants: usize) -> Self {
+        let participants = participants.max(1);
+        let (base, extra) = (n / participants, n % participants);
+        let slots = (1..participants)
+            .map(|id| {
+                let len = base + usize::from(id >= participants - extra);
+                (len, Mutex::new(Vec::with_capacity(len)))
+            })
+            .collect();
+        Handoff { own: base, slots }
+    }
+
+    /// Moves every item of `home` (the `n` items of [`Handoff::new`])
+    /// past the lead's chunk into the spawned participants' slots.
+    pub fn hand_out(&self, home: &mut Vec<T>) {
+        let mut rest = home.drain(self.own.min(home.len())..);
+        for (len, slot) in &self.slots {
+            lock(slot).extend(rest.by_ref().take(*len));
+        }
+    }
+
+    /// Appends every slot's chunk back to `home`, in participant (= item)
+    /// order.
+    pub fn take_back(&self, home: &mut Vec<T>) {
+        for (_, slot) in &self.slots {
+            home.append(&mut lock(slot));
+        }
+    }
+
+    /// Spawned participant `id`'s chunk, locked for the round; `None` for
+    /// the lead, whose chunk stays home. Drop the guard before the next
+    /// crossing.
+    pub fn chunk(&self, id: usize) -> Option<MutexGuard<'_, Vec<T>>> {
+        let (_, slot) = self.slots.get(id.checked_sub(1)?)?;
+        Some(lock(slot))
+    }
 }
 
 /// A sense-reversing epoch barrier: `fetch_add` on arrival, release by
@@ -335,6 +393,36 @@ mod tests {
             lock(&order).push(i);
         });
         assert_eq!(*lock(&order), [0, 1, 2, 3, 4]);
+    }
+
+    /// Each item reaches exactly one participant, chunks are contiguous,
+    /// the lead's chunk never leaves home, and `take_back` restores the
+    /// order — under even and uneven splits, more participants than
+    /// items included.
+    #[test]
+    fn a_handoff_gives_every_item_to_one_participant_and_restores_order() {
+        for participants in 1..=5 {
+            for n in [0, 1, 2, 7, 10] {
+                let handoff = Handoff::new(n, participants);
+                let mut home: Vec<usize> = (0..n).collect();
+                for _round in 0..2 {
+                    handoff.hand_out(&mut home);
+                    assert!(handoff.chunk(0).is_none());
+                    assert!(handoff.chunk(participants).is_none());
+                    let (mut seen, mut sizes) = (home.clone(), vec![home.len()]);
+                    for id in 1..participants {
+                        let chunk = handoff.chunk(id).unwrap_or_else(|| panic!("chunk {id}"));
+                        seen.extend(chunk.iter());
+                        sizes.push(chunk.len());
+                    }
+                    assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{participants} over {n}");
+                    let balanced = sizes.iter().all(|&s| s.abs_diff(n / participants) <= 1);
+                    assert!(balanced, "unbalanced split {sizes:?}");
+                    handoff.take_back(&mut home);
+                    assert_eq!(home, (0..n).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 
     #[test]

@@ -159,8 +159,10 @@ fn steady_state_accesses_do_not_allocate() {
     // streams) plus one String per journal record, with the tick loop
     // itself allocation-free. The proof covers both journal encodings:
     // the binary sink reuses one frame buffer across ticks, so the
-    // group-commit path must be as refs-independent as the text one.
-    let serve_allocations = |refs: u64, format: JournalFormat| {
+    // group-commit path must be as refs-independent as the text one. At
+    // two workers the drain hands a chunk of tenants to the spawned
+    // participant and back every tick, which must not allocate either.
+    let serve_allocations = |refs: u64, format: JournalFormat, workers: usize| {
         let tenants = (0..3)
             .map(|i| TenantSpec {
                 name: format!("t{i}"),
@@ -179,20 +181,24 @@ fn steady_state_accesses_do_not_allocate() {
         cfg.checkpoint_interval = u64::MAX;
         cfg.final_audit = false;
         cfg.format = format;
+        cfg.workers = workers;
         let mut sink = Vec::with_capacity(64 * 1024);
         let before = allocations();
         run_serve(&cfg, &uniform_streams, b"", &mut sink).expect("serve run");
         allocations() - before
     };
     for format in JournalFormat::ALL {
-        let short = serve_allocations(1_500, format);
-        let long = serve_allocations(3_500, format);
-        assert_eq!(
-            short,
-            long,
-            "serve ({}) allocates per access, not per tenant ({short} vs {long} for 7/3 the refs)",
-            format.name()
-        );
+        for workers in [1, 2] {
+            let short = serve_allocations(1_500, format, workers);
+            let long = serve_allocations(3_500, format, workers);
+            assert_eq!(
+                short,
+                long,
+                "serve ({}, {workers} workers) allocates per access, not per tenant \
+                 ({short} vs {long} for 7/3 the refs)",
+                format.name()
+            );
+        }
     }
 
     // Resume: the surviving journal is decoded one record at a time and
