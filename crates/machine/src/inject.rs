@@ -36,6 +36,7 @@ use secdir_mem::{CoreId, LineAddr, SplitMix64};
 use crate::config::{DirectoryKind, MachineConfig};
 use crate::machine::Machine;
 use crate::oracle::ORACLE_INTERVAL;
+use crate::panics;
 
 /// The injectable hardware-bug repertoire (mirrors [`secdir_verif::Fault`]
 /// on the abstract model).
@@ -138,8 +139,7 @@ pub struct FaultState {
 impl FaultState {
     /// Whether an armed behavioral fault eats this invalidation batch.
     /// Called from the shared response-application path; marks the fault
-    /// fired when it does. Self-contained on [`FaultState`] so the sliced
-    /// engine can consult it while the machine's parts are checked out.
+    /// fired when it does.
     pub(crate) fn drops_batch(&mut self, invalidations: &Invalidations) -> bool {
         if self.fired.is_some() || self.accesses < self.plan.trigger {
             return false;
@@ -175,41 +175,15 @@ impl Machine {
         self.fault.as_ref().and_then(|f| f.fired)
     }
 
-    /// Per-access injection step, called from [`Machine::access`] while a
-    /// fault is armed: advances the access counter and attempts to apply
-    /// a pending corruption fault.
-    pub(crate) fn fault_tick(&mut self) {
-        let (kind, core, pending) = {
-            let Some(f) = self.fault.as_mut() else { return };
-            f.accesses += 1;
-            let pending = f.fired.is_none() && f.accesses >= f.plan.trigger;
-            (f.plan.kind, f.plan.core, pending)
-        };
-        if !pending {
-            return;
-        }
-        let applied = match kind {
-            // Behavioral faults fire from `fault_drops_batch` instead.
-            FaultKind::DropInvalidation | FaultKind::SkipQuirkInvalidation => false,
-            FaultKind::LeakVdOnConsolidate => self.fault_try_leak_vd(core),
-            FaultKind::FlipSharerBit => self.fault_try_flip(core),
-        };
-        if applied {
-            if let Some(f) = self.fault.as_mut() {
-                f.fired = Some(f.accesses);
-            }
-        }
-    }
-
-    /// Epoch-granular injection step for the sliced engine
-    /// (`crate::sliced`): advances the armed fault's access counter by the
-    /// epoch's retired accesses and attempts a pending corruption fault
-    /// once, at the epoch barrier. Behavioral faults still fire from
-    /// [`FaultState::drops_batch`] on the merge phase's shared
-    /// invalidation path. Trigger granularity is therefore one epoch
-    /// rather than one access; determinism across slice-thread counts is
-    /// unaffected because the epoch schedule is thread-count independent.
-    pub(crate) fn fault_epoch(&mut self, retired: u64) {
+    /// One injection step: advances the armed fault's access counter by
+    /// `retired` and attempts a pending corruption fault. [`Machine::access`]
+    /// calls it with one access; the sliced engine (`crate::sliced`) with a
+    /// whole epoch, at its barrier, so there the trigger granularity is one
+    /// epoch. Determinism across slice-thread counts is unaffected: the
+    /// epoch schedule does not depend on the thread count. Behavioral
+    /// faults fire from [`FaultState::drops_batch`] on the shared
+    /// invalidation path instead.
+    pub(crate) fn fault_step(&mut self, retired: u64) {
         let (kind, core, pending) = {
             let Some(f) = self.fault.as_mut() else { return };
             f.accesses += retired;
@@ -354,9 +328,7 @@ pub fn run_injection(kind: DirectoryKind, fault: FaultKind, trigger: u64) -> Inj
         let core = CoreId(rng.next_below(cores as u64) as usize);
         let line = LineAddr::new(rng.next_below(lines));
         let write = rng.chance(0.3);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.access(core, line, write);
-        }));
+        let outcome = panics::contain(|| m.access(core, line, write));
         accesses += 1;
         if outcome.is_err() {
             detected_at = Some(accesses);

@@ -35,6 +35,7 @@ mod engine;
 pub mod inject;
 mod machine;
 pub mod oracle;
+pub mod panics;
 pub mod perf;
 pub mod resume;
 pub mod serve;

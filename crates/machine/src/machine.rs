@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::caches::PrivateCaches;
 use crate::config::{DirectoryKind, Latencies, MachineConfig, TimingMitigation};
-use crate::stats::{count_invalidation_in, CoreStats, MachineStats};
+use crate::stats::{CoreStats, MachineStats};
 
 /// Which level of the hierarchy served an access — the categories of the
 /// paper's Figure 6 trace and Figure 7(b)/8(b) breakdowns.
@@ -43,53 +43,6 @@ pub struct AccessOutcome {
     pub latency: u64,
     /// Where the access was served from.
     pub served: ServedBy,
-}
-
-/// Mutable access to the machine parts the response-application path
-/// touches: private caches, per-core stats, and directory slices. The
-/// serial engine implements it over the machine's own vectors
-/// ([`FlatParts`]); the sliced engine implements it over the run-local
-/// parts it checked out of the machine at run start, so both engines run
-/// the *same* generic response code and stay bit-identical by
-/// construction.
-pub(crate) trait CoherentParts {
-    fn caches(&mut self, core: usize) -> &mut PrivateCaches;
-    fn core_stats(&mut self, core: usize) -> &mut CoreStats;
-    fn slice(&mut self, slice: usize) -> &mut dyn DirSlice;
-}
-
-/// The non-parts half of the machine that response application needs:
-/// config, slice hash, armed fault, leniency, and the machine-global stat
-/// cells. Borrowed out of the [`Machine`] so a [`CoherentParts`] view can
-/// hold the parts disjointly.
-pub(crate) struct ApplyCtx<'a> {
-    pub(crate) config: &'a MachineConfig,
-    pub(crate) hash: &'a SliceHash,
-    pub(crate) fault: &'a mut Option<crate::inject::FaultState>,
-    pub(crate) lenient: bool,
-    pub(crate) invalidations_by_cause: &'a mut [u64; 4],
-    pub(crate) memory_writebacks: &'a mut u64,
-}
-
-/// The machine's own parts viewed as [`CoherentParts`].
-pub(crate) struct FlatParts<'a> {
-    cores: &'a mut [PrivateCaches],
-    core_stats: &'a mut [CoreStats],
-    slices: &'a mut [Box<dyn DirSlice + Send>],
-}
-
-impl CoherentParts for FlatParts<'_> {
-    fn caches(&mut self, core: usize) -> &mut PrivateCaches {
-        &mut self.cores[core]
-    }
-
-    fn core_stats(&mut self, core: usize) -> &mut CoreStats {
-        &mut self.core_stats[core]
-    }
-
-    fn slice(&mut self, slice: usize) -> &mut dyn DirSlice {
-        self.slices[slice].as_mut()
-    }
 }
 
 /// What the private-cache probe of one access found.
@@ -216,187 +169,6 @@ fn vd_latency(config: &MachineConfig, resp: &DirResponse) -> u64 {
     extra + mitigation_pad(config, resp)
 }
 
-fn apply_invalidations_in<P: CoherentParts>(
-    ctx: &mut ApplyCtx<'_>,
-    parts: &mut P,
-    invalidations: &Invalidations,
-) {
-    if let Some(f) = ctx.fault.as_mut() {
-        if f.drops_batch(invalidations) {
-            return; // Injected hardware bug: the batch is never delivered.
-        }
-    }
-    for inv in invalidations {
-        if inv.llc_writeback {
-            *ctx.memory_writebacks += 1;
-        }
-        for c in inv.cores.iter() {
-            let state = parts.caches(c.0).invalidate(inv.line);
-            debug_assert!(
-                ctx.lenient || state.is_valid(),
-                "directory invalidated {line} from {c}, which holds no copy (cause {cause:?})",
-                line = inv.line,
-                cause = inv.cause,
-            );
-            if !state.is_valid() {
-                continue;
-            }
-            count_invalidation_in(ctx.invalidations_by_cause, inv.cause);
-            if state.is_dirty() {
-                parts.core_stats(c.0).invalidation_writebacks += 1;
-                *ctx.memory_writebacks += 1;
-            }
-            if inv.cause.creates_inclusion_victim() {
-                parts.core_stats(c.0).inclusion_victims += 1;
-            }
-        }
-    }
-}
-
-/// Fills `line` into `core`'s private caches in `fill_state` and retires
-/// the L2 victim, if any, through its home slice.
-fn fill_and_evict_in<P: CoherentParts>(
-    ctx: &mut ApplyCtx<'_>,
-    parts: &mut P,
-    core: CoreId,
-    line: LineAddr,
-    fill_state: Moesi,
-) {
-    if let Some((vline, vstate)) = parts.caches(core.0).fill(line, fill_state) {
-        if vstate.is_dirty() {
-            parts.core_stats(core.0).l2_writebacks += 1;
-        }
-        let vslice = ctx.hash.slice_of(vline);
-        let invs = parts
-            .slice(vslice.0)
-            .l2_evict(vline, core, vstate.is_dirty());
-        apply_invalidations_in(ctx, parts, &invs);
-    }
-}
-
-/// Applies the directory's response to the probe that asked for it and
-/// returns the access's outcome. Shared by [`Machine::access`] and the
-/// epoch engine's merge phase (`crate::sliced`), so both engines run one
-/// response path.
-pub(crate) fn apply_response_in<P: CoherentParts>(
-    ctx: &mut ApplyCtx<'_>,
-    parts: &mut P,
-    core: CoreId,
-    line: LineAddr,
-    slice: SliceId,
-    probe: Probe,
-    resp: &DirResponse,
-) -> AccessOutcome {
-    match probe {
-        Probe::Upgrade(served, cycles) => AccessOutcome {
-            latency: cycles + apply_upgrade_response_in(ctx, parts, core, line, slice, resp),
-            served,
-        },
-        Probe::Miss(kind) => apply_miss_response_in(ctx, parts, core, line, kind, slice, resp),
-        Probe::Hit(..) => unreachable!("a private-cache hit has no directory response"),
-    }
-}
-
-/// Applies an already-computed directory response for a store upgrade of
-/// a resident line: invalidation fan-out, state change, stats. Returns the
-/// extra cycles beyond the private-cache hit. Under the epoch model a
-/// concurrent remote write can invalidate the upgrader's copy within the
-/// same epoch; the directory then answers with a data source and the line
-/// is refilled in Modified state instead (still counted as an upgrade).
-fn apply_upgrade_response_in<P: CoherentParts>(
-    ctx: &mut ApplyCtx<'_>,
-    parts: &mut P,
-    core: CoreId,
-    line: LineAddr,
-    slice: SliceId,
-    resp: &DirResponse,
-) -> u64 {
-    debug_assert!(
-        ctx.lenient || resp.source == DataSource::None,
-        "upgrade moved data"
-    );
-    let mut extra = dir_latency(ctx.config, core, slice) + vd_latency(ctx.config, resp);
-    apply_invalidations_in(ctx, parts, &resp.invalidations);
-    match resp.source {
-        DataSource::L2Cache(_) => {
-            extra += ctx.config.latencies.cache_to_cache;
-            fill_and_evict_in(ctx, parts, core, line, Moesi::Modified);
-        }
-        DataSource::Memory => {
-            extra += ctx.config.latencies.dram;
-            fill_and_evict_in(ctx, parts, core, line, Moesi::Modified);
-        }
-        DataSource::Llc => {
-            fill_and_evict_in(ctx, parts, core, line, Moesi::Modified);
-        }
-        DataSource::None => {
-            parts.caches(core.0).set_state(line, Moesi::Modified);
-        }
-    }
-    parts.core_stats(core.0).upgrades += 1;
-    extra
-}
-
-/// Applies an already-computed directory response for an L2 miss: Table-4
-/// latency, serve classification, invalidation fan-out, owner downgrade,
-/// and the fill with victim eviction.
-fn apply_miss_response_in<P: CoherentParts>(
-    ctx: &mut ApplyCtx<'_>,
-    parts: &mut P,
-    core: CoreId,
-    line: LineAddr,
-    kind: AccessKind,
-    slice: SliceId,
-    resp: &DirResponse,
-) -> AccessOutcome {
-    let lat = ctx.config.latencies;
-    let mut latency =
-        lat.l2_hit + dir_latency(ctx.config, core, slice) + vd_latency(ctx.config, resp);
-    let served = match resp.hit {
-        DirHitKind::Ed | DirHitKind::Td => {
-            parts.core_stats(core.0).ed_td_hits += 1;
-            ServedBy::EdTd
-        }
-        DirHitKind::Vd => {
-            parts.core_stats(core.0).vd_hits += 1;
-            ServedBy::Vd
-        }
-        DirHitKind::Miss => {
-            parts.core_stats(core.0).memory_accesses += 1;
-            ServedBy::Memory
-        }
-    };
-    match resp.source {
-        DataSource::Memory => latency += lat.dram,
-        DataSource::Llc => {}
-        DataSource::L2Cache(owner) => {
-            latency += lat.cache_to_cache;
-            if kind == AccessKind::Read {
-                // MOESI: the owner downgrades; dirty data stays in Owned
-                // state rather than being written back. (Under the epoch
-                // model the owner's copy may already be gone, in which
-                // case there is nothing to downgrade.)
-                let owner_state = parts.caches(owner.0).state(line);
-                if owner_state.is_valid() {
-                    parts
-                        .caches(owner.0)
-                        .set_state(line, owner_state.after_remote_read());
-                }
-            }
-        }
-        DataSource::None => {
-            debug_assert!(false, "L2 miss must move data");
-        }
-    }
-
-    apply_invalidations_in(ctx, parts, &resp.invalidations);
-
-    let fill_state = secdir_coherence::step::fill_state(kind, resp.source);
-    fill_and_evict_in(ctx, parts, core, line, fill_state);
-
-    AccessOutcome { latency, served }
-}
-
 /// A full simulated machine (paper Table 4).
 ///
 /// Drive it directly with [`Machine::access`], or through
@@ -519,75 +291,12 @@ impl Machine {
         merged
     }
 
-    /// Splits the machine into the [`ApplyCtx`] and a [`FlatParts`] view
-    /// over its own vectors — the serial engine's way of running the
-    /// shared response-application code. The sliced engine's merge takes
-    /// the [`ApplyCtx`] alone and brings its own [`CoherentParts`] view:
-    /// the machine's part vectors are empty while they are checked out,
-    /// so the borrow conflicts with nothing.
-    pub(crate) fn split_apply(&mut self) -> (ApplyCtx<'_>, FlatParts<'_>) {
-        let MachineStats {
-            cores: core_stats,
-            invalidations_by_cause,
-            memory_writebacks,
-            ..
-        } = &mut self.stats;
-        (
-            ApplyCtx {
-                config: &self.config,
-                hash: &self.slice_hash,
-                fault: &mut self.fault,
-                lenient: self.lenient,
-                invalidations_by_cause,
-                memory_writebacks,
-            },
-            FlatParts {
-                cores: &mut self.cores,
-                core_stats,
-                slices: &mut self.slices,
-            },
-        )
-    }
-
-    /// Moves the per-core caches, per-core stats and directory slices out
-    /// of the machine — the sliced engine's once-per-run ownership
-    /// transfer. The machine keeps its config, slice hash, global stat
-    /// cells and fault plan; hand the parts back with
-    /// [`Machine::restore_parts`] before using it again.
-    pub(crate) fn take_parts(
-        &mut self,
-    ) -> (
-        Vec<PrivateCaches>,
-        Vec<CoreStats>,
-        Vec<Box<dyn DirSlice + Send>>,
-    ) {
-        (
-            std::mem::take(&mut self.cores),
-            std::mem::take(&mut self.stats.cores),
-            std::mem::take(&mut self.slices),
-        )
-    }
-
-    /// Returns parts checked out by [`Machine::take_parts`]. The vectors
-    /// must hold the same parts in the same order.
-    pub(crate) fn restore_parts(
-        &mut self,
-        cores: Vec<PrivateCaches>,
-        core_stats: Vec<CoreStats>,
-        slices: Vec<Box<dyn DirSlice + Send>>,
-    ) {
-        debug_assert!(self.cores.is_empty(), "restoring parts twice");
-        self.cores = cores;
-        self.stats.cores = core_stats;
-        self.slices = slices;
-    }
-
     /// Hints the host CPU to pull the arrays a future
     /// [`Machine::access`] by `core` to `line` will probe into its cache.
     /// Purely a performance hint with no simulated effect. Its caller is
     /// the serial engine ([`run_workload`](crate::run_workload)), one
     /// reference ahead: as soon as a core's next reference is known. The
-    /// sliced engine hints the same rows on its checked-out caches
+    /// sliced engine hints the same rows on its chunk of the caches
     /// ([`PrivateCaches::prefetch`], phase A) and never calls this.
     ///
     /// Only the core's L2 rows are hinted ([`PrivateCaches::prefetch`]):
@@ -610,7 +319,7 @@ impl Machine {
         #[cfg(feature = "check")]
         self.oracle_step(1);
         if self.fault.is_some() {
-            self.fault_tick();
+            self.fault_step(1);
         }
         let probe = probe(
             &mut self.cores[core.0],
@@ -624,11 +333,178 @@ impl Machine {
         }
         // An upgrade or an L2 miss: directory transaction at the home slice.
         let slice = self.slice_of(line);
-        let (mut ctx, mut parts) = self.split_apply();
-        let resp = parts
-            .slice(slice.0)
-            .request(line, core, probe.request_kind());
-        apply_response_in(&mut ctx, &mut parts, core, line, slice, probe, &resp)
+        let resp = self.slices[slice.0].request(line, core, probe.request_kind());
+        self.apply_response(core, line, slice, probe, &resp)
+    }
+
+    /// Applies the directory's response to the probe that asked for it and
+    /// returns the access's outcome. Shared by [`Machine::access`] and the
+    /// epoch engine's merge phase (`crate::sliced`), so both engines run one
+    /// response path.
+    pub(crate) fn apply_response(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        slice: SliceId,
+        probe: Probe,
+        resp: &DirResponse,
+    ) -> AccessOutcome {
+        match probe {
+            Probe::Upgrade(served, cycles) => AccessOutcome {
+                latency: cycles + self.apply_upgrade_response(core, line, slice, resp),
+                served,
+            },
+            Probe::Miss(kind) => self.apply_miss_response(core, line, kind, slice, resp),
+            Probe::Hit(..) => unreachable!("a private-cache hit has no directory response"),
+        }
+    }
+
+    /// Applies an already-computed directory response for a store upgrade
+    /// of a resident line: invalidation fan-out, state change, stats.
+    /// Returns the extra cycles beyond the private-cache hit. Under the
+    /// epoch model a concurrent remote write can invalidate the upgrader's
+    /// copy within the same epoch; the directory then answers with a data
+    /// source and the line is refilled in Modified state instead (still
+    /// counted as an upgrade).
+    fn apply_upgrade_response(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        slice: SliceId,
+        resp: &DirResponse,
+    ) -> u64 {
+        debug_assert!(
+            self.lenient || resp.source == DataSource::None,
+            "upgrade moved data"
+        );
+        let mut extra = dir_latency(&self.config, core, slice) + vd_latency(&self.config, resp);
+        self.apply_invalidations(&resp.invalidations);
+        match resp.source {
+            DataSource::L2Cache(_) => {
+                extra += self.config.latencies.cache_to_cache;
+                self.fill_and_evict(core, line, Moesi::Modified);
+            }
+            DataSource::Memory => {
+                extra += self.config.latencies.dram;
+                self.fill_and_evict(core, line, Moesi::Modified);
+            }
+            DataSource::Llc => {
+                self.fill_and_evict(core, line, Moesi::Modified);
+            }
+            DataSource::None => {
+                self.cores[core.0].set_state(line, Moesi::Modified);
+            }
+        }
+        self.stats.cores[core.0].upgrades += 1;
+        extra
+    }
+
+    /// Applies an already-computed directory response for an L2 miss:
+    /// Table-4 latency, serve classification, invalidation fan-out, owner
+    /// downgrade, and the fill with victim eviction.
+    fn apply_miss_response(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        kind: AccessKind,
+        slice: SliceId,
+        resp: &DirResponse,
+    ) -> AccessOutcome {
+        let lat = self.config.latencies;
+        let mut latency =
+            lat.l2_hit + dir_latency(&self.config, core, slice) + vd_latency(&self.config, resp);
+        let stats = &mut self.stats.cores[core.0];
+        let served = match resp.hit {
+            DirHitKind::Ed | DirHitKind::Td => {
+                stats.ed_td_hits += 1;
+                ServedBy::EdTd
+            }
+            DirHitKind::Vd => {
+                stats.vd_hits += 1;
+                ServedBy::Vd
+            }
+            DirHitKind::Miss => {
+                stats.memory_accesses += 1;
+                ServedBy::Memory
+            }
+        };
+        match resp.source {
+            DataSource::Memory => latency += lat.dram,
+            DataSource::Llc => {}
+            DataSource::L2Cache(owner) => {
+                latency += lat.cache_to_cache;
+                if kind == AccessKind::Read {
+                    // MOESI: the owner downgrades; dirty data stays in
+                    // Owned state rather than being written back. (Under
+                    // the epoch model the owner's copy may already be
+                    // gone, in which case there is nothing to downgrade.)
+                    let owner = &mut self.cores[owner.0];
+                    let owner_state = owner.state(line);
+                    if owner_state.is_valid() {
+                        owner.set_state(line, owner_state.after_remote_read());
+                    }
+                }
+            }
+            DataSource::None => {
+                debug_assert!(false, "L2 miss must move data");
+            }
+        }
+
+        self.apply_invalidations(&resp.invalidations);
+
+        let fill_state = secdir_coherence::step::fill_state(kind, resp.source);
+        self.fill_and_evict(core, line, fill_state);
+
+        AccessOutcome { latency, served }
+    }
+
+    /// Delivers an invalidation batch to the private caches it names,
+    /// unless an armed behavioral fault drops it.
+    fn apply_invalidations(&mut self, invalidations: &Invalidations) {
+        if let Some(f) = self.fault.as_mut() {
+            if f.drops_batch(invalidations) {
+                return; // Injected hardware bug: the batch is never delivered.
+            }
+        }
+        for inv in invalidations {
+            if inv.llc_writeback {
+                self.stats.memory_writebacks += 1;
+            }
+            for c in inv.cores.iter() {
+                let state = self.cores[c.0].invalidate(inv.line);
+                debug_assert!(
+                    self.lenient || state.is_valid(),
+                    "directory invalidated {line} from {c}, which holds no copy (cause {cause:?})",
+                    line = inv.line,
+                    cause = inv.cause,
+                );
+                if !state.is_valid() {
+                    continue;
+                }
+                self.stats.count_invalidation(inv.cause);
+                let stats = &mut self.stats.cores[c.0];
+                if state.is_dirty() {
+                    stats.invalidation_writebacks += 1;
+                    self.stats.memory_writebacks += 1;
+                }
+                if inv.cause.creates_inclusion_victim() {
+                    stats.inclusion_victims += 1;
+                }
+            }
+        }
+    }
+
+    /// Fills `line` into `core`'s private caches in `fill_state` and
+    /// retires the L2 victim, if any, through its home slice.
+    fn fill_and_evict(&mut self, core: CoreId, line: LineAddr, fill_state: Moesi) {
+        if let Some((vline, vstate)) = self.cores[core.0].fill(line, fill_state) {
+            if vstate.is_dirty() {
+                self.stats.cores[core.0].l2_writebacks += 1;
+            }
+            let vslice = self.slice_of(vline);
+            let invs = self.slices[vslice.0].l2_evict(vline, core, vstate.is_dirty());
+            self.apply_invalidations(&invs);
+        }
     }
 }
 

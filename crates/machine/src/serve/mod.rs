@@ -14,7 +14,7 @@
 //!    drain participant): up to `drain` references per core are retired
 //!    into the tenant's machine, followed by the online oracle audit
 //!    (`quarantine`). Every per-tenant step runs
-//!    under `catch_unwind`: a panicking stream or machine becomes a
+//!    under `panics::contain`: a panicking stream or machine becomes a
 //!    structured `panicked` terminal record, not a server crash.
 //! 3. **emit** (serial, tenant-index order): checkpoint and terminal
 //!    records go to the journal — flushed per record (JSONL) or
@@ -44,7 +44,7 @@ pub use journal::ServeError;
 use crate::engine::{Access, AccessStream};
 use crate::inject::FaultPlan;
 use crate::machine::Machine;
-use crate::sweep::panic_message;
+use crate::panics;
 use crate::{DirectoryKind, MachineConfig};
 use admission::Admission;
 use codec::{Checkpoint, Record, TerminalInfo};
@@ -55,7 +55,7 @@ use secdir_mem::{LineAddr, SplitMix64};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::Write;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 
 /// Salt separating the burst-shape RNG from the tenant's workload RNG.
 const BURST_SALT: u64 = 0x5e71_ce00_b127_57a1;
@@ -74,7 +74,7 @@ pub enum TenantStatus {
     /// isolated and its machine discarded.
     Quarantined,
     /// The tenant's stream or machine panicked; contained by
-    /// `catch_unwind`.
+    /// `panics::contain`.
     Panicked,
     /// Made no progress for `idle_timeout` consecutive ticks.
     Idle,
@@ -411,12 +411,11 @@ fn drain_and_audit(chunk: &mut [Tenant], drain: u64) {
         if rt.phase != Phase::Active || rt.panic_msg.is_some() {
             continue;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if let Err(msg) = panics::contain(|| {
             scheduler::drain_tenant(rt, drain);
             quarantine::audit(rt);
-        }));
-        if let Err(payload) = outcome {
-            rt.panic_msg = Some(panic_message(payload));
+        }) {
+            rt.panic_msg = Some(msg);
         }
     }
 }
@@ -559,11 +558,10 @@ impl Driver<'_, '_, '_> {
                 continue;
             }
             let refs = cfg.tenants[i].refs;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Err(msg) = panics::contain(|| {
                 scheduler::ingest_tick(src, rt, cfg.ingest, refs, cfg.queue_cap, &mut global_left);
-            }));
-            if let Err(payload) = outcome {
-                rt.panic_msg = Some(panic_message(payload));
+            }) {
+                rt.panic_msg = Some(msg);
             }
         }
     }

@@ -25,7 +25,7 @@ use super::scheduler::Tenant;
 use crate::ORACLE_INTERVAL;
 
 /// End-of-tick audit for one tenant, run by its drain participant inside
-/// the per-tenant `catch_unwind`, right after the tenant's drain batch.
+/// the per-tenant `panics::contain`, right after the tenant's drain batch.
 pub(crate) fn audit(rt: &mut Tenant) {
     if rt.quarantine_msg.is_some() {
         return;

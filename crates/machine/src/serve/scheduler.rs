@@ -186,7 +186,7 @@ pub(crate) fn ingest_tick(
 /// size is decided once per core from the queue length — not per item —
 /// and the machine `Option` is resolved once per call, so the per-access
 /// loop is just pop/access/accumulate. Runs on a drain participant inside
-/// the per-tenant `catch_unwind`, so a machine panic is contained.
+/// the per-tenant `panics::contain`, so a machine panic is contained.
 pub(crate) fn drain_tenant(rt: &mut Tenant, drain: u64) {
     rt.drained_this_tick = 0;
     let Tenant {
@@ -202,7 +202,7 @@ pub(crate) fn drain_tenant(rt: &mut Tenant, drain: u64) {
             for (c, q) in queues.iter_mut().enumerate() {
                 let take = drain.min(q.len() as u64) as usize;
                 // Counters advance per item, not per batch, so a panic
-                // mid-batch (contained by the caller's `catch_unwind`)
+                // mid-batch (contained by the caller's `panics::contain`)
                 // leaves them at exactly the accesses replayed.
                 for item in q.drain(..take) {
                     let out = m.access(CoreId(c), item.line, item.write);

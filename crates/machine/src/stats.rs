@@ -55,26 +55,23 @@ pub struct MachineStats {
     pub memory_writebacks: u64,
 }
 
-/// Buckets one invalidation into an `invalidations_by_cause` array. A free
-/// function rather than a method so the response-application path can use
-/// it while `MachineStats` is split into disjoint borrows (the sliced
-/// engine holds the per-core halves outside the machine during a run).
-pub(crate) fn count_invalidation_in(causes: &mut [u64; 4], cause: InvalidationCause) {
-    let idx = match cause {
-        InvalidationCause::Coherence => 0,
-        InvalidationCause::TdConflict => 1,
-        InvalidationCause::EdToTdQuirk => 2,
-        InvalidationCause::VdConflict => 3,
-    };
-    causes[idx] += 1;
-}
-
 impl MachineStats {
     pub(crate) fn new(cores: usize) -> Self {
         MachineStats {
             cores: (0..cores).map(|_| CoreStats::default()).collect(),
             ..Default::default()
         }
+    }
+
+    /// Buckets one invalidation into [`MachineStats::invalidations_by_cause`].
+    pub(crate) fn count_invalidation(&mut self, cause: InvalidationCause) {
+        let idx = match cause {
+            InvalidationCause::Coherence => 0,
+            InvalidationCause::TdConflict => 1,
+            InvalidationCause::EdToTdQuirk => 2,
+            InvalidationCause::VdConflict => 3,
+        };
+        self.invalidations_by_cause[idx] += 1;
     }
 
     /// Total L2 misses over all cores.
@@ -115,10 +112,10 @@ mod tests {
     #[test]
     fn invalidation_causes_bucketed() {
         let mut s = MachineStats::new(1);
-        count_invalidation_in(&mut s.invalidations_by_cause, InvalidationCause::Coherence);
-        count_invalidation_in(&mut s.invalidations_by_cause, InvalidationCause::TdConflict);
-        count_invalidation_in(&mut s.invalidations_by_cause, InvalidationCause::TdConflict);
-        count_invalidation_in(&mut s.invalidations_by_cause, InvalidationCause::VdConflict);
+        s.count_invalidation(InvalidationCause::Coherence);
+        s.count_invalidation(InvalidationCause::TdConflict);
+        s.count_invalidation(InvalidationCause::TdConflict);
+        s.count_invalidation(InvalidationCause::VdConflict);
         assert_eq!(s.invalidations_by_cause, [1, 2, 0, 1]);
     }
 

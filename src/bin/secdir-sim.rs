@@ -14,6 +14,7 @@ use std::process::ExitCode;
 
 use secdir_attack::{evict_reload_attack, evict_time_attack, prime_probe_attack, AttackConfig};
 use secdir_machine::inject::{self, FaultKind};
+use secdir_machine::panics;
 use secdir_machine::perf::{self, PerfSpec};
 use secdir_machine::resume::plan_resume;
 use secdir_machine::serve::{
@@ -1464,6 +1465,9 @@ themselves hard errors.
 ];
 
 fn main() -> ExitCode {
+    // A contained panic (a sweep cell, a serve tenant) becomes a record;
+    // its message and backtrace on stderr would read like a crash.
+    panics::quiet_contained_panics();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = args.split_first() else {
         eprintln!("{}", usage());

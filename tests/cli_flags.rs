@@ -219,3 +219,29 @@ fn serve_bench_records_the_drain_threads_used() {
         assert!(row.contains("\"workers\":3,"), "{row}");
     }
 }
+
+/// `serve --inject` ends every armed tenant quarantined, one of them
+/// through a panic in its machine that the server contains. A contained
+/// panic is a journal record, not a crash, so nothing on stderr reports
+/// it.
+#[test]
+fn serve_inject_keeps_contained_panics_off_stderr() {
+    let dir = std::env::temp_dir().join(format!("secdir-cli-inject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let journal = dir.join("inject.jsonl");
+    let out = run(&[
+        "serve",
+        "--inject",
+        "--journal",
+        journal.to_str().expect("utf-8 temp path"),
+    ]);
+    let records = std::fs::read_to_string(&journal).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{} stderr {stderr:?}", out.status);
+    assert!(
+        records.contains("protocol invariant violated"),
+        "no tenant's machine panicked"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+}
