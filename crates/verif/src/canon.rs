@@ -32,28 +32,40 @@
 //! four identity line words; the core permutations then act on those
 //! words through precomputed field tables — the two 6-bit halves of the
 //! MOESI field (cores 0–1 and cores 2–3), the 4-bit VD mask, and the
-//! 7-bit ED/TD entry field (present bit, partition, sharer mask; ED and
-//! TD share one layout, so they share one table). The tables are
-//! *σ-major*: the row of a field value holds its image under every one
-//! of the `cores!` permutations, one lane each, so relabeling a word for
-//! all permutations is one straight loop over lanes that reads one row
-//! per field, and the compiler vectorises it at the constant lane count.
-//! The entry table moves the partition with the cores only when
-//! `permute_parts` is set *and* the entry's present bit is set: an
-//! absent entry stores partition 0, which is not an owner, and relabeling
-//! it would put nonzero bits in a word that means "no entry". Each lane
-//! holds exactly the word of the relabeled state, bit for bit, so the
-//! canonical form and the winning relabeling are the same as packing the
-//! relabeled struct once per permutation would give.
+//! 7-bit ED and TD entry fields (present bit, partition, sharer mask).
+//! The tables are *σ-major*: the row of a field value holds its image
+//! under every one of the `cores!` permutations, one lane each, stored
+//! as a `u32` already shifted to the field's place in the word (about
+//! 38 KB at 24 lanes). Relabeling a word for all permutations is then
+//! five row loads ORed together in one straight loop over the lanes,
+//! which the compiler vectorises at the constant lane count. The entry
+//! tables move the partition with the cores only when `permute_parts`
+//! is set *and* the entry's present bit is set: an absent entry stores
+//! partition 0, which is not an owner, and relabeling it would put
+//! nonzero bits in a word that means "no entry". Each lane holds exactly
+//! the word of the relabeled state, bit for bit, so the canonical form
+//! and the winning relabeling are the same as packing the relabeled
+//! struct once per permutation would give.
 //!
-//! The five-comparator descending sort then runs lane by lane on the
-//! relabeled words, and the greatest assembled candidate wins, the
-//! first lane winning ties. Equal words are interchangeable in a
-//! candidate, so the lanes sort words alone; the winner's *stable* line
-//! relabeling is recovered once, by sorting its words again on the keys
-//! `(word << 2) | (3 − line)`: the keys are distinct, so the network's
-//! order is the stable descending order, and the low two bits name the
-//! original line.
+//! The five-comparator descending sort then runs on the relabeled words,
+//! lane-parallel, and the greatest assembled candidate wins: the
+//! greatest high half `(w0, w1)` over the lanes, then the greatest low
+//! half `(w2, w3)` among the lanes that reach it. Equal words are
+//! interchangeable in a candidate, so the lanes sort words alone.
+//!
+//! **The key path and the one-state path.** The checker needs only the
+//! key of each successor. It relabels each frontier state's four words
+//! once ([`CanonTable::lanes`]); a successor usually changes one or two
+//! of those words, so [`CanonTable::key`] relabels only the words that
+//! differ from the parent's and reuses the parent's lanes for the rest.
+//! [`CanonTable::canonicalize`], the public one-state API, runs the same
+//! relabel and pick and then recovers the winner: the first lane whose
+//! candidate is the key (the first permutation wins ties), and its
+//! *stable* line relabeling, by sorting the winner's words again on the
+//! keys `(word << 2) | (3 − line)` — the keys are distinct, so the
+//! network's order is the stable descending order, and the low two bits
+//! name the original line. The checker calls it only to rebuild a
+//! counterexample trace.
 //!
 //! Descending order (with the stable tie-break) also keeps active lines in
 //! the low indices: an unused line's word is always 0, so it can never
@@ -75,7 +87,7 @@
 //! expanded.
 
 use crate::model::{Label, ModelState, MAX_CORES, MAX_LINES};
-use crate::pack::{assemble, line_words};
+use crate::pack::{assemble, line_words, split, LINE_BITS};
 
 /// A joint core/line relabeling: `core[c]` is the new index of old core
 /// `c`, `line[l]` the new index of old line `l`.
@@ -177,17 +189,9 @@ impl PermPair {
     }
 
     /// Packs the pair into a compact index (base-24 digits of the two
-    /// Lehmer codes) for the parent-pointer array.
+    /// Lehmer codes), distinct for distinct pairs.
     pub fn index(&self) -> u16 {
         u16::from(perm_index(&self.core)) * FACT4 + u16::from(perm_index(&self.line))
-    }
-
-    /// Inverse of [`PermPair::index`].
-    pub fn from_index(idx: u16) -> PermPair {
-        PermPair {
-            core: perm_from_index((idx / FACT4) as u8),
-            line: perm_from_index((idx % FACT4) as u8),
-        }
     }
 }
 
@@ -230,28 +234,6 @@ fn perm_index(p: &[u8; 4]) -> u8 {
     idx
 }
 
-/// Inverse of [`perm_index`].
-fn perm_from_index(mut idx: u8) -> [u8; 4] {
-    let mut digits = [0u8; 4];
-    for i in (0..4).rev() {
-        let base = (4 - i) as u8;
-        digits[i] = idx % base;
-        idx /= base;
-    }
-    let mut pool = [0u8, 1, 2, 3];
-    let mut len = 4usize;
-    let mut out = [0u8; 4];
-    for i in 0..4 {
-        let d = digits[i] as usize;
-        out[i] = pool[d];
-        for j in d..len - 1 {
-            pool[j] = pool[j + 1];
-        }
-        len -= 1;
-    }
-    out
-}
-
 /// Sorts four keys descending with a five-comparator network.
 #[inline]
 fn sort_desc(mut k: [u64; MAX_LINES]) -> [u64; MAX_LINES] {
@@ -266,24 +248,36 @@ fn sort_desc(mut k: [u64; MAX_LINES]) -> [u64; MAX_LINES] {
 /// The comparators of a four-input sorting network.
 const SORT_NETWORK: [(usize, usize); 5] = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)];
 
-/// A σ-major field table: for each of the `values` field values in turn,
-/// its `image` under every permutation in `perms`.
-fn sigma_major<T>(
+/// The most core permutations a table holds: `MAX_CORES!`.
+const MAX_LANES: usize = FACT4 as usize;
+
+/// One row of a σ-major field table: a field value's image under each
+/// core permutation, lane `j` under permutation `j`, already shifted to
+/// the field's place in the line word. Lanes past the table's `cores!`
+/// hold 0 and are never read.
+type Row = [u32; MAX_LANES];
+
+/// A σ-major field table: row `v` holds field value `v`'s `image` under
+/// every permutation in `perms`.
+fn sigma_major(
     perms: &[[u8; MAX_CORES]],
     values: u32,
-    image: impl Fn(&[u8; MAX_CORES], u32) -> T,
-) -> Vec<T> {
-    let image = &image;
+    image: impl Fn(&[u8; MAX_CORES], u32) -> u32,
+) -> Vec<Row> {
     (0..values)
-        .flat_map(|v| perms.iter().map(move |cp| image(cp, v)))
+        .map(|v| std::array::from_fn(|j| perms.get(j).map_or(0, |cp| image(cp, v))))
         .collect()
 }
 
-/// Row `v` of a σ-major field table: the images of field value `v`
-/// under each of the `lanes` core permutations.
-#[inline(always)]
-fn row<T>(table: &[T], v: u32, lanes: usize) -> &[T] {
-    &table[v as usize * lanes..][..lanes]
+/// A state's four line words relabeled under every core permutation,
+/// σ-major: `lanes[line][j]` is line `line`'s word under permutation `j`
+/// (only the first `cores!` lanes mean anything). The checker builds one
+/// per frontier state with [`CanonTable::lanes`], and each successor then
+/// relabels only the words it changes ([`CanonTable::key`]).
+#[derive(Clone, Debug)]
+pub struct Lanes {
+    words: [u32; MAX_LINES],
+    lanes: [[u32; MAX_LANES]; MAX_LINES],
 }
 
 /// Precomputed canonicalization context for a model geometry: every
@@ -297,14 +291,16 @@ pub struct CanonTable {
     core_perms: Vec<[u8; MAX_CORES]>,
     /// MOESI codes of cores 0–1 (word bits 0..6), placed in the 12-bit
     /// MOESI field; 64 rows.
-    moesi_lo: Vec<u16>,
+    moesi_lo: Vec<Row>,
     /// MOESI codes of cores 2–3 (word bits 6..12); 64 rows.
-    moesi_hi: Vec<u16>,
-    /// A 4-bit core mask, the VD residency field; 16 rows.
-    mask: Vec<u8>,
-    /// A 7-bit directory entry field (present, partition, sharer mask):
-    /// the ED field at bit 16 and the TD field at bit 23; 128 rows.
-    entry: Vec<u8>,
+    moesi_hi: Vec<Row>,
+    /// The 4-bit VD residency mask (bits 12..16); 16 rows.
+    mask: Vec<Row>,
+    /// The 7-bit ED entry field: present bit, partition and sharer mask
+    /// (bits 16..23); 128 rows.
+    ed: Vec<Row>,
+    /// The TD entry field, laid out as the ED's (bits 23..30); 128 rows.
+    td: Vec<Row>,
     line_perms: Vec<[u8; MAX_LINES]>,
 }
 
@@ -336,8 +332,8 @@ impl CanonTable {
         // `v` holds the 3-bit codes of cores `2 * pair` and `2 * pair + 1`.
         let moesi = |pair: usize| {
             move |cp: &[u8; MAX_CORES], v: u32| {
-                (0..2).fold(0u16, |out, i| {
-                    let code = (v >> (3 * i)) as u16 & 0b111;
+                (0..2).fold(0, |out, i| {
+                    let code = (v >> (3 * i)) & 0b111;
                     out | code << (3 * cp[2 * pair + i])
                 })
             }
@@ -349,7 +345,7 @@ impl CanonTable {
             } else {
                 part
             };
-            (present | part << 1 | permute_mask(sharers, cp) << 3) as u8
+            present | part << 1 | permute_mask(sharers, cp) << 3
         };
         CanonTable {
             cores,
@@ -357,8 +353,9 @@ impl CanonTable {
             permute_parts,
             moesi_lo: sigma_major(&core_perms, 64, moesi(0)),
             moesi_hi: sigma_major(&core_perms, 64, moesi(1)),
-            mask: sigma_major(&core_perms, 16, |cp, m| permute_mask(m, cp) as u8),
-            entry: sigma_major(&core_perms, 128, entry),
+            mask: sigma_major(&core_perms, 16, |cp, m| permute_mask(m, cp) << 12),
+            ed: sigma_major(&core_perms, 128, |cp, e| entry(cp, e) << 16),
+            td: sigma_major(&core_perms, 128, |cp, e| entry(cp, e) << 23),
             core_perms,
             line_perms,
         }
@@ -378,30 +375,59 @@ impl CanonTable {
         fact(self.cores) * fact(self.lines)
     }
 
-    /// Writes the line word `w` relabeled by every core permutation into
-    /// `out`, lane `j` under permutation `j`; `out` holds exactly one lane
-    /// per permutation. Inlined into callers whose lane count is a
-    /// constant, the loop compiles to straight vector code.
+    /// The line word `w` relabeled by the first `P` core permutations,
+    /// lane `j` under permutation `j`: five pre-shifted row loads ORed
+    /// together. At a constant lane count this compiles to
+    /// straight vector code; the result is a fresh array, so no store can
+    /// alias a table row.
     #[inline(always)]
-    fn relabel(&self, w: u32, out: &mut [u32]) {
-        let lanes = out.len();
-        debug_assert_eq!(lanes, self.core_perms.len());
-        let field = |shift: u32, bits: u32| (w >> shift) & ((1 << bits) - 1);
-        let lo = row(&self.moesi_lo, field(0, 6), lanes);
-        let hi = row(&self.moesi_hi, field(6, 6), lanes);
-        let mask = row(&self.mask, field(12, 4), lanes);
-        let ed = row(&self.entry, field(16, 7), lanes);
-        let td = row(&self.entry, field(23, 7), lanes);
+    fn relabel<const P: usize>(&self, w: u32) -> [u32; P] {
+        debug_assert!(P >= self.core_perms.len());
+        let field = |shift: u32, bits: u32| ((w >> shift) & ((1 << bits) - 1)) as usize;
+        let lo = &self.moesi_lo[field(0, 6)];
+        let hi = &self.moesi_hi[field(6, 6)];
+        let mask = &self.mask[field(12, 4)];
+        let ed = &self.ed[field(16, 7)];
+        let td = &self.td[field(23, 7)];
         // `has_data` and `llc_dirty` name no core.
         let fixed = w & (0b11 << 30);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = u32::from(lo[j])
-                | u32::from(hi[j])
-                | u32::from(mask[j]) << 12
-                | u32::from(ed[j]) << 16
-                | u32::from(td[j]) << 23
-                | fixed;
+        std::array::from_fn(|j| lo[j] | hi[j] | mask[j] | ed[j] | td[j] | fixed)
+    }
+
+    /// The four line words of the packed state `packed`, relabeled under
+    /// every core permutation: the lanes its successors start from.
+    pub fn lanes(&self, packed: u128) -> Lanes {
+        let words = split(packed);
+        let lanes = words.map(|w| self.relabel(w));
+        Lanes { words, lanes }
+    }
+
+    /// The canonical form of the state whose line words are `words`, the
+    /// same `u128` that [`CanonTable::canonicalize`] returns. Words equal
+    /// to `parent`'s at the same line reuse its lanes; only the others are
+    /// relabeled. The checker keys every successor this way, against the
+    /// lanes of the state it was expanded from.
+    pub fn key(&self, parent: &Lanes, words: [u32; MAX_LINES]) -> u128 {
+        // One lane per permutation of the used cores: `cores!`.
+        match self.cores {
+            1 => self.key_lanes::<1>(parent, words),
+            2 => self.key_lanes::<2>(parent, words),
+            3 => self.key_lanes::<6>(parent, words),
+            _ => self.key_lanes::<24>(parent, words),
         }
+    }
+
+    /// [`CanonTable::key`] with `P = cores!` lanes.
+    #[inline(always)]
+    fn key_lanes<const P: usize>(&self, parent: &Lanes, words: [u32; MAX_LINES]) -> u128 {
+        let mut lanes: [[u32; P]; MAX_LINES] = std::array::from_fn(|line| {
+            if words[line] == parent.words[line] {
+                std::array::from_fn(|j| parent.lanes[line][j])
+            } else {
+                self.relabel(words[line])
+            }
+        });
+        pick(&mut lanes)
     }
 
     /// Canonicalizes `s`: returns the canonical packed form and the
@@ -414,7 +440,6 @@ impl CanonTable {
     /// Panics if `s` has a field outside the model bounds (see
     /// [`line_word`](crate::pack::line_word)).
     pub fn canonicalize(&self, s: &ModelState) -> (u128, PermPair) {
-        // One lane per permutation of the used cores: `cores!`.
         match self.cores {
             1 => self.canonicalize_lanes::<1>(s),
             2 => self.canonicalize_lanes::<2>(s),
@@ -423,31 +448,17 @@ impl CanonTable {
         }
     }
 
-    /// [`CanonTable::canonicalize`] with `P = cores!` lanes.
+    /// [`CanonTable::canonicalize`] with `P = cores!` lanes: the key
+    /// path's relabel and pick, then the winner's line relabeling.
     #[inline(always)]
     fn canonicalize_lanes<const P: usize>(&self, s: &ModelState) -> (u128, PermPair) {
-        let words = line_words(s);
-        let mut lanes = [[0u32; P]; MAX_LINES];
-        for (w, lane) in words.into_iter().zip(&mut lanes) {
-            self.relabel(w, lane);
-        }
-        // Stable descending block sort = optimal line relabeling for
-        // each core relabeling (see module docs); equal words are
-        // interchangeable in the candidate, so the lanes sort words only.
+        let lanes: [[u32; P]; MAX_LINES] = line_words(s).map(|w| self.relabel(w));
         let mut sorted = lanes;
-        for (a, b) in SORT_NETWORK {
-            let (head, tail) = sorted.split_at_mut(b);
-            for (x, y) in head[a].iter_mut().zip(&mut tail[0]) {
-                (*x, *y) = ((*x).max(*y), (*x).min(*y));
-            }
-        }
-        let candidates = (0..P).map(|j| assemble(std::array::from_fn(|line| sorted[line][j])));
-        let (mut best_packed, mut best) = (0u128, 0);
-        for (j, packed) in candidates.enumerate() {
-            if j == 0 || packed > best_packed {
-                (best_packed, best) = (packed, j);
-            }
-        }
+        let packed = pick(&mut sorted);
+        // The winner: the first lane whose candidate is the canonical
+        // form.
+        let candidate = |j: usize| assemble(std::array::from_fn(|line| sorted[line][j]));
+        let best = (0..P).find(|&j| candidate(j) == packed).unwrap_or(0);
         // The winner's stable line relabeling: sort its words again on
         // the keys `(word << 2) | (3 − line)`, whose low two bits name
         // the original line.
@@ -466,7 +477,7 @@ impl CanonTable {
             core: self.core_perms[best],
             line: lp,
         };
-        (best_packed, pair)
+        (packed, pair)
     }
 
     /// The size of `s`'s orbit under the full group action: the number of
@@ -481,10 +492,7 @@ impl CanonTable {
     /// raw exploration would not fit the CI budget.
     pub fn orbit_size(&self, s: &ModelState) -> usize {
         let n = self.core_perms.len();
-        let mut lanes = [[0u32; FACT4 as usize]; MAX_LINES];
-        for (w, lane) in line_words(s).into_iter().zip(&mut lanes) {
-            self.relabel(w, &mut lane[..n]);
-        }
+        let lanes: [[u32; MAX_LANES]; MAX_LINES] = line_words(s).map(|w| self.relabel(w));
         let mut distinct: std::collections::HashSet<u128> =
             std::collections::HashSet::with_capacity(self.group_order());
         for j in 0..n {
@@ -501,6 +509,35 @@ impl CanonTable {
         }
         distinct.len()
     }
+}
+
+/// The canonical candidate of `lanes`. Each lane's words are sorted
+/// descending — the stable descending block sort is the optimal line
+/// relabeling for that lane's core relabeling (see module docs), and
+/// equal words are interchangeable in a candidate, so words sort alone —
+/// and assembled high-to-low; the candidate is the greatest over the
+/// lanes. The sort runs lane-parallel, then the maximum is taken on the
+/// two halves `(hi, lo)` of every lane's candidate: the greatest `hi`,
+/// then the greatest `lo` among the lanes that reach it.
+#[inline(always)]
+fn pick<const P: usize>(lanes: &mut [[u32; P]; MAX_LINES]) -> u128 {
+    for (a, b) in SORT_NETWORK {
+        let (head, tail) = lanes.split_at_mut(b);
+        for (x, y) in head[a].iter_mut().zip(&mut tail[0]) {
+            (*x, *y) = ((*x).max(*y), (*x).min(*y));
+        }
+    }
+    let half =
+        |l: usize, j: usize| u64::from(lanes[l][j]) << LINE_BITS | u64::from(lanes[l + 1][j]);
+    let hi = (0..P).fold(0, |m, j| m.max(half(0, j)));
+    let lo = (0..P).fold(0, |m, j| {
+        if half(0, j) == hi {
+            m.max(half(2, j))
+        } else {
+            m
+        }
+    });
+    u128::from(hi) << 64 | u128::from(lo)
 }
 
 /// Heap's-algorithm enumeration of the permutations of `items`, in a
@@ -524,8 +561,7 @@ mod tests {
     use secdir_coherence::Moesi;
 
     #[test]
-    fn perm_index_roundtrips_all_24() {
-        let mut seen = std::collections::HashSet::new();
+    fn pair_index_tells_all_pairs_apart() {
         let mut scratch = [0u8, 1, 2, 3];
         let mut perms = Vec::new();
         permutations(&mut scratch, 0, &mut |p| {
@@ -533,22 +569,18 @@ mod tests {
             a.copy_from_slice(p);
             perms.push(a);
         });
-        for p in perms {
-            let idx = perm_index(&p);
-            assert!(seen.insert(idx), "duplicate index {idx}");
-            assert_eq!(perm_from_index(idx), p);
-        }
-        assert_eq!(seen.len(), 24);
-    }
-
-    #[test]
-    fn pair_index_roundtrips() {
-        let pair = PermPair {
-            core: [2, 0, 3, 1],
-            line: [1, 3, 0, 2],
-        };
-        assert_eq!(PermPair::from_index(pair.index()), pair);
-        assert_eq!(PermPair::from_index(IDENTITY.index()), IDENTITY);
+        let ranks: std::collections::HashSet<u8> = perms.iter().map(perm_index).collect();
+        assert_eq!(ranks, (0..24).collect());
+        let indices: std::collections::HashSet<u16> = perms
+            .iter()
+            .flat_map(|&core| {
+                perms
+                    .iter()
+                    .map(move |&line| PermPair { core, line }.index())
+            })
+            .collect();
+        assert_eq!(indices, (0..24 * 24).collect());
+        assert_eq!(IDENTITY.index(), 0);
     }
 
     #[test]
@@ -585,11 +617,7 @@ mod tests {
         ));
         for permute_parts in [false, true] {
             let table = CanonTable::new(4, 4, permute_parts);
-            let lanes = line_words(&s).map(|w| {
-                let mut lane = [0u32; 24];
-                table.relabel(w, &mut lane);
-                lane
-            });
+            let lanes = line_words(&s).map(|w| table.relabel::<24>(w));
             for (j, cp) in table.core_perms.iter().enumerate() {
                 let g = PermPair {
                     core: *cp,

@@ -22,8 +22,10 @@
 //!
 //! Both cores expand a state the same way: through
 //! [`Model::successors_each`], keying each successor inside the sink
-//! (packing it, or canonicalizing it), then deduplicating the state's
-//! keys in one pass, in the model's successor order.
+//! (packing it, or keying it against its parent's relabeled words), then
+//! deduplicating the state's keys in one pass, in the model's successor
+//! order. Only the keys are stored; a counterexample's relabelings are
+//! recovered by re-expanding the few states on its trace.
 //!
 //! **Level-barrier argument.** Workers expand one BFS level at a time
 //! with two barriers: (1) every frontier state is invariant-checked and
@@ -51,7 +53,7 @@ use secdir_mem::{par, LineAddr};
 
 use crate::canon::{CanonTable, PermPair, IDENTITY};
 use crate::model::{DirKind, Label, Model, ModelConfig, ModelState, MAX_CORES};
-use crate::pack::{pack, unpack, PackedLabel};
+use crate::pack::{assemble, line_words, pack, unpack, PackedLabel};
 
 /// Why exploration stopped at a state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,14 +147,13 @@ impl Default for CheckOptions {
 }
 
 /// Parent pointer of a discovered state: the frontier state it was
-/// expanded from, the transition label (in the parent's coordinate
-/// frame), and the relabeling `g` mapping the raw successor to the stored
-/// canonical form (identity when uncanonicalized).
+/// expanded from and the transition label, in the parent's coordinate
+/// frame. The relabeling from the raw successor to the stored canonical
+/// form is not kept: [`rebuild`] recovers it for the few steps of a trace.
 #[derive(Clone, Copy, Debug)]
 struct ParentRec {
     parent: u32,
     label: PackedLabel,
-    perm: u16,
 }
 
 /// Sentinel parent of the initial state.
@@ -163,7 +164,6 @@ impl ParentRec {
         ParentRec {
             parent: ROOT,
             label: PackedLabel(0),
-            perm: IDENTITY.index(),
         }
     }
 }
@@ -213,7 +213,7 @@ fn check_with(
         });
         if let Some(failure) = failure {
             let violation = Some((id, failure));
-            return finish(cfg, &states, &parents, transitions, false, 1, 0, violation);
+            return finish(cfg, None, &states, &parents, transitions, 1, 0, violation);
         }
         transitions += keyed.len();
         for &(key, label) in &keyed {
@@ -222,12 +222,11 @@ fn check_with(
                 parents.push(ParentRec {
                     parent: id as u32,
                     label: PackedLabel::encode(label),
-                    perm: IDENTITY.index(),
                 });
             }
         }
     }
-    finish(cfg, &states, &parents, transitions, false, 1, 0, None)
+    finish(cfg, None, &states, &parents, transitions, 1, 0, None)
 }
 
 /// Shard count of the visited set — fixed (not thread-derived) so shard
@@ -296,16 +295,14 @@ struct Cand {
     key: [u64; 2],
     parent: u32,
     label: PackedLabel,
-    perm: u16,
 }
 
 impl Cand {
-    fn new(key: u128, parent: usize, label: Label, perm: PermPair) -> Self {
+    fn new(key: u128, parent: usize, label: Label) -> Self {
         Cand {
             key: [(key >> 64) as u64, key as u64],
             parent: parent as u32,
             label: PackedLabel::encode(label),
-            perm: perm.index(),
         }
     }
 
@@ -401,10 +398,10 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
         if let Some(&(idx, failure)) = best {
             let report = finish(
                 cfg,
+                table.as_ref().map(|t| (&model, t)),
                 &states,
                 &parents,
                 transitions,
-                table.is_some(),
                 threads,
                 levels,
                 Some((idx as usize, failure)),
@@ -422,17 +419,16 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
             parents.push(ParentRec {
                 parent: c.parent,
                 label: c.label,
-                perm: c.perm,
             });
         }
         lo = hi;
     }
     let report = finish(
         cfg,
+        table.as_ref().map(|t| (&model, t)),
         &states,
         &parents,
         transitions,
-        table.is_some(),
         threads,
         levels,
         None,
@@ -446,7 +442,10 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 /// never written, so workers share them without locks.
 ///
 /// Each successor is keyed (canonicalized or packed) inside the model's
-/// sink, so no successor state is stored. The keys of one frontier state
+/// sink, so no successor state is stored. The frontier state's own words
+/// are relabeled once ([`CanonTable::lanes`]), and each successor's key
+/// relabels only the words it changed ([`CanonTable::key`]); no
+/// relabeling is recovered here. The keys of one frontier state
 /// are then probed against the visited set in one tight loop: each probe
 /// is a likely cache miss on a large set, and with no canonicalization
 /// between them the host overlaps them instead of waiting out one at a
@@ -477,12 +476,14 @@ fn expand_level(
                 continue;
             }
             keyed.clear();
+            let parent = table.map(|t| (t, t.lanes(packed)));
             model.successors_each(&current, &mut |label, next| {
-                let (key, perm) = match table {
-                    Some(t) => t.canonicalize(&next),
-                    None => (pack(&next), IDENTITY),
+                let words = line_words(&next);
+                let key = match &parent {
+                    Some((t, lanes)) => t.key(lanes, words),
+                    None => assemble(words),
                 };
-                keyed.push(Cand::new(key, id, label, perm));
+                keyed.push(Cand::new(key, id, label));
             });
             out.transitions += keyed.len();
             if keyed.is_empty() {
@@ -553,24 +554,27 @@ fn estimate_bytes(n: usize) -> usize {
 }
 
 /// Assembles the final report, rebuilding the counterexample trace in
-/// original coordinates when a violation was found.
+/// original coordinates when a violation was found. `canon` is `None`
+/// when `states` are packed as the model made them, or the model and the
+/// table whose canonical forms they are.
 #[allow(clippy::too_many_arguments)]
 fn finish(
     cfg: ModelConfig,
+    canon: Option<(&Model, &CanonTable)>,
     states: &[u128],
     parents: &[ParentRec],
     transitions: usize,
-    canonical: bool,
     threads: usize,
     levels: usize,
     violation: Option<(usize, Failure)>,
 ) -> CheckReport {
-    let violation = violation.map(|(id, failure)| rebuild(&cfg, states, parents, id, failure));
+    let violation =
+        violation.map(|(id, failure)| rebuild(&cfg, canon, states, parents, id, failure));
     CheckReport {
         kind: cfg.kind,
         states: states.len(),
         transitions,
-        canonical,
+        canonical: canon.is_some(),
         threads,
         levels,
         peak_bytes: estimate_bytes(states.len()),
@@ -581,25 +585,27 @@ fn finish(
 /// Rebuilds the counterexample reaching `states[id]` in original
 /// coordinates.
 ///
-/// Stored states are canonical, and each [`ParentRec`] records the label
-/// `ℓ` used from the parent's canonical frame plus the relabeling `g`
-/// with `child = g(raw successor)`. Walking the chain root→violation
-/// while accumulating `q ← g ∘ q` (starting from the identity — the
-/// initial state is its own canonical form) yields the concrete run
-/// `s_i = q_i⁻¹(c_i)` whose labels are `q_{i-1}⁻¹(ℓ_i)`: each step is a
-/// genuine model transition because relabelings carry transitions of
-/// clean states to transitions (see `canon` module docs).
+/// Canonical states are stored with the label `ℓ` used from the parent's
+/// canonical frame; the relabeling `g` with `child = g(raw successor)` is
+/// recovered here by [`step_relabeling`] (identity when `canon` is
+/// `None`). Walking the chain root→violation while accumulating
+/// `q ← g ∘ q` (starting from the identity — the initial state is its own
+/// canonical form) yields the concrete run `s_i = q_i⁻¹(c_i)` whose labels
+/// are `q_{i-1}⁻¹(ℓ_i)`: each step is a genuine model transition because
+/// relabelings carry transitions of clean states to transitions (see
+/// `canon` module docs).
 fn rebuild(
     cfg: &ModelConfig,
+    canon: Option<(&Model, &CanonTable)>,
     states: &[u128],
     parents: &[ParentRec],
     id: usize,
     failure: Failure,
 ) -> Counterexample {
-    let mut chain: Vec<(PackedLabel, u16)> = Vec::new();
+    let mut chain: Vec<usize> = Vec::new();
     let mut cur = id;
     while parents[cur].parent != ROOT {
-        chain.push((parents[cur].label, parents[cur].perm));
+        chain.push(cur);
         cur = parents[cur].parent as usize;
     }
     debug_assert_eq!(states[cur], states[0], "trace must root at init");
@@ -608,9 +614,14 @@ fn rebuild(
     let permute_parts = cfg.kind == DirKind::WayPartitioned;
     let mut q = IDENTITY;
     let mut labels = Vec::with_capacity(chain.len());
-    for (plabel, perm_idx) in chain {
-        labels.push(q.inverse().apply_label(plabel.decode()));
-        q = PermPair::from_index(perm_idx).compose(&q);
+    for child in chain {
+        let ParentRec { parent, label } = parents[child];
+        let label = label.decode();
+        labels.push(q.inverse().apply_label(label));
+        if let Some((model, table)) = canon {
+            let parent = states[parent as usize];
+            q = step_relabeling(model, table, parent, label, states[child]).compose(&q);
+        }
     }
     let state = q.inverse().apply_state(&unpack(states[id]), permute_parts);
     // Re-check on the original-coordinate state (the canonical-frame
@@ -629,6 +640,33 @@ fn rebuild(
         trace,
         state,
     }
+}
+
+/// The relabeling that carried the raw successor of the stored canonical
+/// state `parent` under `label` to the stored canonical state `child`:
+/// that of the first successor of `parent` with that label whose
+/// canonical form is `child`. The checker keeps the first occurrence of
+/// each key in successor order, so this is the very successor whose key
+/// was accepted, and [`CanonTable::canonicalize`] gives its relabeling.
+fn step_relabeling(
+    model: &Model,
+    table: &CanonTable,
+    parent: u128,
+    label: Label,
+    child: u128,
+) -> PermPair {
+    let mut found = None;
+    model.successors_each(&unpack(parent), &mut |l, next| {
+        if found.is_none() && l == label {
+            let (key, g) = table.canonicalize(&next);
+            found = (key == child).then_some(g);
+        }
+    });
+    debug_assert!(
+        found.is_some(),
+        "no successor of a stored parent reproduces its child"
+    );
+    found.unwrap_or(IDENTITY)
 }
 
 /// Runs [`check`] over every directory kind at the quick configuration.
@@ -755,6 +793,37 @@ mod tests {
             shard.len(),
             buckets.len()
         );
+    }
+
+    #[test]
+    fn step_relabeling_recovers_the_first_successor_of_each_key() {
+        // For every successor that is the first of its key in its
+        // parent's successor order (the one the checker accepts), the
+        // recovered relabeling is that successor's own, even where an
+        // earlier successor shares its label.
+        let mut shared_label = 0;
+        for kind in DirKind::ALL {
+            let cfg = ModelConfig::quick(kind);
+            let model = Model::new(cfg);
+            let table = CanonTable::new(cfg.cores, cfg.lines, kind == DirKind::WayPartitioned);
+            let (_, states) = check_opt_with_states(cfg, &CheckOptions::default());
+            for parent in states {
+                let mut firsts: Vec<(u128, Label, PermPair)> = Vec::new();
+                let mut seen_labels = HashSet::new();
+                model.successors_each(&unpack(parent), &mut |label, next| {
+                    let (key, g) = table.canonicalize(&next);
+                    let label_seen = !seen_labels.insert(label);
+                    if firsts.iter().all(|&(k, ..)| k != key) {
+                        shared_label += usize::from(label_seen);
+                        firsts.push((key, label, g));
+                    }
+                });
+                for (key, label, g) in firsts {
+                    assert_eq!(step_relabeling(&model, &table, parent, label, key), g);
+                }
+            }
+        }
+        assert!(shared_label > 0, "no accepted successor shares its label");
     }
 
     #[test]

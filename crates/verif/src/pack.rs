@@ -147,6 +147,13 @@ pub fn assemble(words: [u32; MAX_LINES]) -> u128 {
     packed
 }
 
+/// The four line words of a packed state, line 0 first (the inverse of
+/// [`assemble`]).
+#[inline]
+pub fn split(packed: u128) -> [u32; MAX_LINES] {
+    std::array::from_fn(|line| (packed >> ((MAX_LINES - 1 - line) as u32 * LINE_BITS)) as u32)
+}
+
 /// The four line words of `s`, line 0 first.
 ///
 /// # Panics
@@ -171,8 +178,7 @@ pub fn pack(s: &ModelState) -> u128 {
 /// [`pack`] for in-bounds states).
 pub fn unpack(packed: u128) -> ModelState {
     let mut s = ModelState::initial();
-    for line in 0..MAX_LINES {
-        let w = (packed >> ((MAX_LINES - 1 - line) as u32 * LINE_BITS)) as u32;
+    for (line, w) in split(packed).into_iter().enumerate() {
         for (core, row) in s.caches.iter_mut().enumerate() {
             row[line] = moesi_decode((w >> (3 * core)) & 0b111);
         }

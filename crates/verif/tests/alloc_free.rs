@@ -2,15 +2,18 @@
 //!
 //! The checker expands every frontier state with
 //! `Model::successors_each`, which threads each nondeterministic branch
-//! through continuation sinks into one caller-supplied sink. Inside that
-//! sink the checker canonicalizes the successor with
-//! `CanonTable::canonicalize`, which works on fixed-size lane arrays, and
-//! pushes the key into a reused scratch vector. This test wraps the
-//! global allocator in a counter and asserts that, once a warm-up pass
-//! has grown the reused vectors to the largest successor set, that
-//! expansion allocates nothing. It asserts the same of the buffered form
-//! that the benchmark's traced search calls: `Model::successors_into`,
-//! then `canonicalize` on every buffered successor.
+//! through continuation sinks into one caller-supplied sink. Before the
+//! expansion it relabels the frontier state's words once
+//! (`CanonTable::lanes`); inside the sink it keys each successor with
+//! `CanonTable::key` against those lanes, which works on fixed-size lane
+//! arrays, and pushes the key into a reused scratch vector. This test
+//! wraps the global allocator in a counter and asserts that, once a
+//! warm-up pass has grown the reused vectors to the largest successor
+//! set, that expansion allocates nothing. It asserts the same of the
+//! public one-state path, `canonicalize` called in the sink, and of the
+//! buffered form that the benchmark's traced search calls:
+//! `Model::successors_into`, then `canonicalize` on every buffered
+//! successor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -19,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use secdir_verif::canon::CanonTable;
 use secdir_verif::model::{DirKind, Model, ModelConfig, ModelState};
-use secdir_verif::pack::pack;
+use secdir_verif::pack::{line_words, pack};
 
 struct CountingAlloc;
 
@@ -67,35 +70,45 @@ fn bfs_prefix(cfg: ModelConfig, limit: usize) -> Vec<ModelState> {
 }
 
 /// Allocations over one pass that expands every state in `states` and
-/// canonicalizes every successor, after a warm-up pass over the same
-/// states: `(successors_each with canonicalize in the sink,
-/// successors_into, canonicalize of the buffered successors)`.
-fn expansion_allocations(cfg: ModelConfig, states: &[ModelState]) -> (u64, u64, u64) {
+/// keys every successor, after a warm-up pass over the same states:
+/// `[successors_each with the checker's key path in the sink,
+/// successors_each with canonicalize in the sink, successors_into,
+/// canonicalize of the buffered successors]`.
+fn expansion_allocations(cfg: ModelConfig, states: &[ModelState]) -> [u64; 4] {
     let model = Model::new(cfg);
     let table = CanonTable::new(cfg.cores, cfg.lines, cfg.kind == DirKind::WayPartitioned);
     let mut keys = Vec::new();
+    let mut canon = Vec::new();
     let mut buf = Vec::new();
-    let mut counts = (0, 0, 0);
-    // The first pass warms up: it grows `keys` and `buf` to the largest
-    // successor set.
+    let mut counts = [0; 4];
+    // The first pass warms up: it grows `keys`, `canon` and `buf` to the
+    // largest successor set.
     for _ in 0..2 {
-        counts = (0, 0, 0);
+        counts = [0; 4];
         for s in states {
-            let start = allocations();
+            let mut marks = [allocations(); 5];
             keys.clear();
+            let lanes = table.lanes(pack(s));
             model.successors_each(s, &mut |label, t| {
-                keys.push((table.canonicalize(&t), label))
+                keys.push((table.key(&lanes, line_words(&t)), label))
             });
             black_box(&keys);
-            let before = allocations();
+            marks[1] = allocations();
+            canon.clear();
+            model.successors_each(s, &mut |label, t| {
+                canon.push((table.canonicalize(&t), label))
+            });
+            black_box(&canon);
+            marks[2] = allocations();
             model.successors_into(s, &mut buf);
-            let between = allocations();
+            marks[3] = allocations();
             for (_, t) in &buf {
                 black_box(table.canonicalize(t));
             }
-            counts.0 += before - start;
-            counts.1 += between - before;
-            counts.2 += allocations() - between;
+            marks[4] = allocations();
+            for (i, count) in counts.iter_mut().enumerate() {
+                *count += marks[i + 1] - marks[i];
+            }
         }
     }
     counts
@@ -120,13 +133,13 @@ fn expansion_and_canonicalization_do_not_allocate() {
     cases.push((full, sample));
 
     for (cfg, states) in &cases {
-        let (keyed, successors, canon) = expansion_allocations(*cfg, states);
+        let [keyed, canonicalized, successors, canon] = expansion_allocations(*cfg, states);
         assert_eq!(
-            (keyed, successors, canon),
-            (0, 0, 0),
-            "{} at {}x{}: {keyed} allocations in successors_each keying in its sink, \
-             {successors} in successors_into and {canon} in canonicalize over {} \
-             warmed-up states",
+            [keyed, canonicalized, successors, canon],
+            [0; 4],
+            "{} at {}x{}: {keyed} allocations in successors_each with the key path in its \
+             sink, {canonicalized} with canonicalize in its sink, {successors} in \
+             successors_into and {canon} in canonicalize over {} warmed-up states",
             cfg.kind.name(),
             cfg.cores,
             cfg.lines,
