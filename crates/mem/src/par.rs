@@ -4,9 +4,9 @@
 //! Two shapes cover every parallel loop:
 //!
 //! * [`for_each_claimed`] — independent items (sweep cells, checker
-//!   chunks, visited-set shard ranges). Participants claim item indices
-//!   from one atomic counter; the calling thread is participant 0, so
-//!   `threads = 1` runs inline and spawns nothing.
+//!   expansion chunks). Participants claim item indices from one atomic
+//!   counter; the calling thread is participant 0, so `threads = 1` runs
+//!   inline and spawns nothing.
 //! * [`run_crew`] — a persistent crew that works in lock-step *rounds*
 //!   separated by a sense-reversing epoch barrier (the sliced engine's
 //!   epochs, serve's ticks). The calling thread leads as participant 0

@@ -13,12 +13,13 @@
 //!   shortest-counterexample semantics are identical to the PR 3 checker;
 //!   the quick-config fingerprints (562/856/8701/7564/106) are unchanged.
 //! * [`check_opt`] — the scalable core: **level-synchronized frontier
-//!   BFS**, optionally fanned out over [`par::for_each_claimed`] workers and
-//!   optionally exploring one representative per symmetry orbit via
-//!   [`canon`](crate::canon). Per-worker successor buffers are merged
-//!   into a sharded visited set in frontier order, so state counts,
-//!   transition counts, and the reported counterexample are
-//!   bit-identical at every thread count.
+//!   BFS**, its expansion optionally fanned out over
+//!   [`par::for_each_claimed`] workers and optionally exploring one
+//!   representative per symmetry orbit via [`canon`](crate::canon). The
+//!   calling thread merges the per-chunk successor buffers into one
+//!   visited set in frontier order, so state counts, transition counts,
+//!   and the reported counterexample are bit-identical at every thread
+//!   count.
 //!
 //! Both cores expand a state the same way: through
 //! [`Model::successors_each`], keying each successor inside the sink
@@ -30,13 +31,13 @@
 //! **Level-barrier argument.** Workers expand one BFS level at a time
 //! with two barriers: (1) every frontier state is invariant-checked and
 //! expanded before any discovered successor is inserted, and (2) the
-//! merge scans the per-chunk candidate buffers in frontier order, so the
-//! discovery order of level *k+1* is a pure function of level *k*
-//! regardless of how chunks were scheduled onto threads. A violation at
-//! level *k* is reported from the lowest frontier index (invariant
-//! breaches ranked before deadlocks at the same index) — the same state
-//! the serial checker would have stopped at — and BFS level order makes
-//! its trace shortest.
+//! merge, on the calling thread alone, scans the per-chunk candidate
+//! buffers in frontier order, so the discovery order of level *k+1* is
+//! a pure function of level *k* regardless of how chunks were scheduled
+//! onto threads. A violation at level *k* is reported from the lowest
+//! frontier index (invariant breaches ranked before deadlocks at the same
+//! index) — the same state the serial checker would have stopped at —
+//! and BFS level order makes its trace shortest.
 //!
 //! Besides the safety invariants, both cores flag **deadlock**: a
 //! reachable state with no enabled transitions. The protocol model offers
@@ -229,32 +230,21 @@ fn check_with(
     finish(cfg, None, &states, &parents, transitions, 1, 0, None)
 }
 
-/// Shard count of the visited set — fixed (not thread-derived) so shard
-/// assignment, and therefore exploration bookkeeping, is identical at
-/// every thread count.
-const SHARDS: usize = 64;
-
 /// Frontier states per expansion chunk. Chunks — not threads — are the
 /// unit of scheduling: per-chunk buffers are merged in chunk order, which
 /// makes discovery order independent of which worker ran which chunk.
 const CHUNK: usize = 256;
 
-#[inline]
-fn shard_of(key: u128) -> usize {
-    let mixed = (key as u64) ^ ((key >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 58) as usize
-}
-
 /// A visited set of packed states, hashed by [`KeyHasher`].
 type KeySet = HashSet<u128, BuildHasherDefault<KeyHasher>>;
 
-/// The visited sets' hasher: one fixed folded multiply of a packed
+/// The visited set's hasher: one fixed folded multiply of a packed
 /// state's two halves. The keys are states the checker generates itself,
 /// never outside input, so the keyed SipHash of `RandomState` buys no
-/// protection here, only cost. The mix differs from [`shard_of`]'s: keys
-/// in one shard share the top bits of `shard_of`'s product, and the hash
-/// table takes its control tags from the top bits of this hash, so a
-/// shared mix would crowd each shard's tags together.
+/// protection here, only cost. The hash table takes its control tags
+/// from the top seven bits of this hash and its bucket from the low
+/// bits; folding the product's high half onto its low half lets every
+/// bit of the key reach both.
 #[derive(Clone, Copy, Debug, Default)]
 struct KeyHasher(u64);
 
@@ -322,10 +312,12 @@ struct ChunkOut {
 }
 
 /// Explores `cfg` with the level-synchronized frontier BFS: symmetry
-/// canonicalization per `opts.canonicalize`, fanned out over
-/// `opts.threads` workers. State counts, transition counts, and any
-/// reported counterexample are bit-identical at every thread count; the
-/// counterexample is a shortest trace, reported in original coordinates.
+/// canonicalization per `opts.canonicalize`. Each level's expansion fans
+/// out over `opts.threads` workers; the merge of its successors into the
+/// one visited set runs on the calling thread. State counts, transition
+/// counts, and any reported counterexample are bit-identical at every
+/// thread count; the counterexample is a shortest trace, reported in
+/// original coordinates.
 ///
 /// On a violation at BFS level *k*, `states` counts every state
 /// discovered through level *k* and `transitions` every successor
@@ -362,8 +354,8 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
     };
     let mut states: Vec<u128> = vec![init_key];
     let mut parents: Vec<ParentRec> = vec![ParentRec::root()];
-    let mut shards: Vec<KeySet> = (0..SHARDS).map(|_| KeySet::default()).collect();
-    shards[shard_of(init_key)].insert(init_key);
+    let mut seen = KeySet::default();
+    seen.insert(init_key);
 
     let mut transitions = 0usize;
     let mut levels = 0usize;
@@ -376,13 +368,12 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
         levels += 1;
 
         // --- Expand the level [lo, hi), chunked. ---
-        let n_chunks = (hi - lo).div_ceil(CHUNK);
         let outs = expand_level(
             &model,
             &cfg,
             table.as_ref(),
             &states,
-            &shards,
+            &seen,
             lo,
             hi,
             threads,
@@ -409,17 +400,20 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
             return (report, states);
         }
         transitions += outs.iter().map(|o| o.transitions).sum::<usize>();
-        debug_assert_eq!(outs.len(), n_chunks);
 
-        // --- Merge candidate buffers into the sharded visited set, in
-        // frontier order, fanned out by shard range. ---
-        let accepted = merge_level(&outs, &mut shards, threads);
-        for (_, c) in accepted {
-            states.push(c.key());
-            parents.push(ParentRec {
-                parent: c.parent,
-                label: c.label,
-            });
+        // --- Merge candidate buffers into the visited set, in frontier
+        // order: the first occurrence of each key is the one kept. Each
+        // chunk's buffer is freed once merged, so less is live when the
+        // set grows. ---
+        for c in outs.into_iter().flat_map(|o| o.cands) {
+            let key = c.key();
+            if seen.insert(key) {
+                states.push(key);
+                parents.push(ParentRec {
+                    parent: c.parent,
+                    label: c.label,
+                });
+            }
         }
         lo = hi;
     }
@@ -438,8 +432,8 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 
 /// Expands frontier `[lo, hi)` of `states` into per-chunk buffers, in
 /// chunk order, claiming chunks through [`par::for_each_claimed`]; the
-/// visited shards are only *read* here (membership pre-filter),
-/// never written, so workers share them without locks.
+/// visited set is only *read* here (membership pre-filter), never
+/// written, so workers share it without locks.
 ///
 /// Each successor is keyed (canonicalized or packed) inside the model's
 /// sink, so no successor state is stored. The frontier state's own words
@@ -456,7 +450,7 @@ fn expand_level(
     cfg: &ModelConfig,
     table: Option<&CanonTable>,
     states: &[u128],
-    shards: &[KeySet],
+    seen: &KeySet,
     lo: usize,
     hi: usize,
     threads: usize,
@@ -468,7 +462,7 @@ fn expand_level(
         let end = (start + CHUNK).min(hi);
         // The current state's successors, keyed, in the model's order.
         let mut keyed: Vec<Cand> = Vec::new();
-        let mut seen: Vec<bool> = Vec::new();
+        let mut known: Vec<bool> = Vec::new();
         for (id, &packed) in states.iter().enumerate().take(end).skip(start) {
             let current = unpack(packed);
             if let Some(failure) = invariant_failure(&current, cfg) {
@@ -490,63 +484,17 @@ fn expand_level(
                 out.violations.push((id as u32, Failure::Deadlock));
                 continue;
             }
-            seen.clear();
-            seen.extend(keyed.iter().map(|c| {
-                let key = c.key();
-                shards[shard_of(key)].contains(&key)
-            }));
+            known.clear();
+            known.extend(keyed.iter().map(|c| seen.contains(&c.key())));
             out.cands.extend(
                 keyed
                     .iter()
-                    .zip(&seen)
-                    .filter_map(|(c, &s)| (!s).then_some(*c)),
+                    .zip(&known)
+                    .filter_map(|(c, &k)| (!k).then_some(*c)),
             );
         }
     });
     outs
-}
-
-/// Merges per-chunk candidate buffers into the sharded visited set and
-/// returns the accepted (first-occurrence) candidates sorted by their
-/// global position in chunk order — the deterministic discovery order of
-/// the next level. Workers own disjoint shard ranges, so insertion needs
-/// no locks; every worker scans all buffers in the same order.
-fn merge_level(outs: &[ChunkOut], shards: &mut [KeySet], threads: usize) -> Vec<(usize, Cand)> {
-    let per_worker = shards.len().div_ceil(threads);
-    let mut ranges: Vec<_> = shards
-        .chunks_mut(per_worker)
-        .map(|range| (range, Vec::new()))
-        .collect();
-    par::for_each_claimed(&mut ranges, threads, |w, (range, got)| {
-        *got = merge_shard_range(outs, range, w * per_worker);
-    });
-    let mut got = ranges.into_iter().map(|(_, got)| got);
-    let mut accepted = got.next().unwrap_or_default();
-    for mut more in got {
-        accepted.append(&mut more);
-    }
-    accepted.sort_unstable_by_key(|(seq, _)| *seq);
-    accepted
-}
-
-/// The single-shard-range merge: scans every chunk buffer in order,
-/// keeps candidates whose shard falls in `[base, base + range.len())`,
-/// inserts them, and records first occurrences with their global
-/// sequence number.
-fn merge_shard_range(outs: &[ChunkOut], range: &mut [KeySet], base: usize) -> Vec<(usize, Cand)> {
-    let mut accepted = Vec::new();
-    let mut seq = 0usize;
-    for out in outs {
-        for c in &out.cands {
-            let key = c.key();
-            let sh = shard_of(key);
-            if sh >= base && sh < base + range.len() && range[sh - base].insert(key) {
-                accepted.push((seq, *c));
-            }
-            seq += 1;
-        }
-    }
-    accepted
 }
 
 fn estimate_bytes(n: usize) -> usize {
@@ -761,37 +709,48 @@ mod tests {
     }
 
     #[test]
-    fn visited_hash_spreads_the_keys_of_one_shard() {
-        // The keys of one shard share the top six bits of `shard_of`'s
-        // product; the visited set's hash must still spread them over
-        // the table's control tags (its top seven bits) and over the
-        // low bits that pick the bucket.
-        let (_, keys) = check_opt_with_states(
+    fn visited_hash_spreads_the_full_geometry_keys() {
+        // The hash table takes its control tags from the top seven bits
+        // of the hash and the bucket from the low bits, masked to its
+        // power-of-two bucket count. The visited set's hash must spread
+        // the checker's own keys over both, at the capacity the set
+        // actually grows to.
+        let (report, keys) = check_opt_with_states(
             ModelConfig::full(DirKind::SecDir),
             &CheckOptions {
                 canonicalize: true,
                 threads: 2,
             },
         );
+        assert_eq!(report.states, 34_332);
+        // Grown by single inserts, as the checker grows it; the table
+        // keeps 7/8 of its power-of-two bucket count usable.
+        let mut set = KeySet::default();
+        keys.iter().for_each(|&key| {
+            set.insert(key);
+        });
+        let buckets = set.capacity().next_power_of_two() as u64;
         let hash = |key: u128| {
             let mut h = KeyHasher::default();
             h.write_u128(key);
             h.finish()
         };
-        let shard: Vec<u64> = keys
-            .into_iter()
-            .filter(|&k| shard_of(k) == 0)
-            .map(hash)
-            .collect();
-        assert!(shard.len() > 400, "{} keys in shard 0", shard.len());
-        let tags: HashSet<u64> = shard.iter().map(|h| h >> 57).collect();
-        let buckets: HashSet<u64> = shard.iter().map(|h| h & 0x3ff).collect();
-        assert!(tags.len() >= 120, "{} of 128 tags", tags.len());
+        let hashes: Vec<u64> = keys.into_iter().map(hash).collect();
+        let mut per_tag = [0usize; 128];
+        hashes.iter().for_each(|h| per_tag[(h >> 57) as usize] += 1);
+        let fewest = per_tag.iter().min().copied().unwrap_or(0);
+        let most = per_tag.iter().max().copied().unwrap_or(0);
+        assert!(most < 2 * fewest, "{per_tag:?} keys per tag");
+        let used: HashSet<u64> = hashes.iter().map(|h| h & (buckets - 1)).collect();
+        // Thrown at random, the keys would fill 1 − e^(−keys/buckets) of
+        // the buckets.
+        let load = hashes.len() as f64 / buckets as f64;
+        let expected = buckets as f64 * (1.0 - (-load).exp());
         assert!(
-            buckets.len() * 2 >= shard.len(),
-            "{} keys fill only {} of 1024 buckets",
-            shard.len(),
-            buckets.len()
+            used.len() as f64 >= 0.95 * expected,
+            "{} keys fill {} of {buckets} buckets, {expected:.0} expected",
+            hashes.len(),
+            used.len(),
         );
     }
 
