@@ -7,8 +7,8 @@
 //! (b) both mitigations closing it, and (c) what each mitigation costs on
 //! ordinary multithreaded workloads.
 
-use secdir_bench::{header, run_streams, DEFAULT_MEASURE, DEFAULT_WARMUP};
-use secdir_machine::{DirectoryKind, Machine, MachineConfig, TimingMitigation};
+use secdir_bench::{header, measure_phases, DEFAULT_MEASURE, DEFAULT_WARMUP};
+use secdir_machine::{DirectoryKind, Engine, Machine, MachineConfig, TimingMitigation};
 use secdir_mem::{CoreId, LineAddr};
 use secdir_workloads::parsec::ParsecApp;
 
@@ -77,9 +77,14 @@ fn main() {
             cfg.timing_mitigation = mit;
             let mut machine = Machine::new(cfg);
             let mut streams = app.threads(8, 0x9a25ec);
-            secdir_machine::run_workload(&mut machine, &mut streams, DEFAULT_WARMUP / 4);
-            let s = secdir_machine::run_workload(&mut machine, &mut streams, DEFAULT_MEASURE / 4);
-            cycles.push(s.cycles);
+            let run = measure_phases(
+                &mut machine,
+                &mut streams,
+                Engine::Serial,
+                DEFAULT_WARMUP / 4,
+                DEFAULT_MEASURE / 4,
+            );
+            cycles.push(run.cycles());
         }
         println!(
             "{:>14} {:>10.3} {:>10.3} {:>10.3}",
@@ -91,5 +96,4 @@ fn main() {
     }
     println!("\n(normalized execution time; the selective mitigation closes the channel");
     println!(" at a fraction of the naive slowdown, as §6 anticipates)");
-    let _ = run_streams; // silence unused when the helper set changes
 }

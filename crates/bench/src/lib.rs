@@ -13,9 +13,9 @@
 #![warn(missing_docs)]
 
 pub use secdir_machine::sweep::{
-    run_streams, CellResult, CellSpec, ExperimentRun, MissBreakdown, SweepMatrix,
+    measure_phases, run_streams, CellResult, CellSpec, ExperimentRun, MissBreakdown, SweepMatrix,
 };
-use secdir_machine::DirectoryKind;
+use secdir_machine::{DirectoryKind, Engine};
 use secdir_workloads::parsec::ParsecApp;
 use secdir_workloads::registry;
 use secdir_workloads::spec::SpecMix;
@@ -39,7 +39,8 @@ pub fn run_spec_mix(
     warmup: u64,
     measure: u64,
 ) -> ExperimentRun {
-    run_streams(kind, 8, mix.streams(8, SPEC_SEED), warmup, measure)
+    let streams = mix.streams(8, SPEC_SEED);
+    run_streams(kind, 8, streams, Engine::Serial, warmup, measure)
 }
 
 /// Runs a PARSEC app with 8 threads on 8 cores.
@@ -49,7 +50,8 @@ pub fn run_parsec(
     warmup: u64,
     measure: u64,
 ) -> ExperimentRun {
-    run_streams(kind, 8, app.threads(8, PARSEC_SEED), warmup, measure)
+    let streams = app.threads(8, PARSEC_SEED);
+    run_streams(kind, 8, streams, Engine::Serial, warmup, measure)
 }
 
 /// The Figure-7 matrix: all 12 SPEC mixes × the given directory kinds on

@@ -11,8 +11,11 @@ pub enum DirectoryKind {
     /// The conventional Skylake-X directory with the Appendix-A quirk —
     /// the paper's *Baseline*.
     Baseline,
-    /// Baseline geometry with the Appendix-A fix (an ablation point: fixes
-    /// the prime+probe variant but not the fundamental conflict attack).
+    /// Baseline geometry with the Appendix-A fix (an ablation point). ED
+    /// conflicts no longer invalidate private copies, which closes the
+    /// ED-only variant of [Yan et al., S&P'19], but not the fundamental
+    /// conflict attack: `prime_probe_attack` primes the ED and the TD
+    /// together, and still recovers every bit on this kind.
     BaselineFixed,
     /// The paper's SecDir (Table 4 design).
     SecDir,

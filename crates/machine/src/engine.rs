@@ -22,6 +22,7 @@ use secdir_mem::{CoreId, LineAddr};
 use serde::{Deserialize, Serialize};
 
 use crate::machine::Machine;
+use crate::{run_workload_sliced_with, SlicedOptions};
 
 /// One memory reference of a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -220,6 +221,42 @@ pub fn run_workload(
     RunSummary {
         cores: runs,
         cycles,
+    }
+}
+
+/// The engine that drives a run: the serial reference engine, or the
+/// slice-parallel epoch engine at a thread count with its tuning. The
+/// measured-window code ([`crate::sweep::measure_phases`] and `perf`'s
+/// timed windows) takes one of these, so each window is written once for
+/// both engines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// [`run_workload`].
+    Serial,
+    /// [`run_workload_sliced_with`](crate::run_workload_sliced_with).
+    Sliced {
+        /// Slice worker threads, the calling thread included.
+        threads: usize,
+        /// Epoch-engine tuning.
+        options: SlicedOptions,
+    },
+}
+
+impl Engine {
+    /// Runs `streams` on `machine` with this engine, issuing at most
+    /// `max_accesses_per_core` references per core during this call.
+    pub fn run(
+        self,
+        machine: &mut Machine,
+        streams: &mut [Box<dyn AccessStream + '_>],
+        max_accesses_per_core: u64,
+    ) -> RunSummary {
+        match self {
+            Engine::Serial => run_workload(machine, streams, max_accesses_per_core),
+            Engine::Sliced { threads, options } => {
+                run_workload_sliced_with(machine, streams, max_accesses_per_core, threads, options)
+            }
+        }
     }
 }
 

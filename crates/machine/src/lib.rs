@@ -45,7 +45,7 @@ pub mod sweep;
 
 pub use caches::PrivateCaches;
 pub use config::{DirectoryKind, Latencies, MachineConfig, TimingMitigation};
-pub use engine::{run_workload, Access, AccessStream, CoreRun, RunSummary};
+pub use engine::{run_workload, Access, AccessStream, CoreRun, Engine, RunSummary};
 pub use inject::{FaultKind, FaultPlan, InjectOutcome};
 pub use machine::{AccessOutcome, Machine, ServedBy};
 pub use oracle::{OracleError, ORACLE_INTERVAL};

@@ -3,16 +3,15 @@
 //! Every figure in this reproduction is statistics over `Machine::access`
 //! calls, so simulator throughput — accesses per wall-clock second —
 //! directly bounds how many sweep cells and attack trials a campaign can
-//! afford. This module measures that number per directory kind, two ways:
+//! afford. This module measures that number per directory kind, three
+//! ways:
 //!
-//! * **serial**: one machine, one timed measured phase (the warm-up is
-//!   excluded from the clock and the count) — the per-cell speed of the
-//!   reference engine itself.
-//! * **sliced**: the same single-machine window driven by the
-//!   slice-parallel epoch engine
-//!   ([`run_workload_sliced_with`]), one
-//!   row per ([`PerfSpec::slice_threads`], [`PerfSpec::epoch_batches`])
-//!   combination, each row carrying its `epoch_batch`/`pipeline` tuning.
+//! * **serial** and **sliced**: one machine, one timed measured phase
+//!   (the warm-up is excluded from the clock and the count), driven by
+//!   the serial reference engine or by the slice-parallel epoch engine
+//!   ([`Engine`]). One function times both: sliced rows come one per
+//!   ([`PerfSpec::slice_threads`], [`PerfSpec::epoch_batches`])
+//!   combination, each carrying its `epoch_batch`/`pipeline` tuning.
 //! * **sweep**: a seed-replicated cell matrix fanned out through
 //!   [`sweep`] — the harness-level speed, warm-up
 //!   included in both the clock and the count, recorded as
@@ -26,7 +25,6 @@
 //! host's CPU count: the sliced engine's barrier spins only when its
 //! threads fit the CPUs, so a threaded rate means little without it.
 
-use std::io::{self, Write};
 use std::time::Instant;
 
 use secdir_mem::json::Writer;
@@ -34,9 +32,7 @@ use secdir_mem::par::available_cpus;
 use serde::{Deserialize, Serialize};
 
 use crate::sweep::{sweep, CellSpec, StreamFactory};
-use crate::{
-    run_workload, run_workload_sliced_with, DirectoryKind, Machine, MachineConfig, SlicedOptions,
-};
+use crate::{DirectoryKind, Engine, Machine, MachineConfig, SlicedOptions};
 
 /// Times `f` against the host's monotonic clock and returns its result
 /// with the elapsed duration. The workspace lint (`secdir-sim lint`)
@@ -76,7 +72,7 @@ pub struct PerfSpec {
     pub serial_reps: usize,
     /// Slice-thread counts for the epoch-engine samples: one extra
     /// single-machine row per (thread count, epoch batch) pair, driven by
-    /// [`run_workload_sliced_with`].
+    /// [`Engine::Sliced`].
     /// Empty skips the sliced samples entirely.
     pub slice_threads: Vec<usize>,
     /// Epoch-batch values swept for the sliced samples (`--epoch-batch`).
@@ -202,24 +198,28 @@ fn cell_for(spec: &PerfSpec, kind: DirectoryKind, seed: u64) -> CellSpec {
     }
 }
 
-/// Times the measured phase of one serial cell: the warm-up runs before
-/// the clock starts, and the measured phase repeats `spec.serial_reps`
-/// times on the same warm machine (the streams keep advancing, staying
-/// in steady state); the fastest window is reported, so the sample
-/// reflects steady-state engine speed rather than host scheduling noise.
-fn measure_serial<F: StreamFactory + ?Sized>(
+/// Times the measured phase of one cell on `engine`: the warm-up runs
+/// before the clock starts, and the measured phase repeats
+/// `spec.serial_reps` times on the same warm machine (the streams keep
+/// advancing, staying in steady state); the fastest window is reported, so
+/// the sample reflects steady-state engine speed rather than host
+/// scheduling noise. A serial window is a `mode:"serial"` row; a sliced
+/// one is a `mode:"sliced"` row (one machine, one cell) recording its
+/// worker count in `threads` and its tuning.
+fn measure_window<F: StreamFactory + ?Sized>(
     spec: &PerfSpec,
     kind: DirectoryKind,
     factory: &F,
+    engine: Engine,
 ) -> PerfSample {
     let cell = cell_for(spec, kind, spec.seed);
     let mut machine = Machine::new(MachineConfig::skylake_x(cell.cores, cell.kind));
     let mut streams = factory.streams(&cell);
-    run_workload(&mut machine, &mut streams, cell.warmup);
+    engine.run(&mut machine, &mut streams, cell.warmup);
     let mut best: (u64, u128) = (0, u128::MAX);
     for _ in 0..spec.serial_reps.max(1) {
         let start = Instant::now();
-        let summary = run_workload(&mut machine, &mut streams, cell.measure);
+        let summary = engine.run(&mut machine, &mut streams, cell.measure);
         let nanos = start.elapsed().as_nanos();
         let accesses: u64 = summary.cores.iter().map(|c| c.accesses).sum();
         if nanos < best.1 {
@@ -229,66 +229,16 @@ fn measure_serial<F: StreamFactory + ?Sized>(
     // `serial_reps.max(1)` guarantees at least one timed window replaced
     // the `u128::MAX` sentinel.
     let (accesses, nanos) = best;
+    let (mode, tuning, threads) = match engine {
+        Engine::Serial => ("serial", None, 1),
+        Engine::Sliced { threads, options } => ("sliced", Some(options), threads),
+    };
     PerfSample {
         directory: kind,
-        mode: "serial",
-        tuning: None,
+        mode,
+        tuning,
         cells: 1,
-        threads: 1,
-        warmup_timed: false,
-        host_cpus: available_cpus(),
-        accesses,
-        nanos,
-    }
-}
-
-/// Times the measured phase of one cell under the slice-parallel epoch
-/// engine ([`run_workload_sliced_with`](crate::run_workload_sliced_with))
-/// at `slice_threads` workers with the given tuning. Same windowing
-/// discipline as [`measure_serial`]: warm-up outside the clock, fastest
-/// of `spec.serial_reps` repetitions. Reported as `mode:"sliced"` (one
-/// machine, one cell) with `threads` recording the worker count and the
-/// tuning recorded on the row.
-fn measure_sliced<F: StreamFactory + ?Sized>(
-    spec: &PerfSpec,
-    kind: DirectoryKind,
-    factory: &F,
-    slice_threads: usize,
-    options: SlicedOptions,
-) -> PerfSample {
-    let cell = cell_for(spec, kind, spec.seed);
-    let mut machine = Machine::new(MachineConfig::skylake_x(cell.cores, cell.kind));
-    let mut streams = factory.streams(&cell);
-    run_workload_sliced_with(
-        &mut machine,
-        &mut streams,
-        cell.warmup,
-        slice_threads,
-        options,
-    );
-    let mut best: (u64, u128) = (0, u128::MAX);
-    for _ in 0..spec.serial_reps.max(1) {
-        let start = Instant::now();
-        let summary = run_workload_sliced_with(
-            &mut machine,
-            &mut streams,
-            cell.measure,
-            slice_threads,
-            options,
-        );
-        let nanos = start.elapsed().as_nanos();
-        let accesses: u64 = summary.cores.iter().map(|c| c.accesses).sum();
-        if nanos < best.1 {
-            best = (accesses, nanos);
-        }
-    }
-    let (accesses, nanos) = best;
-    PerfSample {
-        directory: kind,
-        mode: "sliced",
-        tuning: Some(options),
-        cells: 1,
-        threads: slice_threads,
+        threads,
         warmup_timed: false,
         host_cpus: available_cpus(),
         accesses,
@@ -331,38 +281,24 @@ pub fn measure<F: StreamFactory + ?Sized>(spec: &PerfSpec, factory: &F) -> Vec<P
     let per_kind = 2 + spec.slice_threads.len() * spec.epoch_batches.len();
     let mut out = Vec::with_capacity(spec.kinds.len() * per_kind);
     for &kind in &spec.kinds {
-        out.push(measure_serial(spec, kind, factory));
-        for &st in &spec.slice_threads {
+        out.push(measure_window(spec, kind, factory, Engine::Serial));
+        for &threads in &spec.slice_threads {
             for &batch in &spec.epoch_batches {
                 let options = SlicedOptions {
                     epoch_batch: batch,
                     pipeline: spec.pipeline,
                 };
-                out.push(measure_sliced(spec, kind, factory, st, options));
+                out.push(measure_window(
+                    spec,
+                    kind,
+                    factory,
+                    Engine::Sliced { threads, options },
+                ));
             }
         }
         out.push(measure_sweep(spec, kind, factory));
     }
     out
-}
-
-/// Writes `samples` as JSONL (one [`PerfSample::to_json_line`] per line),
-/// flushing after every record so an interrupted benchmark leaves at most
-/// one truncated line behind.
-///
-/// # Errors
-///
-/// Propagates the first I/O error from `out`.
-pub fn write_report<W: Write>(
-    mut out: W,
-    spec: &PerfSpec,
-    samples: &[PerfSample],
-) -> io::Result<()> {
-    for s in samples {
-        writeln!(out, "{}", s.to_json_line(spec))?;
-        out.flush()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -493,9 +429,6 @@ mod tests {
         assert!(line.contains("\"host_cpus\":2,\"accesses\":4800"));
         assert!(!line.contains("epoch_batch"), "tuning only on sliced rows");
         assert!(line.ends_with(&format!("\"accesses_per_sec\":{}}}", s.accesses_per_sec())));
-        let mut buf = Vec::new();
-        write_report(&mut buf, &spec, &[s]).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap().lines().count(), 1);
     }
 
     #[test]

@@ -146,8 +146,9 @@ pub fn plan_resume(cells: &[CellSpec], text: &str) -> Result<ResumePlan, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_matrix, write_outcomes_jsonl, SweepMatrix, SweepOptions};
+    use crate::sweep::{run_matrix, SweepMatrix, SweepOptions};
     use crate::{Access, AccessStream, DirectoryKind};
+    use secdir_mem::json::write_lines;
     use secdir_mem::LineAddr;
 
     fn factory(cell: &CellSpec) -> Vec<Box<dyn AccessStream + 'static>> {
@@ -176,7 +177,7 @@ mod tests {
     fn full_output(cells: &[CellSpec]) -> String {
         let outcomes = run_matrix(cells, &factory, &SweepOptions::new(2));
         let mut buf = Vec::new();
-        write_outcomes_jsonl(&mut buf, &outcomes).unwrap();
+        write_lines(&mut buf, outcomes.iter().map(CellOutcome::to_json_line)).unwrap();
         String::from_utf8(buf).unwrap()
     }
 

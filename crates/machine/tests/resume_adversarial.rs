@@ -15,10 +15,9 @@
 
 use proptest::prelude::*;
 use secdir_machine::resume::plan_resume;
-use secdir_machine::sweep::{
-    run_matrix, write_outcomes_jsonl, CellOutcome, CellSpec, SweepMatrix, SweepOptions,
-};
+use secdir_machine::sweep::{run_matrix, CellOutcome, CellSpec, SweepMatrix, SweepOptions};
 use secdir_machine::{Access, AccessStream, DirectoryKind};
+use secdir_mem::json::write_lines;
 use secdir_mem::LineAddr;
 
 fn factory(cell: &CellSpec) -> Vec<Box<dyn AccessStream + 'static>> {
@@ -60,7 +59,7 @@ fn panicked_line(cell: &CellSpec, msg: &str) -> String {
 fn full_checkpoint(cells: &[CellSpec]) -> String {
     let outcomes = run_matrix(cells, &factory, &SweepOptions::new(2));
     let mut buf = Vec::new();
-    write_outcomes_jsonl(&mut buf, &outcomes).unwrap();
+    write_lines(&mut buf, outcomes.iter().map(CellOutcome::to_json_line)).unwrap();
     String::from_utf8(buf).unwrap()
 }
 

@@ -15,9 +15,13 @@
 //! accepted line has one meaning and one spelling, and a reader that
 //! walks a record's keys in its writer's order accepts exactly the bytes
 //! that writer produces.
+//!
+//! [`write_lines`] puts finished lines on a file or stream, one JSONL
+//! record per line, each flushed as it is written.
 
 use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
+use std::io::{self, Write};
 
 /// Appends one JSON value to a `String`; see the [module docs](self).
 pub struct Writer<'a> {
@@ -390,9 +394,52 @@ pub fn unescape(raw: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
+/// Writes each of `lines` followed by `\n`, flushing after every line, so
+/// an interrupted run leaves at most one truncated line behind: the
+/// recovery contract `--resume` relies on.
+///
+/// # Errors
+///
+/// Propagates the first I/O error from `out`.
+pub fn write_lines<W: Write, S: AsRef<str>>(
+    mut out: W,
+    lines: impl IntoIterator<Item = S>,
+) -> io::Result<()> {
+    for line in lines {
+        out.write_all(line.as_ref().as_bytes())?;
+        out.write_all(b"\n")?;
+        out.flush()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_lines_flushes_every_line() {
+        /// Records the bytes present at each flush.
+        #[derive(Default)]
+        struct Flushes {
+            buf: Vec<u8>,
+            seen: Vec<String>,
+        }
+        impl Write for Flushes {
+            fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+                self.buf.extend_from_slice(b);
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.seen
+                    .push(String::from_utf8_lossy(&self.buf).into_owned());
+                Ok(())
+            }
+        }
+        let mut out = Flushes::default();
+        write_lines(&mut out, ["{\"a\":1}", "{}"]).expect("in-memory write");
+        assert_eq!(out.seen, ["{\"a\":1}\n", "{\"a\":1}\n{}\n"]);
+    }
 
     #[test]
     fn push_u64_matches_display() {

@@ -76,15 +76,15 @@ where
     });
 }
 
-// The code between these region markers runs inside the barrier itself
-// or between crossings outside every catch_unwind net. A panic here
-// strands the other side of the barrier (see the `barrier-panic` lint
-// rule in secdir-verif).
-// lint: begin-region(barrier-worker)
+// The items marked as `barrier-worker` regions below run inside the
+// barrier itself or between crossings outside every catch_unwind net. A
+// panic there strands the other side of the barrier (see the
+// `barrier-panic` lint rule in secdir-verif).
 
 /// Locks a mutex, shrugging off poisoning: a participant that panicked
 /// has already recorded its failure, and the survivors still need the
 /// data to wind down or to reassemble what the panic interrupted.
+// lint: region(barrier-worker)
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -103,6 +103,7 @@ pub struct Handoff<T> {
     slots: Vec<(usize, Mutex<Vec<T>>)>,
 }
 
+// lint: region(barrier-worker)
 impl<T> Handoff<T> {
     /// Splits `n` items over `participants` contiguous chunks, the
     /// remainder on the last ones: the lead also runs the serial steps.
@@ -165,6 +166,7 @@ struct EpochBarrier {
 /// Yield-tier length between spinning and parking.
 const YIELD_LIMIT: u32 = 16;
 
+// lint: region(barrier-worker)
 impl EpochBarrier {
     fn new(participants: usize) -> Self {
         // A lone participant never waits, so it skips the CPU-count query.
@@ -241,6 +243,7 @@ pub struct Crew {
     failure: Mutex<Option<Panic>>,
 }
 
+// lint: region(barrier-worker)
 impl Crew {
     /// Crosses the barrier as participant `id`: 0 for the lead, the
     /// worker's own id for a spawned worker.
@@ -306,8 +309,6 @@ impl Crew {
         }
     }
 }
-
-// lint: end-region(barrier-worker)
 
 /// Runs a crew of `participants` threads in lock-step rounds of
 /// `crossings` barrier crossings each, the round-start crossing included.

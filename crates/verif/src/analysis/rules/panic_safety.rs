@@ -6,10 +6,10 @@
 //! `catch_unwind` drain protocol, but code that runs *between* barrier
 //! crossings on the main thread — routing, hand-out/take-back, response
 //! collection — and the barrier internals themselves have no such net: a
-//! panic there deadlocks the scoped join. Those functions are marked
-//! with `lint: region(barrier-worker)` / `begin-region` annotations (see
-//! [`crate::analysis::scope`]), and inside them this rule flags every
-//! potential panic site:
+//! panic there deadlocks the scoped join. Those functions, or the
+//! `impl` blocks that hold them, are marked with `lint:
+//! region(barrier-worker)` annotations (see [`crate::analysis::scope`]),
+//! and inside them this rule flags every potential panic site:
 //!
 //! * **error**: `.unwrap()`, `.expect(…)`, `assert!`/`assert_eq!`/
 //!   `assert_ne!`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`,
@@ -235,12 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_region_covers_free_lines() {
-        let src = "// lint: begin-region(barrier-worker)\nfn a() {\n    x.unwrap();\n}\n// lint: end-region(barrier-worker)\nfn b() {\n    y[0];\n}\n";
+    fn impl_region_covers_its_methods_only() {
+        let src = "// lint: region(barrier-worker)\nimpl B {\n    fn a(&self) {\n        x.unwrap();\n    }\n}\nfn b() {\n    y[0];\n}\n";
         let f = test_findings(src, PROD);
         let barrier: Vec<_> = f.iter().filter(|d| d.rule == "barrier-panic").collect();
         assert_eq!(barrier.len(), 1);
-        assert_eq!(barrier[0].line, 3);
+        assert_eq!(barrier[0].line, 4);
     }
 
     #[test]

@@ -15,19 +15,15 @@
 //! # Regions
 //!
 //! A *region* names a code area with extra rules (today:
-//! `barrier-worker`, see the `barrier-panic` rule). Two marker forms,
-//! both in plain (non-doc) comments:
+//! `barrier-worker`, see the `barrier-panic` rule). One marker form, in a
+//! plain (non-doc) comment: `// lint: region(NAME)` immediately above an
+//! item puts the item's whole brace block in the region. New functions
+//! added to a marked `impl`/`mod` block are covered by default.
 //!
-//! * `// lint: region(NAME)` — immediately above an item; the item's
-//!   whole brace block is in the region. New functions added to a marked
-//!   `impl`/`mod` block are covered by default.
-//! * `// lint: begin-region(NAME)` … `// lint: end-region(NAME)` — every
-//!   line between the markers is in the region, independent of scopes.
-//!
-//! Marker misuse (unknown region name, a `region(...)` marker that never
-//! attaches to a block, unbalanced `begin`/`end`) is reported as a
-//! [`MarkerIssue`] and surfaces as a hard `region-marker` lint error —
-//! annotation rot is a finding, not a silent no-op.
+//! Marker misuse (unknown region name, a marker that never attaches to a
+//! block) is reported as a [`MarkerIssue`] and surfaces as a hard
+//! `region-marker` lint error — annotation rot is a finding, not a silent
+//! no-op.
 
 use super::lexer::{is_comment, Token, TokenKind};
 
@@ -93,8 +89,6 @@ pub fn build(src: &str, tokens: &[Token]) -> (ScopeMap, Vec<MarkerIssue>) {
         pending_test: false,
         pending_exempt: false,
         pending_region: None,
-        open_ranges: Vec::new(),
-        ranges: Vec::new(),
         issues: Vec::new(),
         lines: vec![LineInfo::default(); total_lines + 1],
         next_snap: 1,
@@ -118,10 +112,6 @@ struct Builder<'a> {
     pending_exempt: bool,
     /// `(bit, marker line)` of a `lint: region(NAME)` waiting for `{`.
     pending_region: Option<(u32, u32)>,
-    /// `(bit, begin line)` of open `begin-region` markers.
-    open_ranges: Vec<(u32, u32, String)>,
-    /// Completed `(bit, from, to)` line ranges.
-    ranges: Vec<(u32, u32, u32)>,
     issues: Vec<MarkerIssue>,
     lines: Vec<LineInfo>,
     next_snap: u32,
@@ -202,20 +192,6 @@ impl Builder<'_> {
                 message: "region marker did not attach to a brace block".to_string(),
             });
         }
-        for (_, line, name) in std::mem::take(&mut self.open_ranges) {
-            self.issues.push(MarkerIssue {
-                line,
-                message: format!("begin-region({name}) is never closed"),
-            });
-        }
-        // Overlay the begin/end line ranges.
-        for &(bit, from, to) in &self.ranges {
-            for line in from..=to {
-                if let Some(info) = self.lines.get_mut(line as usize) {
-                    info.regions |= bit;
-                }
-            }
-        }
     }
 
     /// Consumes an attribute starting at the `#` token index; returns the
@@ -276,60 +252,28 @@ impl Builder<'_> {
         None
     }
 
-    /// Parses region markers out of one plain comment token.
+    /// Parses a region marker out of one plain comment token.
     fn marker_comment(&mut self, t: Token) {
-        let text = t.text(self.src);
-        if let Some(name) = marker_arg(text, "lint: begin-region(") {
-            match region_bit(&name) {
-                Some(bit) => {
-                    if self.open_ranges.iter().any(|(b, _, _)| *b == bit) {
-                        self.issues.push(MarkerIssue {
-                            line: t.line,
-                            message: format!("begin-region({name}) while already open"),
-                        });
-                    } else {
-                        self.open_ranges.push((bit, t.line, name));
-                    }
+        let Some(name) = marker_arg(t.text(self.src), "lint: region(") else {
+            return;
+        };
+        match region_bit(&name) {
+            Some(bit) => {
+                if let Some((_, line)) = self.pending_region.replace((bit, t.line)) {
+                    self.issues.push(MarkerIssue {
+                        line,
+                        message: "region marker did not attach to a brace block".to_string(),
+                    });
                 }
-                None => self.unknown_region(t.line, &name),
             }
-        } else if let Some(name) = marker_arg(text, "lint: end-region(") {
-            match region_bit(&name) {
-                Some(bit) => match self.open_ranges.iter().position(|(b, _, _)| *b == bit) {
-                    Some(at) => {
-                        let (bit, from, _) = self.open_ranges.remove(at);
-                        self.ranges.push((bit, from, t.line));
-                    }
-                    None => self.issues.push(MarkerIssue {
-                        line: t.line,
-                        message: format!("end-region({name}) without a matching begin"),
-                    }),
-                },
-                None => self.unknown_region(t.line, &name),
-            }
-        } else if let Some(name) = marker_arg(text, "lint: region(") {
-            match region_bit(&name) {
-                Some(bit) => {
-                    if let Some((_, line)) = self.pending_region.replace((bit, t.line)) {
-                        self.issues.push(MarkerIssue {
-                            line,
-                            message: "region marker did not attach to a brace block".to_string(),
-                        });
-                    }
-                }
-                None => self.unknown_region(t.line, &name),
-            }
+            None => self.issues.push(MarkerIssue {
+                line: t.line,
+                message: format!(
+                    "unknown region `{name}`; known regions: {}",
+                    KNOWN_REGIONS.join(", ")
+                ),
+            }),
         }
-    }
-
-    fn unknown_region(&mut self, line: u32, name: &str) {
-        self.issues.push(MarkerIssue {
-            line,
-            message: format!(
-                "unknown region `{name}`; known regions: {}",
-                KNOWN_REGIONS.join(", ")
-            ),
-        });
     }
 }
 
@@ -407,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_region_covers_the_line_range() {
-        let src = "fn a() {}\n// lint: begin-region(barrier-worker)\nfn b() {\n    x();\n}\n// lint: end-region(barrier-worker)\nfn c() {}\n";
-        let (m, issues) = map(src);
-        assert!(issues.is_empty(), "{issues:?}");
-        assert!(!m.in_region(1, "barrier-worker"));
-        assert!(m.in_region(4, "barrier-worker"));
-        assert!(!m.in_region(7, "barrier-worker"));
-    }
-
-    #[test]
     fn marker_misuse_is_reported() {
         let (_, unknown) = map("// lint: region(bogus)\nfn a() {}\n");
         assert_eq!(unknown.len(), 1);
@@ -425,14 +359,6 @@ mod tests {
         let (_, unattached) = map("// lint: region(barrier-worker)\nuse std::fmt;\n");
         assert_eq!(unattached.len(), 1, "{unattached:?}");
         assert!(unattached[0].message.contains("did not attach"));
-
-        let (_, unclosed) = map("// lint: begin-region(barrier-worker)\nfn a() {}\n");
-        assert_eq!(unclosed.len(), 1);
-        assert!(unclosed[0].message.contains("never closed"));
-
-        let (_, unopened) = map("// lint: end-region(barrier-worker)\n");
-        assert_eq!(unopened.len(), 1);
-        assert!(unopened[0].message.contains("without a matching begin"));
     }
 
     #[test]

@@ -20,10 +20,12 @@ use secdir_machine::resume::plan_resume;
 use secdir_machine::serve::{
     self, JournalFormat, ServeConfig, ServeError, TenantSpec, TenantStatus,
 };
-use secdir_machine::sweep::{run_matrix, CellOutcome, CellSpec, SweepMatrix, SweepOptions};
+use secdir_machine::sweep::{
+    run_matrix, run_streams, CellOutcome, CellSpec, SweepMatrix, SweepOptions,
+};
 use secdir_machine::{
-    run_workload, run_workload_sliced, AccessStream, DirectoryKind, Machine, MachineConfig,
-    ServedBy,
+    run_workload, AccessStream, DirectoryKind, Engine, Machine, MachineConfig, ServedBy,
+    SlicedOptions,
 };
 use secdir_mem::{json, par, CoreId, LineAddr};
 use secdir_workloads::aes::AesVictim;
@@ -369,57 +371,34 @@ fn attack_cmd(flags: &Flags) -> Result<ExitCode, String> {
 }
 
 /// Warms up with the first `refs / 2` references per core, then measures
-/// the remaining `refs - refs / 2`, reporting measured-phase deltas.
+/// the remaining `refs - refs / 2` through [`run_streams`], and prints the
+/// measured-phase deltas.
 ///
-/// `run_workload`'s cap is per *call*, not cumulative: each call issues up
-/// to that many references on top of whatever earlier calls consumed. The
-/// measured phase must therefore ask for `refs - refs / 2`, not `refs` —
-/// asking for `refs` again would measure a window as long as warm-up plus
-/// measurement combined.
-///
-/// With `slice_threads: Some(n)` both phases run on the epoch-synchronized
-/// sliced engine instead of the serial one (even for `n = 1`), so CI can
+/// `spec --slice-threads N` runs both phases on the epoch-synchronized
+/// sliced engine instead of the serial one (even for `N = 1`), so CI can
 /// `cmp` the stdout of a 1-thread and a 4-thread run byte for byte; the
 /// report deliberately never prints the thread count.
 fn run_streams_report(
     kind: DirectoryKind,
-    mut streams: Vec<Box<dyn AccessStream>>,
+    streams: Vec<Box<dyn AccessStream>>,
     refs: u64,
-    slice_threads: Option<usize>,
+    engine: Engine,
 ) -> Result<ExitCode, String> {
-    let mut machine = Machine::new(MachineConfig::skylake_x(streams.len(), kind));
-    let run = |machine: &mut Machine, streams: &mut Vec<Box<dyn AccessStream>>, cap| {
-        match slice_threads {
-            Some(n) => run_workload_sliced(machine, streams, cap, n),
-            None => run_workload(machine, streams, cap),
-        }
-    };
-    run(&mut machine, &mut streams, refs / 2);
-    let s0 = machine.stats().clone();
-    let summary = run(&mut machine, &mut streams, refs - refs / 2);
-    let stats = machine.stats();
-    let (e0, v0, m0) = s0.miss_breakdown();
-    let (e1, v1, m1) = stats.miss_breakdown();
-    let misses = stats.total_l2_misses() - s0.total_l2_misses();
+    let cores = streams.len();
+    let run = run_streams(kind, cores, streams, engine, refs / 2, refs - refs / 2);
     println!("directory   : {kind:?}");
-    if slice_threads.is_some() {
-        // Thread-count-independent on purpose: 1-thread and 4-thread runs
-        // must produce byte-identical stdout for the CI `cmp` smoke test.
+    if engine != Engine::Serial {
         println!("engine      : sliced");
     }
-    println!("mean IPC    : {:.3}", summary.mean_ipc());
-    println!("exec cycles : {}", summary.cycles);
-    println!("L2 misses   : {misses}");
+    println!("mean IPC    : {:.3}", run.ipc());
+    println!("exec cycles : {}", run.cycles());
+    // Each L2 miss is served by exactly one of ED/TD, VD and memory.
+    println!("L2 misses   : {}", run.breakdown.total());
     println!(
         "  breakdown : ED/TD {} | VD {} | memory {}",
-        e1 - e0,
-        v1 - v0,
-        m1 - m0
+        run.breakdown.ed_td, run.breakdown.vd, run.breakdown.memory
     );
-    println!(
-        "inclusion victims: {}",
-        stats.total_inclusion_victims() - s0.total_inclusion_victims()
-    );
+    println!("inclusion victims: {}", run.inclusion_victims);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -432,14 +411,19 @@ fn spec_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let kind = DirectoryKind::parse(flags.get("directory").unwrap_or("secdir"))?;
     let refs: u64 = flags.int("refs", 200_000);
     let seed: u64 = flags.int("seed", 0x5eed);
-    let slice_threads = flags
-        .has("slice-threads")
-        .then(|| flags.int("slice-threads", 1));
+    let engine = if flags.has("slice-threads") {
+        Engine::Sliced {
+            threads: flags.int("slice-threads", 1),
+            options: SlicedOptions::default(),
+        }
+    } else {
+        Engine::Serial
+    };
     println!(
         "mix         : {} ({} + {})",
         mix.name, mix.a.name, mix.b.name
     );
-    run_streams_report(kind, mix.streams(8, seed), refs, slice_threads)
+    run_streams_report(kind, mix.streams(8, seed), refs, engine)
 }
 
 fn parsec_cmd(flags: &Flags) -> Result<ExitCode, String> {
@@ -452,7 +436,7 @@ fn parsec_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let refs: u64 = flags.int("refs", 200_000);
     let seed: u64 = flags.int("seed", 0x9a25ec);
     println!("app         : {}", app.name);
-    run_streams_report(kind, app.threads(8, seed), refs, None)
+    run_streams_report(kind, app.threads(8, seed), refs, Engine::Serial)
 }
 
 fn aes_cmd(flags: &Flags) -> Result<ExitCode, String> {
@@ -577,7 +561,6 @@ fn sweep_cmd(flags: &Flags) -> Result<ExitCode, String> {
         .get("out")
         .or(resume_path)
         .unwrap_or("BENCH_sweep.json");
-    let budget: Option<u64> = flags.has("budget").then(|| flags.int("budget", 0));
 
     // An absent checkpoint file is an empty checkpoint: everything runs.
     let checkpoint = match resume_path {
@@ -599,18 +582,12 @@ fn sweep_cmd(flags: &Flags) -> Result<ExitCode, String> {
     let opts = SweepOptions {
         threads: threads.clamp(1, to_run.len().max(1)),
         fail_fast: flags.has("fail-fast"),
-        budget,
     };
     let (outcomes, elapsed) = perf::time(|| run_matrix(&to_run, &registry::factory, &opts));
 
     let lines = plan.merge(&outcomes);
     let file = std::fs::File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    for line in &lines {
-        use std::io::Write as _;
-        writeln!(w, "{line}").map_err(|e| e.to_string())?;
-        w.flush().map_err(|e| e.to_string())?;
-    }
+    json::write_lines(std::io::BufWriter::new(file), &lines).map_err(|e| e.to_string())?;
 
     let failed = outcomes.iter().filter(|o| !o.is_done()).count();
     println!(
@@ -644,12 +621,6 @@ fn sweep_cmd(flags: &Flags) -> Result<ExitCode, String> {
             ),
             CellOutcome::Panicked { msg, .. } => println!(
                 "{:>14} {:>16} {:>6} panicked: {msg}",
-                cell.workload,
-                cell.kind.name(),
-                cell.seed,
-            ),
-            CellOutcome::Exhausted { budget, .. } => println!(
-                "{:>14} {:>16} {:>6} exhausted {budget}-access budget",
                 cell.workload,
                 cell.kind.name(),
                 cell.seed,
@@ -838,12 +809,8 @@ fn serve_cmd(flags: &Flags) -> Result<ExitCode, String> {
 
     if let Some(path) = flags.get("out") {
         let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        for o in &report.outcomes {
-            use std::io::Write as _;
-            writeln!(w, "{}", o.record).map_err(|e| e.to_string())?;
-            w.flush().map_err(|e| e.to_string())?;
-        }
+        let records = report.outcomes.iter().map(|o| &o.record);
+        json::write_lines(std::io::BufWriter::new(file), records).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
     if let Some(path) = flags.get("bench") {
@@ -895,13 +862,12 @@ fn write_serve_bench(
     nanos: u128,
 ) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
     let total_retired: u64 = report.outcomes.iter().map(|o| o.retired).sum();
     let retired_per_sec = (total_retired as u128)
         .saturating_mul(1_000_000_000)
         .checked_div(nanos)
         .unwrap_or(0) as u64;
-    let mut line = String::new();
+    let mut lines = Vec::new();
     for kind in DirectoryKind::ALL {
         let picked: Vec<_> = cfg
             .tenants
@@ -919,6 +885,7 @@ fn write_serve_bench(
             .iter()
             .filter(|(_, o)| o.status == TenantStatus::Done)
             .count();
+        let mut line = String::new();
         let mut jw = json::Writer::new(&mut line);
         jw.obj();
         jw.key("schema").str("secdir-bench-serve/2");
@@ -937,11 +904,9 @@ fn write_serve_bench(
         jw.key("retired_per_sec").u64(retired_per_sec);
         jw.key("journal_bytes").u64(report.journal_bytes);
         jw.end_obj();
-        use std::io::Write as _;
-        writeln!(w, "{line}").map_err(|e| e.to_string())?;
-        w.flush().map_err(|e| e.to_string())?;
+        lines.push(line);
     }
-    Ok(())
+    json::write_lines(std::io::BufWriter::new(file), lines).map_err(|e| e.to_string())
 }
 
 /// `decode` shares `serve`'s corrupt-journal exit code (3).
@@ -1016,12 +981,8 @@ fn inject_cmd(flags: &Flags) -> Result<ExitCode, String> {
     }
     if let Some(path) = flags.get("out") {
         let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        for o in &outcomes {
-            use std::io::Write as _;
-            writeln!(w, "{}", o.to_json_line()).map_err(|e| e.to_string())?;
-            w.flush().map_err(|e| e.to_string())?;
-        }
+        let lines = outcomes.iter().map(|o| o.to_json_line());
+        json::write_lines(std::io::BufWriter::new(file), lines).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
     let missed = outcomes.iter().filter(|o| !o.detected_in_time()).count();
@@ -1066,8 +1027,8 @@ fn perf_cmd(flags: &Flags) -> Result<ExitCode, String> {
 
     let samples = perf::measure(&spec, &registry::factory);
     let file = std::fs::File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
-    perf::write_report(std::io::BufWriter::new(file), &spec, &samples)
-        .map_err(|e| e.to_string())?;
+    let lines = samples.iter().map(|s| s.to_json_line(&spec));
+    json::write_lines(std::io::BufWriter::new(file), lines).map_err(|e| e.to_string())?;
 
     println!(
         "workload {} on {} cores, warmup {} + measure {} refs/core",
@@ -1186,8 +1147,8 @@ fn verif_cmd(flags: &Flags) -> Result<ExitCode, String> {
     if let Some(path) = flags.get("bench") {
         let records = secdir_verif::run_checker_bench(threads);
         let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        secdir_verif::perf::write_report(std::io::BufWriter::new(file), &records)
-            .map_err(|e| e.to_string())?;
+        let lines = records.iter().map(|r| r.to_json_line());
+        json::write_lines(std::io::BufWriter::new(file), lines).map_err(|e| e.to_string())?;
         println!(
             "{:>16} {:>5}x{:<1} {:>10} {:>10} {:>10} {:>12} {:>10}",
             "directory", "geo", "", "raw", "canon", "reduction", "canon st/s", "peak KiB"
@@ -1307,8 +1268,6 @@ Replay:  --replay FILE [--directory KIND].
             completed cells, and run only the missing/failed ones"),
         switch("fail-fast", "stop claiming new cells after the first failure (legacy \
             all-or-nothing behaviour); unstarted cells are recorded as skipped"),
-        int("budget", 0, U64, "watchdog: max references per core per cell; over-budget cells \
-            are recorded as exhausted instead of spinning"),
     ], about: "\
 Runs the workload x directory x seed matrix in parallel and writes one
 JSON object per cell, in matrix order, bit-identical for any --threads
