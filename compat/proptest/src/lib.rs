@@ -14,8 +14,6 @@
 //!   reproducibility contract the simulator itself keeps (DESIGN.md §5).
 //! * **No shrinking.** A failing case panics with its inputs via the
 //!   `prop_assert*` message instead of searching for a minimal one.
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Test-runner types (`ProptestConfig`, the RNG driving generation).
 pub mod test_runner {
@@ -181,7 +179,7 @@ pub mod strategy {
         ($($name:ident),+) => {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
-                #[allow(non_snake_case)]
+                #[expect(non_snake_case, reason = "the bindings reuse the type parameters' names")]
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)

@@ -6,8 +6,6 @@
 //! std-only writer in `secdir_mem::json` — so expanding to nothing is sound. The
 //! `serde` helper-attribute registration keeps `#[serde(...)]` field
 //! attributes compiling should they ever appear.
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use proc_macro::TokenStream;
 

@@ -23,9 +23,6 @@
 //! assert_eq!(sec.total_kb(), 249.75);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod area;
 pub mod associativity;
 pub mod design_space;

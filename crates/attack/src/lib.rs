@@ -31,9 +31,6 @@
 //! assert_eq!(set.len(), 8);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod evict_reload;
 pub mod evict_time;
 pub mod eviction;

@@ -7,6 +7,7 @@
 //! attack regime where Table 6's LLCT mixes stop benefiting), sweeping the
 //! relocation budget and the bank associativity, reporting the
 //! self-conflict (drop) rate per insertion.
+#![allow(clippy::expect_used, reason = "a bench fails by panicking")]
 
 use secdir::{VdBank, VdHashing};
 use secdir_bench::header;

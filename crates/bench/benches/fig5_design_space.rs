@@ -5,6 +5,7 @@
 //! Paper shape: every curve grows with the core count (the reused ED
 //! sharer bits pay for more VD entries); W_ED = 8 crosses 1.0 in the
 //! tens of cores.
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a failure panics")]
 
 use secdir_area::design_space::{design_point, figure5_sweep};
 use secdir_bench::header;

@@ -5,6 +5,7 @@
 //! Paper shape: the first access to each of T0's 16 lines is a main-memory
 //! access; **every** subsequent access hits the private L1/L2 — the
 //! attacker, unable to touch the victim's VD, observes nothing.
+#![allow(clippy::expect_used, reason = "a bench fails by panicking")]
 
 use secdir_bench::header;
 use secdir_machine::{AccessStream, DirectoryKind, Machine, MachineConfig, ServedBy};

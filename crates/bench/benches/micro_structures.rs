@@ -6,6 +6,7 @@
 //! directory organizations, complementing the table/figure benches. Timed
 //! with `std::time::Instant` (the offline environment has no criterion);
 //! each case reports the mean wall time per iteration over a fixed batch.
+#![allow(clippy::disallowed_methods, reason = "a host-time benchmark")]
 
 use std::hint::black_box;
 use std::time::Instant;

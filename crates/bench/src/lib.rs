@@ -9,9 +9,6 @@
 //! bench-facing conveniences (per-workload wrappers, figure matrices,
 //! formatting).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use secdir_machine::sweep::{
     measure_phases, run_streams, CellResult, CellSpec, ExperimentRun, MissBreakdown, SweepMatrix,
 };
@@ -40,7 +37,7 @@ pub fn run_spec_mix(
     measure: u64,
 ) -> ExperimentRun {
     let streams = mix.streams(8, SPEC_SEED);
-    run_streams(kind, 8, streams, Engine::Serial, warmup, measure)
+    run_streams(kind, streams, Engine::Serial, warmup, measure)
 }
 
 /// Runs a PARSEC app with 8 threads on 8 cores.
@@ -51,7 +48,7 @@ pub fn run_parsec(
     measure: u64,
 ) -> ExperimentRun {
     let streams = app.threads(8, PARSEC_SEED);
-    run_streams(kind, 8, streams, Engine::Serial, warmup, measure)
+    run_streams(kind, streams, Engine::Serial, warmup, measure)
 }
 
 /// The Figure-7 matrix: all 12 SPEC mixes × the given directory kinds on

@@ -22,9 +22,6 @@
 //! assert_eq!(l2.get(line), Some(&7));
 //! ```
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod geometry;
 mod prefetch;
 mod replacement;

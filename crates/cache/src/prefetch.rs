@@ -7,12 +7,16 @@
 //! well before it is simulated, so hinting the rows ahead of time hides
 //! that latency behind the other cores' work.
 //!
-//! This module is the crate's **sole documented exemption** from
-//! `#![deny(unsafe_code)]`: `_mm_prefetch` is an intrinsic with no
+//! This module is the workspace's **sole documented exemption** from the
+//! `unsafe_code` lint: `_mm_prefetch` is an intrinsic with no
 //! architectural effect (it cannot fault even on an invalid address), so
-//! the two `#[allow(unsafe_code)]` wrappers below are sound and keep every
-//! caller safe-only.
-#![allow(unsafe_code)]
+//! the two wrappers below are sound and keep every caller safe-only. The
+//! exemption is an `allow`, not an `expect`: on other targets both
+//! `unsafe` blocks compile out.
+#![allow(
+    unsafe_code,
+    reason = "_mm_prefetch is an intrinsic; a prefetch hint cannot fault"
+)]
 
 /// Hints the CPU to load the cache line holding `p`. A no-op on
 /// non-x86_64 targets and free of architectural effects everywhere, so

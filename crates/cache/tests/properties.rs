@@ -1,5 +1,6 @@
 //! Property-based tests of the set-associative array against a reference
 //! model.
+#![allow(clippy::iter_over_hash_type, reason = "order-free checks")]
 
 use std::collections::HashMap;
 

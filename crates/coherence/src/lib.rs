@@ -28,9 +28,6 @@
 //! assert!(resp.invalidations.is_empty()); // empty directory: clean miss
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod baseline;
 mod ed_td;
 mod invariant;

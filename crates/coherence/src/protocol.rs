@@ -161,7 +161,7 @@ impl DirWhere {
 /// paper's evaluation are computed from these (plus the machine's cache
 /// counters).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field names are self-describing counters
+#[expect(missing_docs, reason = "field names are self-describing counters")]
 pub struct DirSliceStats {
     pub requests: u64,
     pub ed_hits: u64,

@@ -35,9 +35,6 @@
 //! assert_eq!(r.hit, DirHitKind::Miss); // cold miss allocates in the ED
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod config;
 mod slice;
 mod vd;

@@ -72,7 +72,7 @@ impl VdBanks {
     /// `sets` are `line`'s candidate sets. Always inlined: VD-only runs it
     /// on every request.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the directory step's parts")]
     pub fn serve(
         &mut self,
         sets: VdSets,

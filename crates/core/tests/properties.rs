@@ -1,4 +1,5 @@
 //! Property-based tests of the Victim Directory bank.
+#![allow(clippy::iter_over_hash_type, reason = "order-free checks")]
 
 use std::collections::HashSet;
 

@@ -26,9 +26,6 @@
 //! assert!(hit.latency < miss.latency);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod caches;
 mod config;
 mod engine;

@@ -35,11 +35,12 @@ use crate::sweep::{sweep, CellSpec, StreamFactory};
 use crate::{DirectoryKind, Engine, Machine, MachineConfig, SlicedOptions};
 
 /// Times `f` against the host's monotonic clock and returns its result
-/// with the elapsed duration. The workspace lint (`secdir-sim lint`)
+/// with the elapsed duration. The workspace's `disallowed_methods` lint
 /// confines wall-clock reads to this module, so any caller that wants an
 /// elapsed-time display routes through here instead of reading
 /// [`Instant`] directly.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
+    #[expect(clippy::disallowed_methods, reason = "perf.rs times host runs")]
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
@@ -218,6 +219,7 @@ fn measure_window<F: StreamFactory + ?Sized>(
     engine.run(&mut machine, &mut streams, cell.warmup);
     let mut best: (u64, u128) = (0, u128::MAX);
     for _ in 0..spec.serial_reps.max(1) {
+        #[expect(clippy::disallowed_methods, reason = "perf.rs times host runs")]
         let start = Instant::now();
         let summary = engine.run(&mut machine, &mut streams, cell.measure);
         let nanos = start.elapsed().as_nanos();
@@ -257,6 +259,7 @@ fn measure_sweep<F: StreamFactory + ?Sized>(
     let cells: Vec<CellSpec> = (0..spec.sweep_cells as u64)
         .map(|i| cell_for(spec, kind, spec.seed + i))
         .collect();
+    #[expect(clippy::disallowed_methods, reason = "perf.rs times host runs")]
     let start = Instant::now();
     let results = sweep(&cells, factory, spec.threads.max(1));
     let nanos = start.elapsed().as_nanos();

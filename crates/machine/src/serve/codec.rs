@@ -1066,7 +1066,6 @@ mod tests {
     /// One fully populated journal — header, one hostile-named spec, a
     /// checkpoint, a terminal — encoded into frames, plus its records
     /// and the JSONL lines they render to.
-    #[allow(clippy::too_many_arguments)]
     fn encode_case(
         name: &str,
         workload: &str,

@@ -420,10 +420,18 @@ fn drain_and_audit(chunk: &mut [Tenant], drain: u64) {
     }
 }
 
-// lint: region(barrier-worker)
 /// Spawned participant `w`'s share of a tick's phase II, after the
 /// tick-start crossing: drains its chunk of tenants, then crosses the
 /// tick-end barrier.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn drain_share(crew: &Crew, w: usize, chunks: &Handoff<Tenant>, drain: u64) {
     if let Some(mut chunk) = chunks.chunk(w) {
         drain_and_audit(&mut chunk, drain);
@@ -431,10 +439,18 @@ fn drain_share(crew: &Crew, w: usize, chunks: &Handoff<Tenant>, drain: u64) {
     crew.wait(w);
 }
 
-// lint: region(barrier-worker)
 /// Phase II on the lead: hands out the spawned participants' chunks,
 /// drains its own between the tick-start and tick-end crossings, and
 /// takes the chunks back in tenant-index order.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn drain_phase(tenants: &mut Vec<Tenant>, crew: &Crew, chunks: &Handoff<Tenant>, drain: u64) {
     chunks.hand_out(tenants);
     crew.wait(0); // tick start

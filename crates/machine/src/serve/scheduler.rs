@@ -19,8 +19,7 @@
 //!   journal byte-identical across worker counts and resumes.
 //! * **Zero steady-state allocation.** Queues are preallocated to their
 //!   bound at admission; ingest and drain only move fixed-size
-//!   [`QueuedRef`]s through them. `tests/alloc_free.rs` pins this, and
-//!   the `hot-alloc` lint rule covers this file.
+//!   [`QueuedRef`]s through them. `tests/alloc_free.rs` pins this.
 //!
 //! A tenant whose terminal record has already been replayed from a
 //! resume journal runs as a *ghost*: same queues, same burst RNG, same

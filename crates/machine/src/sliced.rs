@@ -336,16 +336,28 @@ fn run_core_epoch(
     }
 }
 
-// lint: region(barrier-worker)
 /// Routes every pending transaction to its home slice's inbox. Runs on
 /// the main thread while every cell is home.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn route(machine: &Machine, cells: &mut [CoreCell], scells: &mut [SliceCell]) {
     for (i, cell) in cells.iter_mut().enumerate() {
         let ready = cell.ready;
         if let Some(txn) = cell.pending.as_mut() {
             let slice = machine.slice_of(txn.access.line);
             txn.slice = slice;
-            // lint: allow(barrier-panic): Machine::slice_of maps every line to a SliceId below the slice count, and scells holds one cell per slice by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Machine::slice_of maps every line to a SliceId below the slice count, \
+                          and scells holds one cell per slice by construction"
+            )]
             scells[slice.0].inbox.push(InboxEntry {
                 ready,
                 core: i,
@@ -392,18 +404,32 @@ fn slice_phase(scells: &mut [SliceCell], slices: &mut [Box<dyn DirSlice + Send>]
     }
 }
 
-// lint: region(barrier-worker)
 /// Gathers phase B's responses into a per-core table (each core parked at
 /// most one transaction, so slots never collide).
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn collect_responses(scells: &mut [SliceCell], responses: &mut [Option<DirResponse>]) {
     for scell in scells.iter_mut() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`core` is an enumerate() index from route(), always < the core count that \
+                      sized `responses`. The debug_assert! guards a structural invariant — each \
+                      core parks at most one transaction per epoch, so the slot is always empty; \
+                      kept deliberately because a violation means the response table is already \
+                      corrupt and a loud debug failure beats silent corruption"
+        )]
         for (core, resp) in scell.outbox.drain(..) {
-            // lint: allow(barrier-panic): debug-only guard for a structural invariant — each core parks at most one transaction per epoch, so the slot is always empty; kept deliberately because a violation means the response table is already corrupt and a loud debug failure beats silent corruption
             debug_assert!(
                 responses[core].is_none(),
                 "two responses for one core in an epoch"
             );
-            // lint: allow(barrier-panic): `core` is an enumerate() index from route(), always < the core count that sized `responses`
             responses[core] = Some(resp);
         }
     }
@@ -456,7 +482,15 @@ fn merge(machine: &mut Machine, state: &mut RunState, total_retired: &mut u64) {
     machine.oracle_step(epoch_retired);
 }
 
-// lint: region(barrier-worker)
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn all_finished(cells: &[CoreCell]) -> bool {
     cells.iter().all(|cell| cell.finished.is_some())
 }
@@ -489,9 +523,17 @@ fn summary(cells: &[CoreCell]) -> RunSummary {
 /// (top-up, its phase shares, the merge) runs under [`Crew::guarded`] and
 /// still reaches every crossing and every take-back — so the protocol
 /// drains instead of deadlocking, and the parts come home. Everything
-/// else between barrier crossings must be panic-free, which the region
-/// annotation makes the lint gate enforce.
-// lint: region(barrier-worker)
+/// else between barrier crossings must be panic-free, which the `deny` of
+/// clippy's panic lints below enforces.
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn run_threaded(
     machine: &mut Machine,
     streams: &mut [Box<dyn AccessStream + '_>],

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-core event counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field names are self-describing counters
+#[expect(missing_docs, reason = "field names are self-describing counters")]
 pub struct CoreStats {
     pub accesses: u64,
     pub reads: u64,

@@ -122,18 +122,17 @@ pub fn measure_phases(
     }
 }
 
-/// Runs `streams` on a fresh Table-4 machine with the given directory and
-/// engine, skipping `warmup` references per core and measuring `measure`
-/// more.
+/// Runs `streams` on a fresh Table-4 machine with one core per stream and
+/// the given directory and engine, skipping `warmup` references per core
+/// and measuring `measure` more.
 pub fn run_streams(
     kind: DirectoryKind,
-    cores: usize,
     mut streams: Vec<Box<dyn AccessStream + '_>>,
     engine: Engine,
     warmup: u64,
     measure: u64,
 ) -> ExperimentRun {
-    let mut machine = Machine::new(MachineConfig::skylake_x(cores, kind));
+    let mut machine = Machine::new(MachineConfig::skylake_x(streams.len(), kind));
     measure_phases(&mut machine, &mut streams, engine, warmup, measure)
 }
 
@@ -350,6 +349,8 @@ pub fn run_matrix<F: StreamFactory + ?Sized>(
     let stop = AtomicBool::new(false);
     par::for_each_claimed(&mut slots, opts.threads, |i, slot| {
         let cell = &cells[i];
+        // Relaxed: an advisory stop flag; a stale read runs one more cell,
+        // whose outcome is kept like any other.
         if opts.fail_fast && stop.load(Ordering::Relaxed) {
             return;
         }
@@ -359,6 +360,8 @@ pub fn run_matrix<F: StreamFactory + ?Sized>(
                 msg,
             });
         if opts.fail_fast && !outcome.is_done() {
+            // Relaxed: the flag publishes no data; outcomes travel through
+            // the slots, which the scope's join orders.
             stop.store(true, Ordering::Relaxed);
         }
         *slot = Some(outcome);

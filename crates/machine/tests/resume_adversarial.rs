@@ -12,6 +12,7 @@
 //! These tests drive that contract end to end through the public API, both
 //! with hand-picked worst cases and with a property sweep over generated
 //! hostile payloads.
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a failure panics")]
 
 use proptest::prelude::*;
 use secdir_machine::resume::plan_resume;

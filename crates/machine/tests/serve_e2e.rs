@@ -2,6 +2,7 @@
 //! byte-stability across worker counts, SIGKILL-at-any-point resume,
 //! tenant isolation (panics and quarantines contained), and the fault
 //! injection matrix run through the server path.
+#![allow(clippy::expect_used, reason = "a test fails by panicking")]
 
 use secdir_machine::serve::{
     decode_journal, run_serve, uniform_streams, JournalFormat, ServeConfig, ServeReport,

@@ -18,9 +18,6 @@
 //! assert!(slice.0 < 8);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod addr;
 mod hash;
 mod inline_vec;

@@ -64,6 +64,8 @@ where
     let slots: Vec<Mutex<&mut S>> = items.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let claim = || loop {
+        // Relaxed: a ticket counter that publishes no data; each slot's
+        // mutex orders the item it guards.
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(slot) = slots.get(i) else { break };
         f(i, &mut lock(slot));
@@ -76,15 +78,22 @@ where
     });
 }
 
-// The items marked as `barrier-worker` regions below run inside the
-// barrier itself or between crossings outside every catch_unwind net. A
-// panic there strands the other side of the barrier (see the
-// `barrier-panic` lint rule in secdir-verif).
+// The items below that deny clippy's panic lints run inside the barrier
+// itself or between crossings outside every catch_unwind net. A panic
+// there strands the other side of the barrier.
 
 /// Locks a mutex, shrugging off poisoning: a participant that panicked
 /// has already recorded its failure, and the survivors still need the
 /// data to wind down or to reassemble what the panic interrupted.
-// lint: region(barrier-worker)
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -103,7 +112,15 @@ pub struct Handoff<T> {
     slots: Vec<(usize, Mutex<Vec<T>>)>,
 }
 
-// lint: region(barrier-worker)
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 impl<T> Handoff<T> {
     /// Splits `n` items over `participants` contiguous chunks, the
     /// remainder on the last ones: the lead also runs the serial steps.
@@ -166,7 +183,15 @@ struct EpochBarrier {
 /// Yield-tier length between spinning and parking.
 const YIELD_LIMIT: u32 = 16;
 
-// lint: region(barrier-worker)
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 impl EpochBarrier {
     fn new(participants: usize) -> Self {
         // A lone participant never waits, so it skips the CPU-count query.
@@ -200,7 +225,10 @@ impl EpochBarrier {
             // Last arriver: reset the count *before* publishing the new
             // generation, so next-epoch arrivals (which happen-after the
             // generation load below) see a clean counter.
-            // lint: allow(atomic-ordering): the Release store of `generation` below publishes this reset; every waiter Acquire-loads `generation` before its next-epoch `fetch_add`, so the reset happens-before all later arrivals
+            // Relaxed: the Release store of `generation` below publishes
+            // this reset; every waiter Acquire-loads `generation` before
+            // its next-epoch `fetch_add`, so the reset happens-before all
+            // later arrivals.
             self.arrived.store(0, Ordering::Relaxed);
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
@@ -243,7 +271,15 @@ pub struct Crew {
     failure: Mutex<Option<Panic>>,
 }
 
-// lint: region(barrier-worker)
+#[deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 impl Crew {
     /// Crosses the barrier as participant `id`: 0 for the lead, the
     /// worker's own id for a spawned worker.

@@ -444,7 +444,7 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 /// is a likely cache miss on a large set, and with no canonicalization
 /// between them the host overlaps them instead of waiting out one at a
 /// time. Candidates keep the model's successor order.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one BFS level's inputs")]
 fn expand_level(
     model: &Model,
     cfg: &ModelConfig,
@@ -505,7 +505,7 @@ fn estimate_bytes(n: usize) -> usize {
 /// original coordinates when a violation was found. `canon` is `None`
 /// when `states` are packed as the model made them, or the model and the
 /// table whose canonical forms they are.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the BFS loop's end state")]
 fn finish(
     cfg: ModelConfig,
     canon: Option<(&Model, &CanonTable)>,

@@ -249,7 +249,6 @@ impl Model {
     /// times — once per nondeterministic victim choice. Allocating
     /// convenience wrapper over [`Model::successors_each`].
     pub fn successors(&self, s: &ModelState) -> Vec<(Label, ModelState)> {
-        // lint: allow(hot-alloc): the convenience wrapper returns a fresh vector by design; the checker calls successors_each
         let mut out = Vec::new();
         self.successors_into(s, &mut out);
         out
@@ -393,7 +392,7 @@ impl Model {
 
     /// The shared ED/TD request path of baseline, way-partitioned, and
     /// SecDir (which adds the VD probe after both miss).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the request's fields")]
     fn request_ed_td(
         &self,
         mut s: ModelState,
@@ -571,7 +570,7 @@ impl Model {
     /// way-partitioned), branching over every possible ED victim when the
     /// structure is full; victims migrate into the TD per
     /// [`step::ed_victim_to_td`]. Results go to `emit`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the request's fields")]
     fn alloc_ed_entry(
         &self,
         mut s: ModelState,

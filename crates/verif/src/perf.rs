@@ -24,9 +24,9 @@
 //!
 //! Results serialize to JSONL with a fixed field order (`schema`
 //! `secdir-bench-checker/2`, documented in EXPERIMENTS.md) so
-//! `BENCH_checker.json` diffs cleanly across PRs. The workspace lint
-//! confines wall-clock reads to `perf.rs` modules; this file is the verif
-//! crate's one timed site.
+//! `BENCH_checker.json` diffs cleanly across PRs. The workspace's
+//! `disallowed_methods` lint confines wall-clock reads to `perf.rs`
+//! modules; this file is the verif crate's one timed site.
 
 use std::time::{Duration, Instant};
 
@@ -136,10 +136,11 @@ fn rate(states: usize, nanos: u128) -> u64 {
     (states as u128 * 1_000_000_000 / nanos) as u64
 }
 
-/// Times `f` against the host's monotonic clock. The workspace lint
-/// confines wall-clock reads to `perf.rs`; verif callers that want an
-/// elapsed-time display route through here.
+/// Times `f` against the host's monotonic clock. The workspace's
+/// `disallowed_methods` lint confines wall-clock reads to `perf.rs`;
+/// verif callers that want an elapsed-time display route through here.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
+    #[expect(clippy::disallowed_methods, reason = "perf.rs times host runs")]
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())

@@ -14,6 +14,7 @@
 //! buffered form that the benchmark's traced search calls:
 //! `Model::successors_into`, then `canonicalize` on every buffered
 //! successor.
+#![allow(unsafe_code, reason = "a counting GlobalAlloc")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;

@@ -7,6 +7,11 @@
 //! directory kind, a random successor at each step), so every property is
 //! exercised on genuinely reachable states — the only ones the checker
 //! ever canonicalizes.
+#![allow(
+    clippy::expect_used,
+    clippy::iter_over_hash_type,
+    reason = "helpers panic on failure; set order is never observed"
+)]
 
 use std::collections::HashSet;
 

@@ -10,6 +10,7 @@
 //! probe is blind.
 //!
 //! Run with `cargo run --release --example aes_sidechannel`.
+#![allow(clippy::expect_used, reason = "an example fails by panicking")]
 
 use secdir_attack::eviction::build_eviction_set;
 use secdir_machine::{AccessStream, DirectoryKind, Machine, MachineConfig};

@@ -2,6 +2,7 @@
 //! the security property in one minute.
 //!
 //! Run with `cargo run --release --example quickstart`.
+#![allow(clippy::expect_used, reason = "an example fails by panicking")]
 
 use secdir_machine::{DirectoryKind, Machine, MachineConfig, ServedBy};
 use secdir_mem::{CoreId, LineAddr};

@@ -375,17 +375,16 @@ fn attack_cmd(flags: &Flags) -> Result<ExitCode, String> {
 /// measured-phase deltas.
 ///
 /// `spec --slice-threads N` runs both phases on the epoch-synchronized
-/// sliced engine instead of the serial one (even for `N = 1`), so CI can
-/// `cmp` the stdout of a 1-thread and a 4-thread run byte for byte; the
-/// report deliberately never prints the thread count.
+/// sliced engine instead of the serial one (even for `N = 1`). The report
+/// deliberately never prints the thread count, so its text is the same at
+/// every `N`; `tests/cli_reports.rs` pins it on both engines.
 fn run_streams_report(
     kind: DirectoryKind,
     streams: Vec<Box<dyn AccessStream>>,
     refs: u64,
     engine: Engine,
 ) -> Result<ExitCode, String> {
-    let cores = streams.len();
-    let run = run_streams(kind, cores, streams, engine, refs / 2, refs - refs / 2);
+    let run = run_streams(kind, streams, engine, refs / 2, refs - refs / 2);
     println!("directory   : {kind:?}");
     if engine != Engine::Serial {
         println!("engine      : sliced");
@@ -1176,34 +1175,6 @@ fn verif_cmd(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn lint_cmd(flags: &Flags) -> Result<ExitCode, String> {
-    use secdir_verif::{lint_workspace, render_json};
-    let root = flags.get("root").unwrap_or(".");
-    let format = flags.get("format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(format!(
-            "unknown --format `{format}` (expected text or json)"
-        ));
-    }
-    let report = lint_workspace(std::path::Path::new(root))
-        .map_err(|e| format!("lint scan of `{root}`: {e}"))?;
-    if format == "json" {
-        print!("{}", render_json(&report));
-    } else {
-        for d in &report.findings {
-            println!("{d}");
-        }
-        if report.findings.is_empty() {
-            println!("lint: clean ({} files)", report.files.len());
-        }
-    }
-    if report.findings.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Err(format!("{} lint finding(s)", report.findings.len()))
-    }
-}
-
 /// Every command, its flags and their help, in `--help` order. Laid out
 /// by hand, one flag per entry, so the table reads as the help it renders.
 #[rustfmt::skip]
@@ -1404,22 +1375,6 @@ Exhaustively explores every reachable protocol state of the bounded model
 directory inclusion, sharer soundness, and ED/TD/VD exclusion; prints the
 reachable-state count per kind and exits nonzero with a shortest
 counterexample trace on the first violation.
-" },
-    Command { name: "lint", run: lint_cmd, flags: &[
-        value("root", "PATH", "workspace root to scan (default: current directory)"),
-        value("format", "text|json", "output format: `text` (default) prints file:line:col \
-            diagnostics, `json` emits the deterministic secdir-lint/1 report (findings + \
-            scanned-file list) on stdout"),
-    ], about: "\
-Runs the token-level static-analysis engine (DESIGN.md §11) over every
-production source file (crates/*/src, compat/*/src, src/): panicking
-calls, hot-path allocation, wall-clock reads, JSONL flush discipline,
-crate hygiene, hash-iteration determinism, barrier panic-safety, and
-atomic-ordering audits. Exits nonzero on any finding. One-off waivers:
-a `lint: allow(<rule>)` comment on (or just above) the offending line;
-hash-iter / barrier-panic / atomic-ordering waivers must carry a
-`: <justification>` clause. Unknown-rule and stale waivers are
-themselves hard errors.
 " },
 ];
 

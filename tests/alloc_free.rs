@@ -9,6 +9,7 @@
 //! `InlineVec` spills to the heap only when a single directory response
 //! carries more than 4 invalidations, which none of the kinds hits on
 //! this workload (and the assertion would catch it if one did).
+#![allow(unsafe_code, reason = "a counting GlobalAlloc")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,7 @@
 //! `secdir-sim … | head`: a reader that stops early must end the CLI
 //! quietly — exit 0, nothing on stderr — rather than with a broken-pipe
 //! panic after the useful output.
+#![allow(clippy::expect_used, reason = "a test fails by panicking")]
 
 use std::io::Read;
 use std::path::PathBuf;

@@ -3,6 +3,7 @@
 //! threads with `cmp`; these pins also tie both engines' reports to fixed
 //! bytes, so a change to the measured window (its split, its deltas or
 //! its L2-miss total) shows up here.
+#![allow(clippy::expect_used, reason = "a test fails by panicking")]
 
 use std::process::Command;
 

@@ -4,6 +4,7 @@
 //! pick order. These guarantees are what make the parallel
 //! sweep harness trustworthy: every cell runs on its own machine, so
 //! fan-out must never change a single counter.
+#![allow(clippy::disallowed_methods, reason = "timed speed-up tests")]
 
 use secdir_machine::resume::plan_resume;
 use secdir_machine::sweep::{run_cell, run_matrix, sweep, CellSpec, SweepMatrix, SweepOptions};

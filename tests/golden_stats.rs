@@ -30,6 +30,7 @@
 //! ```
 //!
 //! and review the diff like any other code change.
+#![allow(clippy::unwrap_used, reason = "a test fails by panicking")]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
