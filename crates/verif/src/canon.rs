@@ -19,8 +19,9 @@
 //! [`PermPair::apply_state`] selects the action.
 //!
 //! **Canonical form.** For each permutation of the *used* cores, relabel
-//! the cores in the four 32-bit line words ([`crate::pack::line_word`]) and sort
-//! the words descending with a stable tie-break on the original line
+//! the cores in the four 32-bit line words of the state
+//! ([`ModelState`]'s own layout, see [`pack`](crate::pack)) and sort the
+//! words descending with a stable tie-break on the original line
 //! index; the candidate is the sorted words assembled high-to-low. The
 //! canonical form is the numerically greatest candidate over all core
 //! permutations, the first one tried winning ties. Because line
@@ -28,9 +29,9 @@
 //! *is* the optimal line permutation for a fixed core relabeling — the
 //! search is `cores!` candidates, not `cores!·lines!`.
 //!
-//! **Word-level relabeling, σ-major.** A state is packed once, into its
-//! four identity line words; the core permutations then act on those
-//! words through precomputed field tables — the two 6-bit halves of the
+//! **Word-level relabeling, σ-major.** A state already is its four
+//! identity line words; the core permutations act on those words
+//! through precomputed field tables — the two 6-bit halves of the
 //! MOESI field (cores 0–1 and cores 2–3), the 4-bit VD mask, and the
 //! 7-bit ED and TD entry fields (present bit, partition, sharer mask).
 //! The tables are *σ-major*: the row of a field value holds its image
@@ -44,8 +45,8 @@
 //! partition 0, which is not an owner, and relabeling it would put
 //! nonzero bits in a word that means "no entry". Each lane holds exactly
 //! the word of the relabeled state, bit for bit, so the canonical form
-//! and the winning relabeling are the same as packing the relabeled
-//! struct once per permutation would give.
+//! and the winning relabeling are the same as relabeling the state field
+//! by field ([`PermPair::apply_state`]) once per permutation would give.
 //!
 //! The five-comparator descending sort then runs on the relabeled words,
 //! lane-parallel, and the greatest assembled candidate wins: the
@@ -86,8 +87,11 @@
 //! faulted models, where the first violating state is reported, not
 //! expanded.
 
+use secdir_coherence::SharerSet;
+use secdir_mem::CoreId;
+
 use crate::model::{Label, ModelState, MAX_CORES, MAX_LINES};
-use crate::pack::{assemble, line_words, split, LINE_BITS};
+use crate::pack::{assemble, LINE_BITS};
 
 /// A joint core/line relabeling: `core[c]` is the new index of old core
 /// `c`, `line[l]` the new index of old line `l`.
@@ -153,37 +157,37 @@ impl PermPair {
         }
     }
 
-    /// Relabels a whole state (the struct-level mirror of what
-    /// [`CanonTable::canonicalize`] does on packed words); used by trace
-    /// rebuilds and, as the reference action, by the property tests.
+    /// Relabels a whole state field by field, through the
+    /// [`ModelState`] accessors and never the tables of
+    /// [`CanonTable`]; used by trace rebuilds and, as the independent
+    /// reference action, by the property tests.
     /// `permute_parts` selects the action on directory partition fields:
     /// relabel with the cores for the way-partitioned organization, fix
     /// the dummy 0 otherwise (see module docs).
     pub fn apply_state(&self, s: &ModelState, permute_parts: bool) -> ModelState {
-        let part_of = |part: u8| {
+        let part = |p: u8| {
             if permute_parts {
-                self.core[part as usize]
+                self.core[usize::from(p)]
             } else {
-                part
+                p
             }
         };
+        let set = |sharers: SharerSet| permute_set(sharers, &self.core);
         let mut t = ModelState::initial();
-        for core in 0..MAX_CORES {
-            for line in 0..MAX_LINES {
-                t.caches[self.core[core] as usize][self.line[line] as usize] = s.caches[core][line];
-            }
-        }
         for line in 0..MAX_LINES {
-            let nl = self.line[line] as usize;
-            t.ed[nl] = s.ed[line].map(|(part, mut e)| {
-                e.sharers = permute_set(e.sharers, &self.core);
-                (part_of(part), e)
-            });
-            t.td[nl] = s.td[line].map(|(part, mut e)| {
-                e.sharers = permute_set(e.sharers, &self.core);
-                (part_of(part), e)
-            });
-            t.vd[nl] = permute_set(s.vd[line], &self.core);
+            let nl = usize::from(self.line[line]);
+            for core in 0..MAX_CORES {
+                t.set_cache(usize::from(self.core[core]), nl, s.cache(core, line));
+            }
+            if let Some((p, mut e)) = s.ed(line) {
+                e.sharers = set(e.sharers);
+                t.set_ed(nl, Some((part(p), e)));
+            }
+            if let Some((p, mut e)) = s.td(line) {
+                e.sharers = set(e.sharers);
+                t.set_td(nl, Some((part(p), e)));
+            }
+            t.set_vd(nl, set(s.vd(line)));
         }
         t
     }
@@ -209,19 +213,8 @@ fn permute_mask(mask: u32, cp: &[u8; MAX_CORES]) -> u32 {
 }
 
 /// Relabels a sharer set through a core permutation.
-pub fn permute_set(
-    set: secdir_coherence::SharerSet,
-    cp: &[u8; MAX_CORES],
-) -> secdir_coherence::SharerSet {
-    let mask = (set.bits() & 0xf) as u32;
-    let permuted = permute_mask(mask, cp);
-    let mut out = secdir_coherence::SharerSet::empty();
-    for c in 0..MAX_CORES {
-        if permuted & (1 << c) != 0 {
-            out.insert(secdir_mem::CoreId(c));
-        }
-    }
-    out
+pub fn permute_set(set: SharerSet, cp: &[u8; MAX_CORES]) -> SharerSet {
+    set.iter().map(|c| CoreId(usize::from(cp[c.0]))).collect()
 }
 
 /// Lehmer (factorial-base) rank of a permutation of `[0, 4)`, in `0..24`.
@@ -394,10 +387,10 @@ impl CanonTable {
         std::array::from_fn(|j| lo[j] | hi[j] | mask[j] | ed[j] | td[j] | fixed)
     }
 
-    /// The four line words of the packed state `packed`, relabeled under
-    /// every core permutation: the lanes its successors start from.
-    pub fn lanes(&self, packed: u128) -> Lanes {
-        let words = split(packed);
+    /// The four line words of `s`, relabeled under every core
+    /// permutation: the lanes its successors start from.
+    pub fn lanes(&self, s: &ModelState) -> Lanes {
+        let words = s.words();
         let lanes = words.map(|w| self.relabel(w));
         Lanes { words, lanes }
     }
@@ -434,11 +427,6 @@ impl CanonTable {
     /// relabeling `g` with `pack(g(s)) == packed`. Deterministic: core
     /// permutations are tried in a fixed order and ties keep the first
     /// winner, so equal inputs always yield the identical pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` has a field outside the model bounds (see
-    /// [`line_word`](crate::pack::line_word)).
     pub fn canonicalize(&self, s: &ModelState) -> (u128, PermPair) {
         match self.cores {
             1 => self.canonicalize_lanes::<1>(s),
@@ -452,7 +440,7 @@ impl CanonTable {
     /// path's relabel and pick, then the winner's line relabeling.
     #[inline(always)]
     fn canonicalize_lanes<const P: usize>(&self, s: &ModelState) -> (u128, PermPair) {
-        let lanes: [[u32; P]; MAX_LINES] = line_words(s).map(|w| self.relabel(w));
+        let lanes: [[u32; P]; MAX_LINES] = s.words().map(|w| self.relabel(w));
         let mut sorted = lanes;
         let packed = pick(&mut sorted);
         // The winner: the first lane whose candidate is the canonical
@@ -492,7 +480,7 @@ impl CanonTable {
     /// raw exploration would not fit the CI budget.
     pub fn orbit_size(&self, s: &ModelState) -> usize {
         let n = self.core_perms.len();
-        let lanes: [[u32; MAX_LANES]; MAX_LINES] = line_words(s).map(|w| self.relabel(w));
+        let lanes: [[u32; MAX_LANES]; MAX_LINES] = s.words().map(|w| self.relabel(w));
         let mut distinct: std::collections::HashSet<u128> =
             std::collections::HashSet::with_capacity(self.group_order());
         for j in 0..n {
@@ -599,31 +587,34 @@ mod tests {
         // state relabeled by that lane's core permutation, for both
         // partition actions.
         let mut s = ModelState::initial();
-        s.caches[0][1] = Moesi::Exclusive;
-        s.caches[3][2] = Moesi::Owned;
-        s.caches[1][2] = Moesi::Shared;
-        s.caches[2][3] = Moesi::Modified;
-        s.vd[1] = secdir_coherence::SharerSet::single(secdir_mem::CoreId(0));
-        let mut sharers = secdir_coherence::SharerSet::single(secdir_mem::CoreId(1));
-        sharers.insert(secdir_mem::CoreId(3));
-        s.ed[2] = Some((3, secdir_coherence::EdEntry { sharers }));
-        s.td[3] = Some((
-            2,
-            secdir_coherence::TdEntry {
-                sharers: secdir_coherence::SharerSet::single(secdir_mem::CoreId(2)),
-                has_data: true,
-                llc_dirty: true,
-            },
-        ));
+        s.set_cache(0, 1, Moesi::Exclusive);
+        s.set_cache(3, 2, Moesi::Owned);
+        s.set_cache(1, 2, Moesi::Shared);
+        s.set_cache(2, 3, Moesi::Modified);
+        s.set_vd(1, SharerSet::single(CoreId(0)));
+        let mut sharers = SharerSet::single(CoreId(1));
+        sharers.insert(CoreId(3));
+        s.set_ed(2, Some((3, secdir_coherence::EdEntry { sharers })));
+        s.set_td(
+            3,
+            Some((
+                2,
+                secdir_coherence::TdEntry {
+                    sharers: SharerSet::single(CoreId(2)),
+                    has_data: true,
+                    llc_dirty: true,
+                },
+            )),
+        );
         for permute_parts in [false, true] {
             let table = CanonTable::new(4, 4, permute_parts);
-            let lanes = line_words(&s).map(|w| table.relabel::<24>(w));
+            let lanes = s.words().map(|w| table.relabel::<24>(w));
             for (j, cp) in table.core_perms.iter().enumerate() {
                 let g = PermPair {
                     core: *cp,
                     line: [0, 1, 2, 3],
                 };
-                let expected = line_words(&g.apply_state(&s, permute_parts));
+                let expected = g.apply_state(&s, permute_parts).words();
                 assert_eq!(lanes.map(|lane| lane[j]), expected);
             }
         }
@@ -634,9 +625,9 @@ mod tests {
         // canonicalize's packed value must equal pack(apply_state(s)).
         let table = CanonTable::new(3, 3, false);
         let mut s = ModelState::initial();
-        s.caches[1][2] = Moesi::Modified;
-        s.caches[0][0] = Moesi::Shared;
-        s.vd[2] = secdir_coherence::SharerSet::single(secdir_mem::CoreId(1));
+        s.set_cache(1, 2, Moesi::Modified);
+        s.set_cache(0, 0, Moesi::Shared);
+        s.set_vd(2, SharerSet::single(CoreId(1)));
         let (packed, pair) = table.canonicalize(&s);
         assert_eq!(pack(&pair.apply_state(&s, false)), packed);
     }
@@ -645,8 +636,8 @@ mod tests {
     fn canonical_form_is_permutation_invariant() {
         let table = CanonTable::new(2, 3, false);
         let mut s = ModelState::initial();
-        s.caches[0][1] = Moesi::Exclusive;
-        s.caches[1][0] = Moesi::Shared;
+        s.set_cache(0, 1, Moesi::Exclusive);
+        s.set_cache(1, 0, Moesi::Shared);
         let swap = PermPair {
             core: [1, 0, 2, 3],
             line: [2, 1, 0, 3],

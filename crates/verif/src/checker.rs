@@ -7,9 +7,9 @@
 //! Two exploration cores share the packed-state machinery of
 //! [`pack`](crate::pack):
 //!
-//! * [`check`] — the original **serial BFS**, now keyed on packed `u128`
-//!   states (the visited set holds one word per state, not a cloned
-//!   struct). Exploration order, reachable-state counts, and
+//! * [`check`] — the original **serial BFS**, keyed on packed `u128`
+//!   states: the visited set holds each state's four line words as one
+//!   word. Exploration order, reachable-state counts, and
 //!   shortest-counterexample semantics are identical to the PR 3 checker;
 //!   the quick-config fingerprints (562/856/8701/7564/106) are unchanged.
 //! * [`check_opt`] — the scalable core: **level-synchronized frontier
@@ -23,8 +23,8 @@
 //!
 //! Both cores expand a state the same way: through
 //! [`Model::successors_each`], keying each successor inside the sink
-//! (packing it, or keying it against its parent's relabeled words), then
-//! deduplicating the state's keys in one pass, in the model's successor
+//! (its line words as one `u128`, or keyed against its parent's
+//! relabeled words), then deduplicating the state's keys in one pass, in the model's successor
 //! order. Only the keys are stored; a counterexample's relabelings are
 //! recovered by re-expanding the few states on its trace.
 //!
@@ -54,7 +54,7 @@ use secdir_mem::{par, LineAddr};
 
 use crate::canon::{CanonTable, PermPair, IDENTITY};
 use crate::model::{DirKind, Label, Model, ModelConfig, ModelState, MAX_CORES};
-use crate::pack::{assemble, line_words, pack, unpack, PackedLabel};
+use crate::pack::{pack, unpack, PackedLabel};
 
 /// Why exploration stopped at a state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +98,8 @@ pub struct Counterexample {
     pub labels: Vec<Label>,
     /// Human-readable rendering of `labels` (one line per step).
     pub trace: Vec<String>,
-    /// The violating state itself (for debugging / display).
+    /// The violating state itself, in original coordinates: its line
+    /// words, read field by field through the [`ModelState`] accessors.
     pub state: ModelState,
 }
 
@@ -197,7 +198,7 @@ fn check_with(
     seen.insert(init_key);
 
     let mut transitions = 0usize;
-    // The current state's successors, packed in the sink.
+    // The current state's successors, each keyed as its line words.
     let mut keyed: Vec<(u128, Label)> = Vec::new();
     let mut frontier = 0usize;
     while frontier < states.len() {
@@ -435,11 +436,12 @@ pub fn check_opt_with_states(cfg: ModelConfig, opts: &CheckOptions) -> (CheckRep
 /// visited set is only *read* here (membership pre-filter), never
 /// written, so workers share it without locks.
 ///
-/// Each successor is keyed (canonicalized or packed) inside the model's
-/// sink, so no successor state is stored. The frontier state's own words
-/// are relabeled once ([`CanonTable::lanes`]), and each successor's key
-/// relabels only the words it changed ([`CanonTable::key`]); no
-/// relabeling is recovered here. The keys of one frontier state
+/// Each successor is keyed inside the model's sink, straight from the
+/// line words the model built it as, so no successor state is stored or
+/// re-packed. The frontier state's own words are relabeled once
+/// ([`CanonTable::lanes`]), and each successor's key relabels only the
+/// words it changed ([`CanonTable::key`]); without canonicalization the
+/// key is the words as one `u128`. No relabeling is recovered here. The keys of one frontier state
 /// are then probed against the visited set in one tight loop: each probe
 /// is a likely cache miss on a large set, and with no canonicalization
 /// between them the host overlaps them instead of waiting out one at a
@@ -470,12 +472,11 @@ fn expand_level(
                 continue;
             }
             keyed.clear();
-            let parent = table.map(|t| (t, t.lanes(packed)));
+            let parent = table.map(|t| (t, t.lanes(&current)));
             model.successors_each(&current, &mut |label, next| {
-                let words = line_words(&next);
                 let key = match &parent {
-                    Some((t, lanes)) => t.key(lanes, words),
-                    None => assemble(words),
+                    Some((t, lanes)) => t.key(lanes, next.words()),
+                    None => pack(&next),
                 };
                 keyed.push(Cand::new(key, id, label));
             });
@@ -632,8 +633,8 @@ pub fn invariant_failure(s: &ModelState, cfg: &ModelConfig) -> Option<Failure> {
     let partitioned = cfg.kind == DirKind::WayPartitioned;
     let (mut ed, mut td, mut vd) = ([0; MAX_CORES], [0; MAX_CORES], [0; MAX_CORES]);
     for line in 0..cfg.lines {
-        let holders: [Moesi; MAX_CORES] = std::array::from_fn(|core| s.caches[core][line]);
-        let (e, t) = (s.ed[line], s.td[line]);
+        let holders: [Moesi; MAX_CORES] = std::array::from_fn(|core| s.cache(core, line));
+        let (e, t) = (s.ed(line), s.td(line));
         let partition = e.map(|(p, _)| p).or(t.map(|(p, _)| p));
         let view = LineView {
             line: LineAddr::new(line as u64),
@@ -642,7 +643,7 @@ pub fn invariant_failure(s: &ModelState, cfg: &ModelConfig) -> Option<Failure> {
             dir: DirParts {
                 ed: e.map(|(_, e)| e),
                 td: t.map(|(_, t)| t),
-                vd: s.vd[line],
+                vd: s.vd(line),
                 partition: partition.filter(|_| partitioned).map(usize::from),
             },
             quirk: cfg.kind == DirKind::Baseline(AppendixA::SkylakeQuirk),
@@ -652,7 +653,7 @@ pub fn invariant_failure(s: &ModelState, cfg: &ModelConfig) -> Option<Failure> {
         }
         e.into_iter().for_each(|(p, _)| ed[usize::from(p)] += 1);
         t.into_iter().for_each(|(p, _)| td[usize::from(p)] += 1);
-        s.vd[line].iter().for_each(|c| vd[c.0] += 1);
+        s.vd(line).iter().for_each(|c| vd[c.0] += 1);
     }
     // Capacity bounds: the model must respect its own geometry.
     let over = |what, counts: [usize; MAX_CORES], cap| {
@@ -696,16 +697,15 @@ mod tests {
             .into_iter()
             .next()
             .expect("the real model always has enabled transitions");
-        let stuck = next.clone();
         let report = check_with(cfg, move |s, emit| {
             if *s == ModelState::initial() {
-                emit(label, next.clone());
+                emit(label, next);
             }
         });
         let v = report.violation.expect("stuck successor must deadlock");
         assert_eq!(v.failure, Failure::Deadlock);
         assert_eq!(v.trace, vec![label.to_string()]);
-        assert_eq!(v.state, stuck);
+        assert_eq!(v.state, next);
     }
 
     #[test]

@@ -21,9 +21,11 @@ use secdir_coherence::step::{self, TdConflict};
 use secdir_coherence::{AccessKind, AppendixA, DataSource, EdEntry, Moesi, SharerSet, TdEntry};
 use secdir_mem::CoreId;
 
-/// Upper bound on model cores (array-backed state).
+pub use crate::pack::ModelState;
+
+/// Upper bound on model cores (a 4-bit sharer mask per line word).
 pub const MAX_CORES: usize = 4;
-/// Upper bound on model lines (array-backed state).
+/// Upper bound on model lines (four 32-bit words in a packed state).
 pub const MAX_LINES: usize = 4;
 
 /// Which directory organization the model abstracts.
@@ -133,33 +135,6 @@ impl ModelConfig {
     }
 }
 
-/// One abstract machine state: private-cache MOESI per (core, line) plus
-/// the per-line directory entries. Unused array tails stay at their
-/// defaults so derived `Hash`/`Eq` work on whole arrays.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ModelState {
-    /// MOESI state of each line in each core's private L2.
-    pub caches: [[Moesi; MAX_LINES]; MAX_CORES],
-    /// Per-line ED entry and its owning partition (0 except way-partitioned).
-    pub ed: [Option<(u8, EdEntry)>; MAX_LINES],
-    /// Per-line TD entry and its owning partition.
-    pub td: [Option<(u8, TdEntry)>; MAX_LINES],
-    /// Per-line set of cores whose VD bank holds the line.
-    pub vd: [SharerSet; MAX_LINES],
-}
-
-impl ModelState {
-    /// The empty machine: all caches invalid, all directories empty.
-    pub fn initial() -> Self {
-        ModelState {
-            caches: [[Moesi::Invalid; MAX_LINES]; MAX_CORES],
-            ed: [None; MAX_LINES],
-            td: [None; MAX_LINES],
-            vd: [SharerSet::empty(); MAX_LINES],
-        }
-    }
-}
-
 /// A transition label, for counterexample traces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Label {
@@ -265,37 +240,37 @@ impl Model {
     /// Hands every `(label, successor)` pair of `s` to `emit`, in a fixed
     /// order: by core, then line, then access kind, then victim choice.
     /// Every branch reaches `emit` through continuation sinks, and each
-    /// branch owns its state, copied only where the branches fork, so
-    /// expansion itself allocates nothing: the checker keys each
-    /// successor inside `emit` and never stores the state.
+    /// branch owns a 16-byte copy of the line words, so expansion itself
+    /// allocates nothing: the checker keys each successor's words inside
+    /// `emit` and never stores the state.
     pub fn successors_each(&self, s: &ModelState, emit: &mut impl FnMut(Label, ModelState)) {
         for core in 0..self.cfg.cores {
             for line in 0..self.cfg.lines {
-                let st = s.caches[core][line];
+                let st = s.cache(core, line);
                 if !st.is_valid() {
                     for (kind, label) in [
                         (AccessKind::Read, Label::Read { core, line }),
                         (AccessKind::Write, Label::Write { core, line }),
                     ] {
-                        self.access(s.clone(), core, line, kind, &mut |ns| emit(label, ns));
+                        self.access(*s, core, line, kind, &mut |ns| emit(label, ns));
                     }
                     continue;
                 }
                 match st {
                     Moesi::Exclusive => {
-                        let mut ns = s.clone();
-                        ns.caches[core][line] = Moesi::Modified;
+                        let mut ns = *s;
+                        ns.set_cache(core, line, Moesi::Modified);
                         emit(Label::SilentUpgrade { core, line }, ns);
                     }
                     Moesi::Shared | Moesi::Owned => {
                         let label = Label::Write { core, line };
-                        self.upgrade(s.clone(), core, line, &mut |ns| emit(label, ns));
+                        self.upgrade(*s, core, line, &mut |ns| emit(label, ns));
                     }
                     _ => {}
                 }
                 // Voluntary capacity eviction.
-                let mut ns = s.clone();
-                ns.caches[core][line] = Moesi::Invalid;
+                let mut ns = *s;
+                ns.set_cache(core, line, Moesi::Invalid);
                 let label = Label::Evict { core, line };
                 self.dir_l2_evict(ns, core, line, st.is_dirty(), &mut |es| emit(label, es));
             }
@@ -318,21 +293,21 @@ impl Model {
                 if let DataSource::L2Cache(owner) = source {
                     // MOESI: the forwarding owner downgrades (M→O, E→S),
                     // mirroring the machine's post-request bookkeeping.
-                    let os = ns.caches[owner.0][line];
-                    ns.caches[owner.0][line] = os.after_remote_read();
+                    let os = ns.cache(owner.0, line);
+                    ns.set_cache(owner.0, line, os.after_remote_read());
                 }
             }
             let fill = step::fill_state(kind, source);
-            let residents = self.lines_where(|x| x != line && ns.caches[core][x].is_valid());
+            let residents = self.lines_where(|x| x != line && ns.cache(core, x).is_valid());
             if residents.count_ones() as usize >= self.cfg.l2_capacity {
                 for_each_choice(ns, residents, |mut es, victim| {
-                    let vstate = es.caches[core][victim];
-                    es.caches[core][victim] = Moesi::Invalid;
-                    es.caches[core][line] = fill;
+                    let vstate = es.cache(core, victim);
+                    es.set_cache(core, victim, Moesi::Invalid);
+                    es.set_cache(core, line, fill);
                     self.dir_l2_evict(es, core, victim, vstate.is_dirty(), emit);
                 });
             } else {
-                ns.caches[core][line] = fill;
+                ns.set_cache(core, line, fill);
                 emit(ns);
             }
         });
@@ -342,8 +317,8 @@ impl Model {
     /// mirror of `Machine::upgrade`.
     fn upgrade(&self, s: ModelState, core: usize, line: usize, emit: &mut impl FnMut(ModelState)) {
         self.dir_request(s, core, line, AccessKind::Write, &mut |mut ns, _source| {
-            if ns.caches[core][line].is_valid() {
-                ns.caches[core][line] = Moesi::Modified;
+            if ns.cache(core, line).is_valid() {
+                ns.set_cache(core, line, Moesi::Modified);
             }
             emit(ns);
         });
@@ -351,7 +326,7 @@ impl Model {
 
     fn invalidate(&self, s: &mut ModelState, line: usize, cores: SharerSet) {
         for c in cores.iter() {
-            s.caches[c.0][line] = Moesi::Invalid;
+            s.set_cache(c.0, line, Moesi::Invalid);
         }
     }
 
@@ -404,22 +379,22 @@ impl Model {
         emit: &mut impl FnMut(ModelState, DataSource),
     ) {
         let requester = CoreId(core);
-        if let Some((part, entry)) = s.ed[line] {
+        if let Some((part, entry)) = s.ed(line) {
             match kind {
                 AccessKind::Read => {
                     let r = step::ed_read_hit(entry, requester);
-                    s.ed[line] = Some((part, r.entry));
+                    s.set_ed(line, Some((part, r.entry)));
                     emit(s, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::ed_write_hit(entry, requester);
-                    s.ed[line] = Some((part, r.entry));
+                    s.set_ed(line, Some((part, r.entry)));
                     if self.cfg.fault != Fault::SkipWriteInvalidation {
                         self.invalidate(&mut s, line, r.invalidate);
                     }
                     if self.partitioned() && part as usize != core {
                         // Ownership moves to the writer's partition.
-                        s.ed[line] = None;
+                        s.set_ed(line, None);
                         let (moved, source) = (r.entry, r.source);
                         self.alloc_ed_entry(s, line, moved, core, appendix_a, has_vd, &mut |es| {
                             emit(es, source)
@@ -431,16 +406,16 @@ impl Model {
             }
             return;
         }
-        if let Some((part, entry)) = s.td[line] {
+        if let Some((part, entry)) = s.td(line) {
             match kind {
                 AccessKind::Read => {
                     let r = step::td_read_hit(entry, requester);
-                    s.td[line] = Some((part, r.entry));
+                    s.set_td(line, Some((part, r.entry)));
                     emit(s, r.source);
                 }
                 AccessKind::Write => {
                     let r = step::td_write_hit(entry, requester);
-                    s.td[line] = None;
+                    s.set_td(line, None);
                     if self.cfg.fault != Fault::SkipWriteInvalidation {
                         self.invalidate(&mut s, line, r.invalidate);
                     }
@@ -484,7 +459,7 @@ impl Model {
         emit: &mut impl FnMut(ModelState, DataSource),
     ) -> Option<ModelState> {
         let requester = CoreId(core);
-        let matched = s.vd[line];
+        let matched = s.vd(line);
         match kind {
             AccessKind::Read => {
                 let Some(owner) = matched.without(requester).any() else {
@@ -507,7 +482,7 @@ impl Model {
                     DataSource::L2Cache(step::forwarding_sharer(others))
                 };
                 for other in others.iter() {
-                    s.vd[line].remove(other);
+                    s.vd_remove(line, other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
                     self.invalidate(&mut s, line, others);
@@ -532,7 +507,7 @@ impl Model {
         emit: &mut impl FnMut(ModelState, DataSource),
     ) {
         let requester = CoreId(core);
-        let matched = s.vd[line];
+        let matched = s.vd(line);
         let others = matched.without(requester);
         match kind {
             AccessKind::Read => {
@@ -552,7 +527,7 @@ impl Model {
                     DataSource::Memory
                 };
                 for other in others.iter() {
-                    s.vd[line].remove(other);
+                    s.vd_remove(line, other);
                 }
                 if self.cfg.fault != Fault::SkipWriteInvalidation {
                     self.invalidate(&mut s, line, others);
@@ -581,20 +556,20 @@ impl Model {
         has_vd: bool,
         emit: &mut impl FnMut(ModelState),
     ) {
-        debug_assert!(s.ed[line].is_none(), "ED allocation over a live entry");
+        debug_assert!(s.ed(line).is_none(), "ED allocation over a live entry");
         let part = if self.partitioned() { core as u8 } else { 0 };
-        let occupied = self.lines_where(|x| matches!(s.ed[x], Some((p, _)) if p == part));
+        let occupied = self.lines_where(|x| matches!(s.ed(x), Some((p, _)) if p == part));
         if (occupied.count_ones() as usize) < self.cfg.ed_capacity {
-            s.ed[line] = Some((part, entry));
+            s.set_ed(line, Some((part, entry)));
             emit(s);
             return;
         }
         for_each_choice(s, occupied, |mut ns, vline| {
-            let Some((vpart, victim)) = ns.ed[vline] else {
+            let Some((vpart, victim)) = ns.ed(vline) else {
                 unreachable!("an occupied ED line holds an entry");
             };
-            ns.ed[vline] = None;
-            ns.ed[line] = Some((part, entry));
+            ns.set_ed(vline, None);
+            ns.set_ed(line, Some((part, entry)));
             let m = step::ed_victim_to_td(victim, appendix_a);
             if !m.quirk_invalidate.is_empty() && self.cfg.fault != Fault::SkipQuirkInvalidation {
                 self.invalidate(&mut ns, vline, m.quirk_invalidate);
@@ -615,19 +590,19 @@ impl Model {
         has_vd: bool,
         emit: &mut impl FnMut(ModelState),
     ) {
-        debug_assert!(s.td[line].is_none(), "TD insertion over a live entry");
-        let occupied = self.lines_where(|x| matches!(s.td[x], Some((p, _)) if p == part));
+        debug_assert!(s.td(line).is_none(), "TD insertion over a live entry");
+        let occupied = self.lines_where(|x| matches!(s.td(x), Some((p, _)) if p == part));
         if (occupied.count_ones() as usize) < self.cfg.td_capacity {
-            s.td[line] = Some((part, entry));
+            s.set_td(line, Some((part, entry)));
             emit(s);
             return;
         }
         for_each_choice(s, occupied, |mut ns, vline| {
-            let Some((_, victim)) = ns.td[vline] else {
+            let Some((_, victim)) = ns.td(vline) else {
                 unreachable!("an occupied TD line holds an entry");
             };
-            ns.td[vline] = None;
-            ns.td[line] = Some((part, entry));
+            ns.set_td(vline, None);
+            ns.set_td(line, Some((part, entry)));
             match step::td_conflict(victim, has_vd) {
                 TdConflict::Discard { invalidate, .. } => {
                     self.invalidate(&mut ns, vline, invalidate);
@@ -675,20 +650,20 @@ impl Model {
         emit: &mut impl FnMut(ModelState),
     ) {
         let owner = CoreId(core);
-        if s.vd[line].contains(owner) {
+        if s.vd(line).contains(owner) {
             emit(s);
             return;
         }
-        let residents = self.lines_where(|x| x != line && s.vd[x].contains(owner));
+        let residents = self.lines_where(|x| x != line && s.vd(x).contains(owner));
         if (residents.count_ones() as usize) < self.cfg.vd_capacity {
-            s.vd[line].insert(owner);
+            s.vd_insert(line, owner);
             emit(s);
             return;
         }
         for_each_choice(s, residents, |mut ns, vline| {
-            ns.vd[vline].remove(owner);
-            ns.caches[core][vline] = Moesi::Invalid;
-            ns.vd[line].insert(owner);
+            ns.vd_remove(vline, owner);
+            ns.set_cache(core, vline, Moesi::Invalid);
+            ns.vd_insert(line, owner);
             emit(ns);
         });
     }
@@ -706,29 +681,29 @@ impl Model {
         let evictor = CoreId(core);
         match self.cfg.kind {
             DirKind::VdOnly => {
-                s.vd[line].remove(evictor);
+                s.vd_remove(line, evictor);
                 emit(s);
             }
             DirKind::Baseline(..) | DirKind::WayPartitioned | DirKind::SecDir => {
                 let has_vd = self.cfg.kind == DirKind::SecDir;
-                if let Some((part, entry)) = s.ed[line] {
-                    s.ed[line] = None;
+                if let Some((part, entry)) = s.ed(line) {
+                    s.set_ed(line, None);
                     let moved = step::l2_evict_ed(entry, evictor, dirty);
                     self.insert_td_entry(s, line, moved, part, has_vd, emit);
                     return;
                 }
-                if let Some((part, entry)) = s.td[line] {
+                if let Some((part, entry)) = s.td(line) {
                     let (updated, _fills) = step::l2_evict_td(entry, evictor, dirty);
-                    s.td[line] = Some((part, updated));
+                    s.set_td(line, Some((part, updated)));
                     emit(s);
                     return;
                 }
-                if has_vd && !s.vd[line].is_empty() {
+                if has_vd && !s.vd(line).is_empty() {
                     // Transition ④: consolidate the VD residency into a TD
                     // entry, exactly as `SecDirSlice::l2_evict` does.
-                    let matched = s.vd[line];
+                    let matched = s.vd(line);
                     if self.cfg.fault != Fault::LeakVdOnConsolidate {
-                        s.vd[line] = SharerSet::empty();
+                        s.set_vd(line, SharerSet::empty());
                     }
                     let consolidated =
                         step::l2_evict_ed(EdEntry { sharers: matched }, evictor, dirty);
@@ -743,19 +718,13 @@ impl Model {
     }
 }
 
-/// Calls `f` once per set bit `x` of `choices`, in ascending order, with
-/// a state of its own: copies of `s` for all but the last choice, which
-/// takes `s` itself — a branch point copies the state only when it
-/// really forks.
+/// Calls `f` once per set bit `x` of `choices`, in ascending order, each
+/// time with a copy of `s` of its own.
 fn for_each_choice(s: ModelState, mut choices: u32, mut f: impl FnMut(ModelState, usize)) {
     while choices != 0 {
         let x = choices.trailing_zeros() as usize;
         choices &= choices - 1;
-        if choices == 0 {
-            f(s, x);
-            return;
-        }
-        f(s.clone(), x);
+        f(s, x);
     }
 }
 

@@ -4,9 +4,9 @@
 //! `Model::successors_each`, which threads each nondeterministic branch
 //! through continuation sinks into one caller-supplied sink. Before the
 //! expansion it relabels the frontier state's words once
-//! (`CanonTable::lanes`); inside the sink it keys each successor with
-//! `CanonTable::key` against those lanes, which works on fixed-size lane
-//! arrays, and pushes the key into a reused scratch vector. This test
+//! (`CanonTable::lanes`); inside the sink it keys each successor's line
+//! words with `CanonTable::key` against those lanes, which works on
+//! fixed-size lane arrays, and pushes the key into a reused scratch vector. This test
 //! wraps the global allocator in a counter and asserts that, once a
 //! warm-up pass has grown the reused vectors to the largest successor
 //! set, that expansion allocates nothing. It asserts the same of the
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use secdir_verif::canon::CanonTable;
 use secdir_verif::model::{DirKind, Model, ModelConfig, ModelState};
-use secdir_verif::pack::{line_words, pack};
+use secdir_verif::pack::pack;
 
 struct CountingAlloc;
 
@@ -89,9 +89,9 @@ fn expansion_allocations(cfg: ModelConfig, states: &[ModelState]) -> [u64; 4] {
         for s in states {
             let mut marks = [allocations(); 5];
             keys.clear();
-            let lanes = table.lanes(pack(s));
+            let lanes = table.lanes(s);
             model.successors_each(s, &mut |label, t| {
-                keys.push((table.key(&lanes, line_words(&t)), label))
+                keys.push((table.key(&lanes, t.words()), label))
             });
             black_box(&keys);
             marks[1] = allocations();

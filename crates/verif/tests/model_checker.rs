@@ -304,8 +304,11 @@ fn each_broken_rule_is_named() {
     ];
     for (kind, states, ed, td, vd, expected) in cases {
         let mut s = ModelState::initial();
-        (s.caches[0][0], s.caches[1][0]) = (states[0], states[1]);
-        (s.ed[0], s.td[0], s.vd[0]) = (ed, td, set(vd));
+        s.set_cache(0, 0, states[0]);
+        s.set_cache(1, 0, states[1]);
+        s.set_ed(0, ed);
+        s.set_td(0, td);
+        s.set_vd(0, set(vd));
         let got = invariant_failure(&s, &ModelConfig::quick(kind));
         assert!(
             matches!(&got, Some(Failure::Invariant(v)) if expected(v)),
